@@ -21,11 +21,12 @@ import numpy as np
 
 from . import __version__
 from .dimred import FeatureMatrix, marker_matrix, pca_fit, pose_matrix
-from .errors import GaitViewError, NotAnalyzed, UnpairedSubject
+from .errors import GaitViewError, NotAnalyzed, ParseError
 from .features import FEATURE_SIDES, FeatureName, extract_all, signal_key_name
 from .ingest import (
     DEFAULT_CONF_THRESHOLD,
     DEFAULT_MAX_GAP,
+    _read_key_values,
     fill_gaps,
     load_marker_map,
     parse_marker_csv,
@@ -88,29 +89,47 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-def load_manifest(path: Path) -> dict[int, dict[str, Path]]:
-    """manifest.csv -> {subject: {kind: absolute file path}}."""
+def load_manifest(path: Path) -> dict[TrialId, dict[str, Path]]:
+    """manifest.csv -> {trial: {kind: absolute file path}}.
+
+    Rows of an unknown kind, a repeated (subject, kind) and a subject listed
+    under a second trial raise ParseError naming the manifest line: one
+    trial per subject is supported.
+    """
     base = path.parent
-    out: dict[int, dict[str, Path]] = {}
+    kinds = {view.value for view in ViewLabel}
+    out: dict[int, tuple[int, dict[str, Path]]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"subject", "trial", "kind", "path"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise GaitViewError(f"manifest {path} must have columns {sorted(required)}")
+
+        def error(column: str, reason: str) -> ParseError:
+            return ParseError(reader.line_num, reader.fieldnames.index(column) + 1, reason, path)
+
         for row in reader:
-            subject = int(row["subject"])
-            out.setdefault(subject, {})[row["kind"]] = base / row["path"]
-    return out
+            subject, trial, kind = int(row["subject"]), int(row["trial"]), row["kind"]
+            if kind not in kinds:
+                raise error("kind", f"unknown kind {kind!r}, expected one of {sorted(kinds)}")
+            first_trial, files = out.setdefault(subject, (trial, {}))
+            if trial != first_trial:
+                raise error("trial", f"subject {subject} is listed under trials {first_trial} "
+                                     f"and {trial}; one trial per subject is supported")
+            if kind in files:
+                raise error("kind", f"duplicate {kind} row for subject {subject}")
+            files[kind] = base / row["path"]
+    return {TrialId(subject, trial): files for subject, (trial, files) in out.items()}
 
 
-def _process_trial(cfg: RunConfig, subject: int, paths: dict[str, Path]):
+def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
     """Parse, repair, filter and extract features for one subject's trial."""
+    subject = trial.subject_index
     if "mocap3d" not in paths:
         raise GaitViewError(f"subject {subject}: manifest lists no mocap3d file")
     marker_path = paths["mocap3d"]
     if not marker_path.exists():
         raise GaitViewError(f"subject {subject}: missing file {marker_path}")
-    trial = TrialId(subject, 1)
     markers = parse_marker_csv(marker_path)
     if cfg.apply_filter:
         markers = smooth_markers(markers, cfg.filter_spec)
@@ -127,7 +146,7 @@ def _process_trial(cfg: RunConfig, subject: int, paths: dict[str, Path]):
         if cfg.apply_filter:
             pose = smooth_pose(pose, cfg.filter_spec)
         view_feats[view] = (pose, extract_all(pose, trial=trial, source=view))
-    return trial, markers, feats3d, view_feats
+    return markers, feats3d, view_feats
 
 
 def run_analysis(cfg: RunConfig) -> dict:
@@ -141,8 +160,9 @@ def run_analysis(cfg: RunConfig) -> dict:
     pooled_markers: list = []
     per_subject_seqs: list[tuple[int, ViewLabel, object]] = []
 
-    for subject in sorted(manifest):
-        trial, markers, feats3d, view_feats = _process_trial(cfg, subject, manifest[subject])
+    for trial in sorted(manifest):
+        subject = trial.subject_index
+        markers, feats3d, view_feats = _process_trial(cfg, trial, manifest[trial])
         pooled_markers.append(markers)
         per_subject_seqs.append((subject, ViewLabel.MOCAP3D, markers))
         for view, (pose, feats2d) in sorted(view_feats.items(), key=lambda kv: kv[0].value):
@@ -383,19 +403,6 @@ def recommend(analyzed_dir, alpha: float = 0.05) -> list[dict]:
 # --- argument parsing ---------------------------------------------------
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise GaitViewError(f"{path}:{line_no}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = value
-    return values
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaitview",
@@ -453,7 +460,10 @@ def _setting(args, file_cfg: dict, name: str, cast, default):
 
 
 def _run_config_from_args(args) -> RunConfig:
-    file_cfg = _read_config_file(args.config) if args.config else {}
+    file_cfg = (
+        {key.replace("-", "_"): value for key, value in _read_key_values(args.config).items()}
+        if args.config else {}
+    )
     out = args.out or file_cfg.get("out") or os.environ.get(OUT_DIR_ENV)
     if not out:
         raise GaitViewError("no output directory: pass --out or set " + OUT_DIR_ENV)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateMatrix, DimensionMismatch
+from .ingest import KEYPOINT_NAMES, _coordinates, _names
 
 DEFAULT_VARIANCE_THRESHOLD = 0.95
 
@@ -104,36 +105,18 @@ def pca_reconstruct(projected: FeatureMatrix, result: PcaResult) -> FeatureMatri
 
 def pose_matrix(sequences) -> FeatureMatrix:
     """Stack pose frames into an (frames, 17*2) matrix (x, y per keypoint)."""
-    from .ingest import KEYPOINT_NAMES
-
-    rows = []
-    for seq in sequences:
-        for fr in seq.frames:
-            row = []
-            for name in KEYPOINT_NAMES:
-                if name not in fr.keypoints:
-                    raise ValueError(f"keypoint {name!r} missing in frame {fr.frame_index}")
-                row.extend(fr.keypoints[name][:2])
-            rows.append(row)
+    values = np.concatenate([_coordinates(seq, KEYPOINT_NAMES) for seq in sequences])
     labels = [f"{name}_{axis}" for name in KEYPOINT_NAMES for axis in ("x", "y")]
-    return FeatureMatrix(np.asarray(rows), labels)
+    return FeatureMatrix(values.reshape(len(values), len(labels)), labels)
 
 
 def marker_matrix(sequences) -> FeatureMatrix:
-    """Stack marker frames into an (frames, markers*3) matrix."""
-    names = None
-    rows = []
-    for seq in sequences:
-        for fr in seq.frames:
-            if names is None:
-                names = sorted(fr.markers)
-            row = []
-            for name in names:
-                if name not in fr.markers:
-                    raise ValueError(f"marker {name!r} missing in frame {fr.frame_index}")
-                row.extend(fr.markers[name])
-            rows.append(row)
+    """Stack marker frames into an (frames, markers*3) matrix; the columns
+    are the markers of the first sequence with frames, sorted by name."""
+    sequences = list(sequences)
+    names = next((_names(seq) for seq in sequences if len(seq)), None)
     if names is None:
         raise ValueError("no frames supplied")
+    values = np.concatenate([_coordinates(seq, names) for seq in sequences])
     labels = [f"{name}_{axis}" for name in names for axis in ("x", "y", "z")]
-    return FeatureMatrix(np.asarray(rows), labels)
+    return FeatureMatrix(values.reshape(len(values), len(labels)), labels)

@@ -22,11 +22,13 @@ class LengthMismatch(GaitViewError):
 # --- ingest errors ---
 
 class ParseError(GaitViewError):
-    def __init__(self, line: int, column: int, reason: str):
+    def __init__(self, line: int, column: int, reason: str, path=None):
         self.line = line
         self.column = column
         self.reason = reason
-        super().__init__(f"line {line}, column {column}: {reason}")
+        self.path = path
+        where = f"line {line}, column {column}"
+        super().__init__(f"{path}: {where}: {reason}" if path else f"{where}: {reason}")
 
 
 class SchemaError(GaitViewError):

@@ -22,7 +22,7 @@ from .errors import (
     MissingLandmark,
     NoWalkingDirection,
 )
-from .ingest import MarkerSequence, PoseSequence
+from .ingest import PoseSequence, _coordinates
 from .signal_core import SideLabel, TimeSeries, TrialId, ViewLabel
 
 
@@ -62,20 +62,8 @@ def _is_pose(seq) -> bool:
 
 def _positions(seq, role: str, marker_map: dict[str, str] | None = None) -> np.ndarray:
     """Per-frame positions of one anatomical role: (N, 2) px or (N, 3) mm."""
-    if _is_pose(seq):
-        out = np.empty((len(seq.frames), 2))
-        for i, fr in enumerate(seq.frames):
-            if role not in fr.keypoints:
-                raise MissingLandmark(f"keypoint {role!r} absent in frame {fr.frame_index}")
-            out[i, 0], out[i, 1] = fr.keypoints[role][:2]
-        return out
-    name = (marker_map or {}).get(role, role)
-    out = np.empty((len(seq.frames), 3))
-    for i, fr in enumerate(seq.frames):
-        if name not in fr.markers:
-            raise MissingLandmark(f"marker {name!r} (role {role!r}) absent in frame {fr.frame_index}")
-        out[i] = fr.markers[name]
-    return out
+    name = role if _is_pose(seq) else (marker_map or {}).get(role, role)
+    return _coordinates(seq, [name], MissingLandmark)[:, 0]
 
 
 def _sample_rate(seq) -> float:

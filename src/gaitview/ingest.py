@@ -7,13 +7,20 @@ File schemas:
 
 All parsers are pure: a file either yields a sequence or raises a
 positioned error; there is no partial silent output.
+
+This is the only module that knows how a frame stores its points; the
+other modules read and replace coordinates as arrays through _names,
+_coordinates and _with_coordinates.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DuplicateError, GapTooLarge, ParseError, SchemaError
 from .signal_core import ViewLabel
@@ -68,10 +75,31 @@ class MarkerSequence:
         return len(self.frames)
 
 
-def _open(source):
+@dataclass(frozen=True)
+class _Kind:
+    """What separates the pose and the marker CSV schemas."""
+
+    header: list[str]
+    point: str  # what a row names: "keypoint" or "marker"
+    third: str  # the sixth column: "confidence" or "z"
+    dims: int  # leading coordinates of a point: x, y (pose) or x, y, z (marker)
+    frame: type
+    attr: str  # the frame's dict of points
+
+
+_POSE = _Kind(POSE_HEADER, "keypoint", "confidence", 2, PoseFrame, "keypoints")
+_MARKER = _Kind(MARKER_HEADER, "marker", "z", 3, MarkerFrame, "markers")
+
+
+def _kind(seq) -> _Kind:
+    return _POSE if isinstance(seq, PoseSequence) else _MARKER
+
+
+def _open(source, mode: str):
+    """Open a path; a file object passes through and is left open."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    return source, False
+        return open(source, mode, encoding="utf-8", newline="")
+    return contextlib.nullcontext(source)
 
 
 def _parse_float(value: str, line: int, column: int, what: str) -> float:
@@ -99,14 +127,12 @@ def _check_header(row, expected, line):
         raise ParseError(line, 1, f"bad header {got!r}, expected {expected!r}")
 
 
-def parse_pose_csv(source, view: ViewLabel = ViewLabel.FRONTAL) -> PoseSequence:
-    """Parse a 2D pose CSV into a PoseSequence with frames sorted by index."""
-    handle, owned = _open(source)
-    try:
+def _parse(source, kind: _Kind) -> list:
+    """Frames of a pose or marker CSV, sorted by frame index."""
+    with _open(source, "r") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        _check_header(header, POSE_HEADER, 1)
-        frames: dict[int, PoseFrame] = {}
+        _check_header(next(reader, None), kind.header, 1)
+        frames: dict[int, tuple[float, dict]] = {}
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -115,98 +141,102 @@ def parse_pose_csv(source, view: ViewLabel = ViewLabel.FRONTAL) -> PoseSequence:
             frame = _parse_int(row[0], line_no, 1, "frame index")
             time_s = _parse_float(row[1], line_no, 2, "time")
             name = row[2].strip()
-            if name not in KEYPOINT_NAMES:
+            if kind is _POSE and name not in KEYPOINT_NAMES:
                 raise SchemaError(f"line {line_no}: unknown keypoint {name!r}")
-            x = _parse_float(row[3], line_no, 4, "x")
-            y = _parse_float(row[4], line_no, 5, "y")
-            conf = _parse_float(row[5], line_no, 6, "confidence")
-            if not (0.0 <= conf <= 1.0):
-                raise SchemaError(f"line {line_no}: confidence {conf} outside [0, 1]")
-            rec = frames.setdefault(frame, PoseFrame(frame, time_s))
-            if name in rec.keypoints:
-                raise DuplicateError(f"line {line_no}: duplicate (frame {frame}, keypoint {name!r})")
-            rec.keypoints[name] = (x, y, conf)
-        ordered = [frames[k] for k in sorted(frames)]
-        return PoseSequence(view=view, frames=ordered)
-    finally:
-        if owned:
-            handle.close()
-
-
-def parse_marker_csv(source) -> MarkerSequence:
-    """Parse a 3D marker CSV into a MarkerSequence with frames sorted by index."""
-    handle, owned = _open(source)
-    try:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        _check_header(header, MARKER_HEADER, 1)
-        frames: dict[int, MarkerFrame] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise ParseError(line_no, len(row) + 1, f"expected 6 fields, got {len(row)}")
-            frame = _parse_int(row[0], line_no, 1, "frame index")
-            time_s = _parse_float(row[1], line_no, 2, "time")
-            name = row[2].strip()
             if not name:
                 raise SchemaError(f"line {line_no}: empty marker name")
             x = _parse_float(row[3], line_no, 4, "x")
             y = _parse_float(row[4], line_no, 5, "y")
-            z = _parse_float(row[5], line_no, 6, "z")
-            rec = frames.setdefault(frame, MarkerFrame(frame, time_s))
-            if name in rec.markers:
-                raise DuplicateError(f"line {line_no}: duplicate (frame {frame}, marker {name!r})")
-            rec.markers[name] = (x, y, z)
-        ordered = [frames[k] for k in sorted(frames)]
-        seq = MarkerSequence(frames=ordered)
-        if ordered:
-            names = set(ordered[0].markers)
-            for fr in ordered[1:]:
-                if set(fr.markers) != names:
-                    raise SchemaError(
-                        f"marker set changes at frame {fr.frame_index}; must be constant per trial"
-                    )
-        return seq
-    finally:
-        if owned:
-            handle.close()
+            third = _parse_float(row[5], line_no, 6, kind.third)
+            if kind is _POSE and not (0.0 <= third <= 1.0):
+                raise SchemaError(f"line {line_no}: confidence {third} outside [0, 1]")
+            points = frames.setdefault(frame, (time_s, {}))[1]
+            if name in points:
+                raise DuplicateError(
+                    f"line {line_no}: duplicate (frame {frame}, {kind.point} {name!r})"
+                )
+            points[name] = (x, y, third)
+    ordered = [kind.frame(index, *frames[index]) for index in sorted(frames)]
+    if kind is _MARKER and ordered:
+        names = set(ordered[0].markers)
+        for fr in ordered[1:]:
+            if set(fr.markers) != names:
+                raise SchemaError(
+                    f"marker set changes at frame {fr.frame_index}; must be constant per trial"
+                )
+    return ordered
+
+
+def parse_pose_csv(source, view: ViewLabel = ViewLabel.FRONTAL) -> PoseSequence:
+    """Parse a 2D pose CSV into a PoseSequence with frames sorted by index."""
+    return PoseSequence(view=view, frames=_parse(source, _POSE))
+
+
+def parse_marker_csv(source) -> MarkerSequence:
+    """Parse a 3D marker CSV into a MarkerSequence with frames sorted by index."""
+    return MarkerSequence(frames=_parse(source, _MARKER))
+
+
+def _write(seq, target) -> None:
+    kind = _kind(seq)
+    with _open(target, "w") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(kind.header)
+        for fr in seq.frames:
+            points = getattr(fr, kind.attr)
+            for name in sorted(points):
+                x, y, third = points[name]
+                writer.writerow([fr.frame_index, repr(fr.time_s), name, repr(x), repr(y), repr(third)])
 
 
 def write_pose_csv(seq: PoseSequence, target) -> None:
     """Write a PoseSequence in the pose CSV schema (full float precision)."""
-    handle, owned = _open_write(target)
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(POSE_HEADER)
-        for fr in seq.frames:
-            for name in sorted(fr.keypoints):
-                x, y, conf = fr.keypoints[name]
-                writer.writerow([fr.frame_index, repr(fr.time_s), name, repr(x), repr(y), repr(conf)])
-    finally:
-        if owned:
-            handle.close()
+    _write(seq, target)
 
 
 def write_marker_csv(seq: MarkerSequence, target) -> None:
     """Write a MarkerSequence in the marker CSV schema (full float precision)."""
-    handle, owned = _open_write(target)
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(MARKER_HEADER)
-        for fr in seq.frames:
-            for name in sorted(fr.markers):
-                x, y, z = fr.markers[name]
-                writer.writerow([fr.frame_index, repr(fr.time_s), name, repr(x), repr(y), repr(z)])
-    finally:
-        if owned:
-            handle.close()
+    _write(seq, target)
 
 
-def _open_write(target):
-    if isinstance(target, (str, Path)):
-        return open(target, "w", encoding="utf-8", newline=""), True
-    return target, False
+def _names(seq) -> list[str]:
+    """Sorted names of the points present in every frame of seq."""
+    attr = _kind(seq).attr
+    sets = [getattr(fr, attr).keys() for fr in seq.frames]
+    return sorted(set(sets[0]).intersection(*sets[1:])) if sets else []
+
+
+def _coordinates(seq, names, error: type[Exception] = ValueError) -> np.ndarray:
+    """(frames, len(names), dims) array of the named points' coordinates:
+    x, y for pose keypoints (confidence left out), x, y, z for markers.
+
+    A name absent from a frame raises error.
+    """
+    kind = _kind(seq)
+    flat: list[float] = []
+    for fr in seq.frames:
+        points = getattr(fr, kind.attr)
+        try:
+            for name in names:
+                flat.extend(points[name][: kind.dims])
+        except KeyError as exc:
+            raise error(
+                f"{kind.point} {exc.args[0]!r} absent in frame {fr.frame_index}"
+            ) from None
+    return np.array(flat, dtype=np.float64).reshape(len(seq.frames), len(names), kind.dims)
+
+
+def _with_coordinates(seq, names, values: np.ndarray):
+    """Copy of seq whose named points take their coordinates from values
+    (the layout of _coordinates); confidences and other points are kept."""
+    kind = _kind(seq)
+    frames = []
+    for fr, rows in zip(seq.frames, values.tolist()):
+        points = dict(getattr(fr, kind.attr))
+        for name, coords in zip(names, rows):
+            points[name] = tuple(coords) + points[name][kind.dims:]
+        frames.append(kind.frame(fr.frame_index, fr.time_s, points))
+    return replace(seq, frames=frames)
 
 
 def fill_gaps(
@@ -263,21 +293,25 @@ def fill_gaps(
     return PoseSequence(view=seq.view, frames=out_frames)
 
 
-def load_marker_map(source) -> dict[str, str]:
-    """Parse a key/value marker-map config: anatomical role -> marker name."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    mapping: dict[str, str] = {}
+def _read_key_values(source) -> dict[str, str]:
+    """Parse ``key = value`` lines; ``#`` starts a comment."""
+    path = source if isinstance(source, (str, Path)) else None
+    with _open(source, "r") as handle:
+        text = handle.read()
+    values: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ParseError(line_no, 1, f"expected 'role = marker' line, got {raw!r}")
-        role, name = (part.strip() for part in line.split("=", 1))
-        if not role or not name:
-            raise ParseError(line_no, 1, f"empty role or marker name in {raw!r}")
-        mapping[role] = name
-    return mapping
+            raise ParseError(line_no, 1, f"expected 'key = value', got {raw!r}", path)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key or not value:
+            raise ParseError(line_no, 1, f"empty key or value in {raw!r}", path)
+        values[key] = value
+    return values
+
+
+def load_marker_map(source) -> dict[str, str]:
+    """Parse a key/value marker-map config: anatomical role -> marker name."""
+    return _read_key_values(source)

@@ -29,7 +29,6 @@ class MetricConfig:
     histogram_bins: int = DEFAULT_HISTOGRAM_BINS
     log_base: float = DEFAULT_LOG_BASE
     smoothing_epsilon: float = DEFAULT_SMOOTHING_EPSILON
-    dtw_distance: str = "absolute_difference"
     mcc_pearson: bool = False  # optional normalized variant; off in default reports
 
     def __post_init__(self):
@@ -39,8 +38,6 @@ class MetricConfig:
             raise ValueError("smoothing_epsilon must be positive")
         if self.log_base <= 1:
             raise ValueError("log_base must be > 1")
-        if self.dtw_distance != "absolute_difference":
-            raise ValueError(f"unsupported dtw_distance {self.dtw_distance!r}")
 
 
 @dataclass(frozen=True)

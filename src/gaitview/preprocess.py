@@ -12,6 +12,7 @@ import numpy as np
 from scipy import signal as sps
 
 from .errors import InvalidFilterSpec, SignalTooShort
+from .ingest import _coordinates, _names, _with_coordinates
 from .signal_core import TimeSeries
 
 DEFAULT_CUTOFF_HZ = 7.0
@@ -63,13 +64,7 @@ def filtfilt(ts: TimeSeries, spec: FilterSpec | None = None) -> TimeSeries:
     """
     if spec is None:
         spec = FilterSpec(sample_rate_hz=ts.sample_rate_hz)
-    n = len(ts)
-    if n <= spec.pad_len:
-        raise SignalTooShort(
-            f"signal length {n} must exceed padding length {spec.pad_len}"
-        )
-    b, a = butterworth_coeffs(spec)
-    out = sps.filtfilt(b, a, ts.samples, padtype="odd", padlen=spec.pad_len)
+    out = filtfilt_array(ts.samples, spec)
     return TimeSeries(out, sample_rate_hz=ts.sample_rate_hz, label=ts.label)
 
 
@@ -83,43 +78,27 @@ def filtfilt_array(values: np.ndarray, spec: FilterSpec) -> np.ndarray:
     return sps.filtfilt(b, a, values, axis=0, padtype="odd", padlen=spec.pad_len)
 
 
+def _smooth(seq, spec: FilterSpec | None):
+    """Filter every point track present in all frames, in one filtfilt call."""
+    if spec is None:
+        spec = FilterSpec()
+    names = _names(seq)
+    values = _coordinates(seq, names)
+    if names:
+        tracks = values.reshape(values.shape[0], -1)
+        values = filtfilt_array(tracks, spec).reshape(values.shape)
+    return _with_coordinates(seq, names, values)
+
+
 def smooth_pose(seq, spec: FilterSpec | None = None):
     """Zero-phase filter each keypoint's x/y track; confidences untouched.
 
     Keypoints not present in every frame pass through unchanged (run
-    fill_gaps first). Returns a new PoseSequence. Imported lazily to keep
-    this module free of ingest at import time.
+    fill_gaps first). Returns a new PoseSequence.
     """
-    from .ingest import PoseFrame, PoseSequence
-
-    if spec is None:
-        spec = FilterSpec()
-    n = len(seq.frames)
-    out = [PoseFrame(fr.frame_index, fr.time_s, dict(fr.keypoints)) for fr in seq.frames]
-    names = sorted({name for fr in seq.frames for name in fr.keypoints})
-    for name in names:
-        if not all(name in fr.keypoints for fr in seq.frames):
-            continue
-        track = np.array([fr.keypoints[name][:2] for fr in seq.frames])
-        smoothed = filtfilt_array(track, spec)
-        for i in range(n):
-            conf = seq.frames[i].keypoints[name][2]
-            out[i].keypoints[name] = (float(smoothed[i, 0]), float(smoothed[i, 1]), conf)
-    return PoseSequence(view=seq.view, frames=out)
+    return _smooth(seq, spec)
 
 
 def smooth_markers(seq, spec: FilterSpec | None = None):
     """Zero-phase filter each marker's x/y/z track. Returns a new MarkerSequence."""
-    from .ingest import MarkerFrame, MarkerSequence
-
-    if spec is None:
-        spec = FilterSpec()
-    n = len(seq.frames)
-    out = [MarkerFrame(fr.frame_index, fr.time_s, dict(fr.markers)) for fr in seq.frames]
-    names = sorted(seq.frames[0].markers) if seq.frames else []
-    for name in names:
-        track = np.array([fr.markers[name] for fr in seq.frames])
-        smoothed = filtfilt_array(track, spec)
-        for i in range(n):
-            out[i].markers[name] = tuple(float(v) for v in smoothed[i])
-    return MarkerSequence(frames=out)
+    return _smooth(seq, spec)

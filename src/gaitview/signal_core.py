@@ -25,7 +25,7 @@ class SideLabel(str, Enum):
     BILATERAL = "bilateral"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class TrialId:
     subject_index: int
     trial_index: int = 1
@@ -78,9 +78,6 @@ class TimeSeries:
             and self.label == other.label
             and np.array_equal(self.samples, other.samples)
         )
-
-    def __hash__(self):
-        return hash((self.label, self.sample_rate_hz, self.samples.tobytes()))
 
 
 def resample_linear(ts: TimeSeries, target_len: int) -> TimeSeries:

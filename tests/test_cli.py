@@ -195,6 +195,14 @@ class TestAnalyzeCommand:
         assert meta["histogram_bins"] == 128  # flag wins
         assert meta["alpha"] == 0.01
 
+    def test_malformed_config_line_exit_1(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 0.01\n# comment\nhistogram-bins 64\n")
+        assert run_analyze(dataset, tmp_path / "o", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}: line 3" in err
+        assert "expected 'key = value'" in err
+
     def test_per_subject_pca_scope(self, dataset, tmp_path):
         out = tmp_path / "per_subj"
         assert run_analyze(dataset, out, "--pca-scope", "per-subject") == 0
@@ -204,6 +212,32 @@ class TestAnalyzeCommand:
         assert "frontal_s01" in groups
         assert "mocap3d_s02" in groups
         assert len(groups) == 6
+
+
+class TestManifest:
+    @pytest.mark.parametrize("extra_row, line, message", [
+        ("1,1,sideways,s01_lateral.csv", 5, "unknown kind 'sideways'"),
+        ("1,2,frontal,s01_frontal.csv", 5, "subject 1 is listed under trials 1 and 2"),
+        ("1,1,lateral,s01_lateral.csv", 5, "duplicate lateral row for subject 1"),
+    ])
+    def test_rejected_row_exit_1(self, tmp_path, capsys, extra_row, line, message):
+        manifest = run_synth(tmp_path / "d", subjects=1)
+        with open(manifest, "a") as fh:
+            fh.write(extra_row + "\n")
+        assert run_analyze(manifest, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert f"{manifest}: line {line}" in err
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_trial_index_reaches_records(self, tmp_path):
+        manifest = run_synth(tmp_path / "d", subjects=2)
+        manifest.write_text(manifest.read_text().replace("\n2,1,", "\n2,3,"))
+        out = tmp_path / "out"
+        assert run_analyze(manifest, out) == 0
+        with open(out / "metric_records.csv", newline="") as fh:
+            trials = {(row["subject"], row["trial"]) for row in csv.DictReader(fh)}
+        assert trials == {("1", "1"), ("2", "3")}
 
 
 class TestRecommendCommand:

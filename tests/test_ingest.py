@@ -1,6 +1,9 @@
 import io
+import string
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gaitview.errors import DuplicateError, GapTooLarge, ParseError, SchemaError
 from gaitview.ingest import (
@@ -109,6 +112,49 @@ class TestParseMarker:
         body = "0,0.0,a,1,2,3\n0,0.0,a,4,5,6\n"
         with pytest.raises(DuplicateError):
             parse_marker_csv(io.StringIO(MARKER_HEADER + body))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+frame_indices = st.lists(st.integers(-10, 10_000), min_size=0, max_size=6, unique=True).map(sorted)
+
+
+@st.composite
+def pose_sequences(draw):
+    point = st.tuples(finite, finite, st.floats(0.0, 1.0))
+    frames = [
+        PoseFrame(index, draw(finite),
+                  draw(st.dictionaries(st.sampled_from(KEYPOINT_NAMES), point, min_size=1)))
+        for index in draw(frame_indices)
+    ]
+    return PoseSequence(view=draw(st.sampled_from(ViewLabel)), frames=frames)
+
+
+@st.composite
+def marker_sequences(draw):
+    # csv quotes names holding commas or quote marks; the parser strips spaces
+    name = st.text(string.ascii_letters + string.digits + "_-., '\"", min_size=1, max_size=8)
+    names = draw(st.lists(name.filter(lambda n: n == n.strip()), min_size=1, max_size=4,
+                          unique=True))
+    point = st.tuples(finite, finite, finite)
+    frames = [
+        MarkerFrame(index, draw(finite), {n: draw(point) for n in names})
+        for index in draw(frame_indices)
+    ]
+    return MarkerSequence(frames=frames)
+
+
+class TestRoundTripProperty:
+    @given(pose_sequences())
+    def test_pose(self, seq):
+        buf = io.StringIO()
+        write_pose_csv(seq, buf)
+        assert parse_pose_csv(io.StringIO(buf.getvalue()), view=seq.view) == seq
+
+    @given(marker_sequences())
+    def test_marker(self, seq):
+        buf = io.StringIO()
+        write_marker_csv(seq, buf)
+        assert parse_marker_csv(io.StringIO(buf.getvalue())) == seq
 
 
 class TestFillGaps:

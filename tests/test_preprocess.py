@@ -1,9 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import signal as sps
 
+from gaitview import preprocess
 from gaitview.errors import InvalidFilterSpec, SignalTooShort
-from gaitview.preprocess import FilterSpec, butterworth_coeffs, filtfilt
-from gaitview.signal_core import TimeSeries
+from gaitview.ingest import KEYPOINT_NAMES, MarkerFrame, MarkerSequence, PoseFrame, PoseSequence
+from gaitview.preprocess import (
+    FilterSpec,
+    butterworth_coeffs,
+    filtfilt,
+    smooth_markers,
+    smooth_pose,
+)
+from gaitview.signal_core import TimeSeries, ViewLabel
 
 
 def sine(freq_hz, fs=100.0, seconds=3.0, amp=1.0):
@@ -90,3 +101,61 @@ class TestFiltfilt:
     def test_too_short(self):
         with pytest.raises(SignalTooShort):
             filtfilt(TimeSeries(np.arange(10.0)), FilterSpec())
+
+
+def per_track_reference(seq, spec):
+    """The former smoothing loop: one sps.filtfilt call per complete track."""
+    b, a = sps.butter(spec.design_order, spec.cutoff_hz, btype="low", fs=spec.sample_rate_hz)
+    pose = isinstance(seq, PoseSequence)
+    attr = "keypoints" if pose else "markers"
+    frames = [replace(fr, **{attr: dict(getattr(fr, attr))}) for fr in seq.frames]
+    names = sorted({name for fr in seq.frames for name in getattr(fr, attr)})
+    for name in names:
+        if not all(name in getattr(fr, attr) for fr in seq.frames):
+            continue
+        track = np.array([getattr(fr, attr)[name][: 2 if pose else 3] for fr in seq.frames])
+        smoothed = sps.filtfilt(b, a, track, axis=0, padtype="odd", padlen=spec.pad_len)
+        for fr, old, row in zip(frames, seq.frames, smoothed):
+            rest = getattr(old, attr)[name][2:] if pose else ()
+            getattr(fr, attr)[name] = tuple(float(v) for v in row) + rest
+    return replace(seq, frames=frames)
+
+
+def random_pose(rng, n=60):
+    frames = []
+    for i in range(n):
+        kps = {name: (float(rng.normal(300, 50)), float(rng.normal(200, 50)),
+                      float(rng.uniform(0.3, 1.0)))
+               for name in KEYPOINT_NAMES}
+        if i == 7:
+            del kps["nose"]  # an incomplete track passes through unfiltered
+        frames.append(PoseFrame(i, i / 100, kps))
+    return PoseSequence(ViewLabel.LATERAL, frames)
+
+
+def random_markers(rng, n=60):
+    names = ("head", "left_ankle", "pelvis", "right_ankle")
+    return MarkerSequence([
+        MarkerFrame(i, i / 100, {name: tuple(float(v) for v in rng.normal(0, 500, 3))
+                                 for name in names})
+        for i in range(n)
+    ])
+
+
+class TestSmoothing:
+    @pytest.mark.parametrize("make, smooth", [(random_pose, smooth_pose),
+                                              (random_markers, smooth_markers)])
+    def test_equals_per_track_loop_with_one_design(self, make, smooth, monkeypatch):
+        seq = make(np.random.default_rng(3))
+        spec = FilterSpec(6.0, 100.0, 4)
+        expected = per_track_reference(seq, spec)
+        designs = []
+
+        def counting(s):
+            designs.append(s)
+            return butterworth_coeffs(s)
+
+        monkeypatch.setattr(preprocess, "butterworth_coeffs", counting)
+        out = smooth(seq, spec)
+        assert out == expected
+        assert designs == [spec]
