@@ -83,14 +83,20 @@ class FeatureError(GaitViewError):
 # --- metric errors ---
 
 class MetricError(GaitViewError):
-    """Wraps a metric failure with the (trial, feature, side, view) it occurred in."""
+    """Wraps a metric failure with the (subject, trial, feature, side, view)
+    it occurred in."""
 
-    def __init__(self, feature: str, side: str, view: str, cause: Exception):
+    def __init__(self, subject: int, trial: int, feature: str, side: str, view: str,
+                 cause: Exception):
+        self.subject = subject
+        self.trial = trial
         self.feature = feature
         self.side = side
         self.view = view
         self.cause = cause
-        super().__init__(f"({feature}, {side}, {view}): {cause}")
+        super().__init__(
+            f"(subject {subject}, trial {trial}, {feature}, {side}, {view}): {cause}"
+        )
 
 
 # --- stats errors ---

@@ -67,6 +67,13 @@ def dtw_distance(x: TimeSeries, y: TimeSeries, cfg: MetricConfig | None = None) 
 
     Full n x m recurrence D(i,j) = d(i,j) + min(D(i-1,j), D(i,j-1),
     D(i-1,j-1)); no warping window, no slope constraint.
+
+    The table is swept by anti-diagonals i + j = k: a cell depends only on
+    diagonals k - 1 and k - 2, so each diagonal is one vectorised step.
+    Diagonals are kept indexed by row i + 1, with +inf for the cells off
+    the table, so the first row and column need no special case. Every cell
+    still adds its own cost to the exact minimum of its predecessors, so the
+    result equals the cell-by-cell recurrence bit for bit.
     """
     cfg = cfg or MetricConfig()
     xs = _prepared(x, cfg)
@@ -74,24 +81,23 @@ def dtw_distance(x: TimeSeries, y: TimeSeries, cfg: MetricConfig | None = None) 
     n, m = xs.size, ys.size
     if n == 0 or m == 0:
         raise DegenerateSignal("empty signal")
-    # row 0: only horizontal predecessors
-    prev = np.cumsum(np.abs(xs[0] - ys)).tolist()
-    for i in range(1, n):
-        cost = np.abs(xs[i] - ys).tolist()
-        cur = [0.0] * m
-        cur[0] = cost[0] + prev[0]
-        up = prev
-        left = cur[0]
-        for j in range(1, m):
-            a = up[j]
-            b = up[j - 1]
-            best = a if a < b else b
-            if left < best:
-                best = left
-            left = cost[j] + best
-            cur[j] = left
-        prev = cur
-    return float(prev[-1])
+    y_rev = ys[::-1]
+    before, last, cur = np.full((3, n + 1), np.inf)  # diagonals k - 2, k - 1, k
+    last[1] = abs(xs[0] - ys[0])
+    cost = np.empty(n)
+    for k in range(1, n + m - 1):
+        lo = max(0, k - m + 1)  # rows lo..hi-1 of the table lie on diagonal k
+        hi = min(n, k + 1)
+        c = cost[:hi - lo]
+        shift = m - 1 - k  # y[k - i] is y_rev[shift + i]
+        np.subtract(xs[lo:hi], y_rev[shift + lo:shift + hi], out=c)
+        np.abs(c, out=c)
+        out = cur[lo + 1:hi + 1]
+        np.minimum(last[lo:hi], last[lo + 1:hi + 1], out=out)  # up, left
+        np.minimum(out, before[lo:hi], out=out)  # diagonal
+        np.add(c, out, out=out)
+        before, last, cur = last, cur, before
+    return float(last[n])
 
 
 def max_cross_correlation(
@@ -199,7 +205,8 @@ def compute_record(
         ie2 = information_entropy(sig2, inner)
         ie3 = information_entropy(sig3, inner)
     except Exception as exc:
-        raise MetricError(feature.value, side.value, view.value, exc) from exc
+        raise MetricError(trial.subject_index, trial.trial_index,
+                          feature.value, side.value, view.value, exc) from exc
     return MetricRecord(
         trial=trial, feature=feature, side=side, view=view,
         dtw=dtw, mcc=mcc, mcc_lag=lag, kld=kld, ie_2d=ie2, ie_3d=ie3,

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import InvalidFilterSpec, SignalTooShort
 from .ingest import _coordinates, _names, _with_coordinates
@@ -52,6 +51,8 @@ def butterworth_coeffs(spec: FilterSpec) -> tuple[np.ndarray, np.ndarray]:
     Bilinear transform with frequency pre-warping of an analog Butterworth
     prototype of order spec.order / 2; DC gain is exactly 1.
     """
+    from scipy import signal as sps  # imported on first use: recommend never filters
+
     b, a = sps.butter(spec.design_order, spec.cutoff_hz, btype="low", fs=spec.sample_rate_hz)
     return np.asarray(b), np.asarray(a)
 
@@ -74,6 +75,8 @@ def filtfilt_array(values: np.ndarray, spec: FilterSpec) -> np.ndarray:
         raise SignalTooShort(
             f"signal length {values.shape[0]} must exceed padding length {spec.pad_len}"
         )
+    from scipy import signal as sps
+
     b, a = butterworth_coeffs(spec)
     return sps.filtfilt(b, a, values, axis=0, padtype="odd", padlen=spec.pad_len)
 

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 from .errors import (
     AllZeroDifferences,
@@ -61,7 +60,14 @@ class StatResult:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    return sstats.rankdata(values, method="average")
+    """1-based ranks; tied values share the mean of their ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def wilcoxon_signed_rank(
@@ -158,6 +164,8 @@ def shapiro_wilk(values) -> tuple[float, float]:
         raise UnsupportedSampleSize(f"n = {arr.size} outside [3, 5000]")
     if np.all(arr == arr[0]):
         raise ConstantSample("all values equal")
+    from scipy import stats as sstats  # imported here: only this test needs it
+
     w, p = sstats.shapiro(arr)
     return float(w), float(p)
 

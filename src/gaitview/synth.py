@@ -283,7 +283,7 @@ def _randomized_params(base: GaitModelParams, rng: np.random.Generator) -> GaitM
     """Per-subject variation around the defaults."""
     return replace(
         base,
-        n_frames=int(np.clip(round(rng.normal(base.n_frames, 14.0)), 80, 400)),
+        n_frames=max(80, int(round(rng.normal(base.n_frames, 14.0)))),
         cycle_hz=base.cycle_hz * float(rng.uniform(0.9, 1.1)),
         walking_speed_mps=base.walking_speed_mps * float(rng.uniform(0.85, 1.15)),
         leg_swing_amp_deg=base.leg_swing_amp_deg * float(rng.uniform(0.85, 1.15)),

@@ -1,6 +1,10 @@
 import csv
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +58,34 @@ class TestVersion:
     def test_version_prints(self, capsys):
         assert main(["version"]) == 0
         assert capsys.readouterr().out.startswith("gaitview ")
+
+
+SCIPY_PROBE = """
+import sys
+from gaitview.cli import main
+assert main(sys.argv[1:]) == 0
+print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
+"""
+
+
+def scipy_modules_after(*argv):
+    """scipy modules a fresh interpreter holds after running `gaitview *argv`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()[-1]
+
+
+class TestStartupWithoutScipy:
+    def test_version(self):
+        assert scipy_modules_after("version") == "[]"
+
+    def test_recommend(self, analyzed, tmp_path):
+        copy = tmp_path / "analysis"
+        shutil.copytree(analyzed, copy)
+        assert scipy_modules_after("recommend", "--analyzed", str(copy)) == "[]"
 
 
 class TestSynthCommand:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gaitview.errors import ConstantSignal, LengthMismatch, MetricError
 from gaitview.features import FeatureName
@@ -22,6 +24,34 @@ RAW = MetricConfig(normalize=False)
 
 def ts(values):
     return TimeSeries(np.asarray(values, dtype=float))
+
+
+def dtw_cell_loop(xs, ys):
+    """The former dtw_distance body: the full table filled one cell at a time."""
+    n, m = xs.size, ys.size
+    prev = np.cumsum(np.abs(xs[0] - ys)).tolist()
+    for i in range(1, n):
+        cost = np.abs(xs[i] - ys).tolist()
+        cur = [0.0] * m
+        cur[0] = cost[0] + prev[0]
+        up = prev
+        left = cur[0]
+        for j in range(1, m):
+            a = up[j]
+            b = up[j - 1]
+            best = a if a < b else b
+            if left < best:
+                best = left
+            left = cost[j] + best
+            cur[j] = left
+        prev = cur
+    return float(prev[-1])
+
+
+short_signals = st.lists(
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=DTW_MAX_LEN,
+)
 
 
 class TestDtw:
@@ -53,6 +83,20 @@ class TestDtw:
             got = dtw_distance(ts(a), ts(b), RAW)
             want = dtw_bruteforce(a.tolist(), b.tolist())
             assert got == want
+
+    @given(short_signals, short_signals)
+    def test_oracle_property(self, a, b):
+        assert dtw_distance(ts(a), ts(b), RAW) == dtw_bruteforce(a, b)
+
+    def test_equals_cell_loop(self):
+        rng = np.random.default_rng(11)
+        shapes = [(1, 1), (1, 300), (300, 1), (300, 7), (5, 280), (300, 300)]
+        shapes += [tuple(rng.integers(1, 301, size=2)) for _ in range(24)]
+        for n, m in shapes:
+            for scale in (1e-6, 1.0, 1e6):
+                a = rng.normal(size=n) * scale
+                b = rng.normal(size=m) * scale
+                assert dtw_distance(ts(a), ts(b), RAW) == dtw_cell_loop(a, b), (n, m, scale)
 
     def test_repeating_last_value_adds_nothing(self):
         a = [0.0, 1.0, 0.5]
@@ -196,8 +240,10 @@ class TestComputeRecord:
     def test_errors_wrapped(self):
         with pytest.raises(MetricError) as info:
             compute_record(
-                TrialId(1, 1), FeatureName.KNEE_ROTATION, SideLabel.RIGHT,
+                TrialId(3, 2), FeatureName.KNEE_ROTATION, SideLabel.RIGHT,
                 ViewLabel.FRONTAL, ts([1.0] * 50), ts([1.0] * 50),
             )
         assert info.value.feature == "knee_rotation"
         assert info.value.view == "frontal"
+        assert (info.value.subject, info.value.trial) == (3, 2)
+        assert "subject 3, trial 2" in str(info.value)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import stats as sstats
 
 from gaitview.errors import (
     AllZeroDifferences,
@@ -12,6 +15,7 @@ from gaitview.metrics import MetricRecord
 from gaitview.signal_core import SideLabel, TrialId, ViewLabel
 from gaitview.stats import (
     PairedSample,
+    _midranks,
     cliffs_delta,
     compare_views,
     effect_label,
@@ -91,6 +95,14 @@ class TestWilcoxonAgainstEnumeration:
         _, p_auto = wilcoxon_signed_rank(s, method="auto")
         _, p_approx = wilcoxon_signed_rank(s, method="approx")
         assert p_auto == p_approx
+
+
+class TestMidranks:
+    @given(st.lists(st.integers(-4, 4).map(lambda k: k / 2.0), min_size=1, max_size=40))
+    def test_equals_scipy_rankdata(self, values):
+        # few distinct values, so most draws carry ties
+        arr = np.asarray(values)
+        assert np.array_equal(_midranks(arr), sstats.rankdata(arr, method="average"))
 
 
 class TestCliffsDelta:

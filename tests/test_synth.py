@@ -242,3 +242,11 @@ class TestPairedDataset:
             seq = parse_marker_csv(tmp_path / f"s{i:02d}_mocap3d.csv")
             lengths.add(len(seq.frames))
         assert len(lengths) > 1
+
+    def test_long_trials_not_capped(self, tmp_path):
+        # per-subject lengths scatter around n_frames with no upper clip
+        params = GaitModelParams(n_frames=600, seed=4)
+        make_paired_dataset(params, subjects=2, out_dir=tmp_path)
+        for i in (1, 2):
+            seq = parse_marker_csv(tmp_path / f"s{i:02d}_mocap3d.csv")
+            assert len(seq.frames) > 400
