@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .dimred import FeatureMatrix, marker_matrix, pca_fit, pose_matrix
-from .errors import GaitViewError, NotAnalyzed, ParseError
+from .errors import GaitViewError, InputFileError, NotAnalyzed, ParseError
 from .features import FEATURE_SIDES, FeatureName, extract_all, signal_key_name
 from .ingest import (
     DEFAULT_CONF_THRESHOLD,
@@ -124,29 +124,35 @@ def load_manifest(path: Path) -> dict[TrialId, dict[str, Path]]:
 
 def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
     """Parse, repair, filter and extract features for one subject's trial."""
-    subject = trial.subject_index
     if "mocap3d" not in paths:
-        raise GaitViewError(f"subject {subject}: manifest lists no mocap3d file")
-    marker_path = paths["mocap3d"]
-    if not marker_path.exists():
-        raise GaitViewError(f"subject {subject}: missing file {marker_path}")
-    markers = parse_marker_csv(marker_path)
-    if cfg.apply_filter:
-        markers = smooth_markers(markers, cfg.filter_spec)
-    feats3d = extract_all(markers, cfg.marker_map, trial=trial, source=ViewLabel.MOCAP3D)
-    view_feats = {}
-    for view in (ViewLabel.FRONTAL, ViewLabel.LATERAL):
-        if view.value not in paths:
-            continue
-        pose_path = paths[view.value]
-        if not pose_path.exists():
-            raise GaitViewError(f"subject {subject}: missing file {pose_path}")
-        pose = parse_pose_csv(pose_path, view=view)
-        pose = fill_gaps(pose, cfg.conf_threshold, cfg.max_gap)
-        if cfg.apply_filter:
-            pose = smooth_pose(pose, cfg.filter_spec)
-        view_feats[view] = (pose, extract_all(pose, trial=trial, source=view))
+        raise GaitViewError(f"subject {trial.subject_index}: manifest lists no mocap3d file")
+    markers, feats3d = _process_file(cfg, trial, ViewLabel.MOCAP3D, paths["mocap3d"])
+    view_feats = {
+        view: _process_file(cfg, trial, view, paths[view.value])
+        for view in (ViewLabel.FRONTAL, ViewLabel.LATERAL)
+        if view.value in paths
+    }
     return markers, feats3d, view_feats
+
+
+def _process_file(cfg: RunConfig, trial: TrialId, view: ViewLabel, path: Path):
+    """(sequence, features) of one file; a failure names the subject, trial,
+    view and file."""
+    try:
+        if not path.exists():
+            raise GaitViewError("missing file")
+        if view is ViewLabel.MOCAP3D:
+            seq = parse_marker_csv(path)
+            if cfg.apply_filter:
+                seq = smooth_markers(seq, cfg.filter_spec)
+            return seq, extract_all(seq, cfg.marker_map, trial=trial, source=view)
+        seq = fill_gaps(parse_pose_csv(path, view=view), cfg.conf_threshold, cfg.max_gap)
+        if cfg.apply_filter:
+            seq = smooth_pose(seq, cfg.filter_spec)
+        return seq, extract_all(seq, trial=trial, source=view)
+    except (GaitViewError, ValueError, OSError) as exc:
+        raise InputFileError(trial.subject_index, trial.trial_index, view.value, path,
+                             exc) from exc
 
 
 def run_analysis(cfg: RunConfig) -> dict:

@@ -142,5 +142,18 @@ class BehindCamera(GaitViewError):
 
 # --- cli errors ---
 
+class InputFileError(GaitViewError):
+    """Wraps a failure while one input file is parsed, gap-filled, filtered
+    or feature-extracted, with the (subject, trial, view) and file it came from."""
+
+    def __init__(self, subject: int, trial: int, view: str, path, cause: Exception):
+        self.subject = subject
+        self.trial = trial
+        self.view = view
+        self.path = path
+        self.cause = cause
+        super().__init__(f"(subject {subject}, trial {trial}, {view}, {path}): {cause}")
+
+
 class NotAnalyzed(GaitViewError):
     """Recommendation requested before an analyze run produced outputs."""

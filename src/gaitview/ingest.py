@@ -150,7 +150,13 @@ def _parse(source, kind: _Kind) -> list:
             third = _parse_float(row[5], line_no, 6, kind.third)
             if kind is _POSE and not (0.0 <= third <= 1.0):
                 raise SchemaError(f"line {line_no}: confidence {third} outside [0, 1]")
-            points = frames.setdefault(frame, (time_s, {}))[1]
+            frame_time, points = frames.setdefault(frame, (time_s, {}))
+            if time_s != frame_time:
+                raise ParseError(
+                    line_no, 2,
+                    f"time {time_s!r} of frame {frame} conflicts with {frame_time!r} "
+                    "given by an earlier row",
+                )
             if name in points:
                 raise DuplicateError(
                     f"line {line_no}: duplicate (frame {frame}, {kind.point} {name!r})"

@@ -2,7 +2,16 @@
 
 The net filter order is even: an order/2 design is applied forward and
 backward, which doubles the attenuation and cancels phase. Defaults (7 Hz
-cutoff, 100 Hz sampling, net order 4) follow standard gait-lab practice.
+cutoff, 100 Hz sampling, net order 4) follow standard gait-lab practice
+(Winter's zero-lag 4th-order Butterworth).
+
+The design and the filter are numpy ports of scipy.signal.butter and
+scipy.signal.filtfilt with odd padding, where each pass starts from the
+steady-state step response (lfilter_zi; on initial states in
+forward-backward filtering see Gustafsson 1996). They perform scipy's
+floating-point operations in scipy's order, so their results equal scipy's
+bit for bit; the tests hold scipy as the oracle. Filtering never imports
+scipy.
 """
 from __future__ import annotations
 
@@ -49,12 +58,41 @@ def butterworth_coeffs(spec: FilterSpec) -> tuple[np.ndarray, np.ndarray]:
     """Discrete low-pass coefficients (b, a) for a single forward pass.
 
     Bilinear transform with frequency pre-warping of an analog Butterworth
-    prototype of order spec.order / 2; DC gain is exactly 1.
+    prototype of order spec.order / 2; DC gain is exactly 1. The steps and
+    their order are those of scipy.signal.butter's low-pass 'ba' path:
+    buttap, tan pre-warp at fs = 2, lp2lp_zpk, bilinear_zpk, zpk2tf.
     """
-    from scipy import signal as sps  # imported on first use: recommend never filters
+    order = spec.design_order
+    # analog prototype: poles on the left unit half-circle, no zeros, gain 1
+    m = np.arange(-order + 1, order, 2, dtype=np.float64)
+    poles = -np.exp(1j * np.pi * m / (2 * order))  # odd orders: m = 0 gives a real pole
+    zeros = np.array([], dtype=np.float64)
+    # pre-warp the normalised cutoff for a digital design at fs = 2
+    wn = np.asarray(spec.cutoff_hz, dtype=np.float64) / (float(spec.sample_rate_hz) / 2)
+    fs = 2.0
+    warped = float(2 * fs * np.tan(np.pi * wn / fs))
+    # low-pass to low-pass: scale radially to the warped cutoff
+    zeros, poles, gain = warped * zeros, warped * poles, 1.0 * warped**order
+    # bilinear transform; the zeros at infinity move to Nyquist (z = -1)
+    fs2 = 2.0 * fs
+    zeros_z = np.concatenate(((fs2 + zeros) / (fs2 - zeros), -np.ones(order)))
+    poles_z = (fs2 + poles) / (fs2 - poles)
+    gain = gain * np.real(np.prod(fs2 - zeros) / np.prod(fs2 - poles))
+    return gain * _poly(zeros_z), _poly(poles_z)
 
-    b, a = sps.butter(spec.design_order, spec.cutoff_hz, btype="low", fs=spec.sample_rate_hz)
-    return np.asarray(b), np.asarray(a)
+
+def _poly(roots: np.ndarray) -> np.ndarray:
+    """Monic polynomial with the given roots, highest power first; real when
+    the roots are real or come in conjugate pairs."""
+    coeffs = np.ones((1,), dtype=roots.dtype)
+    one = np.ones_like(roots[0])
+    for root in roots:
+        coeffs = np.convolve(coeffs, np.stack((one, -root)), mode="full")
+    if np.iscomplexobj(coeffs) and np.all(
+        np.sort(np.imag(roots)) == np.sort(np.imag(np.conj(roots)))
+    ):
+        coeffs = np.real(coeffs).copy()
+    return coeffs
 
 
 def filtfilt(ts: TimeSeries, spec: FilterSpec | None = None) -> TimeSeries:
@@ -70,15 +108,58 @@ def filtfilt(ts: TimeSeries, spec: FilterSpec | None = None) -> TimeSeries:
 
 
 def filtfilt_array(values: np.ndarray, spec: FilterSpec) -> np.ndarray:
-    """filtfilt over a raw array (axis 0); used on coordinate tracks."""
-    if values.shape[0] <= spec.pad_len:
-        raise SignalTooShort(
-            f"signal length {values.shape[0]} must exceed padding length {spec.pad_len}"
-        )
-    from scipy import signal as sps
+    """filtfilt over a raw array (axis 0); used on coordinate tracks.
 
+    Every track along axis 0 is filtered in the same pass. The edges are
+    odd extensions of pad_len samples, and each pass starts from the
+    steady-state response to its first sample (lfilter_zi), as in
+    scipy.signal.filtfilt(b, a, values, axis=0, padtype="odd", padlen=pad_len).
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n, pad = values.shape[0], spec.pad_len
+    if n <= pad:
+        raise SignalTooShort(f"signal length {n} must exceed padding length {pad}")
+    x = values.reshape(n, -1)
+    ext = np.concatenate((2 * x[:1] - x[pad:0:-1], x, 2 * x[-1:] - x[-2:-(pad + 2):-1]))
     b, a = butterworth_coeffs(spec)
-    return sps.filtfilt(b, a, values, axis=0, padtype="odd", padlen=spec.pad_len)
+    zi = _steady_state(b, a)[:, None]
+    y = _lfilter(b, a, ext, zi * ext[:1])
+    y = _lfilter(b, a, y[::-1], zi * y[-1:])[::-1]
+    return y[pad:-pad].reshape(values.shape)
+
+
+def _steady_state(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Filter state after a unit step has settled (scipy.signal.lfilter_zi):
+    solves zi = A zi + B for the transposed direct form II (a[0] == 1)."""
+    companion = np.zeros((len(a) - 1, len(a) - 1))
+    companion[0] = -a[1:] / (1.0 * a[0])
+    companion[np.arange(1, len(a) - 1), np.arange(len(a) - 2)] = 1
+    return np.linalg.solve(np.eye(len(a) - 1) - companion.T, b[1:] - a[1:] * b[0])
+
+
+def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """Transposed direct form II along axis 0 of x (samples, columns) from
+    the state zi (len(a) - 1, columns), with a[0] == 1.
+
+    Per sample this is scipy's lfilter loop, column by column:
+    y = z[0] + b[0]*x; z[i] = (z[i+1] + x*b[i+1]) - y*a[i+1]; the last state
+    has no z[i+1], which the trailing -0.0 of the state (x + -0.0 == x for
+    every x) supplies without changing a bit.
+    """
+    bx = b[:, None, None] * x  # every product b[i]*x up front: the same values
+    head = bx[0]  # (samples, columns)
+    rest = np.ascontiguousarray(np.moveaxis(bx[1:], 0, 1))  # (samples, taps, columns)
+    state = np.concatenate((zi, np.full((1, x.shape[1]), -0.0)))
+    first, lower, upper = state[0], state[:-1], state[1:]
+    a_rest = a[1:, None]
+    carried, fed_back = np.empty_like(lower), np.empty_like(lower)
+    y = np.empty_like(x)
+    for y_k, head_k, rest_k in zip(y, head, rest):
+        np.add(first, head_k, out=y_k)
+        np.add(upper, rest_k, out=carried)
+        np.multiply(y_k, a_rest, out=fed_back)
+        np.subtract(carried, fed_back, out=lower)
+    return y
 
 
 def _smooth(seq, spec: FilterSpec | None):
@@ -88,8 +169,7 @@ def _smooth(seq, spec: FilterSpec | None):
     names = _names(seq)
     values = _coordinates(seq, names)
     if names:
-        tracks = values.reshape(values.shape[0], -1)
-        values = filtfilt_array(tracks, spec).reshape(values.shape)
+        values = filtfilt_array(values, spec)
     return _with_coordinates(seq, names, values)
 
 

@@ -87,6 +87,10 @@ class TestStartupWithoutScipy:
         shutil.copytree(analyzed, copy)
         assert scipy_modules_after("recommend", "--analyzed", str(copy)) == "[]"
 
+    def test_analyze(self, dataset, tmp_path):
+        out = str(tmp_path / "analysis")
+        assert scipy_modules_after("analyze", "--manifest", str(dataset), "--out", out) == "[]"
+
 
 class TestSynthCommand:
     def test_layout(self, dataset):
@@ -204,6 +208,17 @@ class TestAnalyzeCommand:
         assert rc == 1
         assert "missing file" in capsys.readouterr().err
         assert not (tmp_path / "out" / "metric_records.csv").exists()
+
+    def test_file_error_names_subject_trial_view_and_path(self, tmp_path, capsys):
+        manifest = run_synth(tmp_path / "d", subjects=2)
+        short = tmp_path / "d" / "s02_lateral.csv"
+        lines = short.read_text().splitlines(keepends=True)
+        short.write_text("".join(line for line in lines
+                                 if line[0].isalpha() or int(line.split(",")[0]) < 12))
+        assert run_analyze(manifest, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert f"(subject 2, trial 1, lateral, {short}): " in err
+        assert "signal length 12 must exceed padding length 15" in err
 
     def test_metric_subset(self, dataset, tmp_path):
         out = tmp_path / "subset"

@@ -64,6 +64,13 @@ class TestParsePose:
         with pytest.raises(ParseError):
             parse_pose_csv(io.StringIO("a,b,c\n"))
 
+    def test_conflicting_frame_time_positioned(self):
+        body = "50,0.5,left_hip,1,2,0.9\n50,99.0,nose,3,4,0.9\n"
+        with pytest.raises(ParseError) as err:
+            parse_pose_csv(io.StringIO(POSE_HEADER + body))
+        assert (err.value.line, err.value.column) == (3, 2)
+        assert "frame 50" in str(err.value)
+
     def test_frames_sorted(self):
         body = "5,0.05,nose,1,2,0.9\n1,0.01,nose,3,4,0.9\n"
         seq = parse_pose_csv(io.StringIO(POSE_HEADER + body))
@@ -107,6 +114,12 @@ class TestParseMarker:
         body = "0,0.0,a,1,2,3\n1,0.01,b,1,2,3\n"
         with pytest.raises(SchemaError):
             parse_marker_csv(io.StringIO(MARKER_HEADER + body))
+
+    def test_conflicting_frame_time(self):
+        body = "0,0.0,a,1,2,3\n0,0.01,b,1,2,3\n"
+        with pytest.raises(ParseError) as err:
+            parse_marker_csv(io.StringIO(MARKER_HEADER + body))
+        assert err.value.line == 3
 
     def test_duplicate_marker(self):
         body = "0,0.0,a,1,2,3\n0,0.0,a,4,5,6\n"

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sps
 
 from gaitview import preprocess
@@ -11,6 +13,7 @@ from gaitview.preprocess import (
     FilterSpec,
     butterworth_coeffs,
     filtfilt,
+    filtfilt_array,
     smooth_markers,
     smooth_pose,
 )
@@ -101,6 +104,54 @@ class TestFiltfilt:
     def test_too_short(self):
         with pytest.raises(SignalTooShort):
             filtfilt(TimeSeries(np.arange(10.0)), FilterSpec())
+
+
+@st.composite
+def filter_specs(draw):
+    """Valid specs: even net orders 2-8, rates 30-250 Hz, cutoffs spread over
+    the open band between 0 and Nyquist."""
+    rate = draw(st.floats(30.0, 250.0))
+    fraction = draw(st.floats(1e-3, 1 - 1e-3))
+    return FilterSpec(fraction * rate / 2, rate, draw(st.sampled_from([2, 4, 6, 8])))
+
+
+@st.composite
+def tracks(draw, spec):
+    """A 1-D or 2-D array of at least pad_len + 1 samples, scaled by 1e-3 to 1e3:
+    white noise, or a random walk like a coordinate track."""
+    n = spec.pad_len + 1 + draw(st.integers(0, 300))
+    columns = draw(st.integers(0, 12))  # 0: one 1-D track
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((n, columns) if columns else n)
+    if draw(st.booleans()):
+        values = values.cumsum(axis=0)
+    return values * 10.0 ** draw(st.floats(-3.0, 3.0))
+
+
+class TestScipyOracle:
+    """The numpy design and filter perform scipy's operations in scipy's
+    order, so they must equal it bit for bit, not just closely."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(filter_specs())
+    def test_coeffs_equal_butter(self, spec):
+        b, a = butterworth_coeffs(spec)
+        b_ref, a_ref = sps.butter(spec.design_order, spec.cutoff_hz, btype="low",
+                                  fs=spec.sample_rate_hz)
+        assert b.dtype == b_ref.dtype and a.dtype == a_ref.dtype
+        assert np.array_equal(b, b_ref) and np.array_equal(a, a_ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_filtfilt_equals_scipy(self, data):
+        spec = data.draw(filter_specs())
+        values = data.draw(tracks(spec))
+        b, a = sps.butter(spec.design_order, spec.cutoff_hz, btype="low",
+                          fs=spec.sample_rate_hz)
+        expected = sps.filtfilt(b, a, values, axis=0, padtype="odd", padlen=spec.pad_len)
+        out = filtfilt_array(values, spec)
+        assert out.shape == expected.shape
+        assert np.array_equal(out, expected)
 
 
 def per_track_reference(seq, spec):
