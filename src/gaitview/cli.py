@@ -32,7 +32,7 @@ from .ingest import (
     parse_marker_csv,
     parse_pose_csv,
 )
-from .metrics import MetricConfig, MetricRecord, compute_record
+from .metrics import MetricConfig, MetricRecord, compute_records
 from .preprocess import FilterSpec, smooth_markers, smooth_pose
 from .signal_core import SideLabel, TrialId, ViewLabel
 from .stats import METRIC_DIRECTION, StatResult, compare_views
@@ -171,19 +171,20 @@ def run_analysis(cfg: RunConfig) -> dict:
         markers, feats3d, view_feats = _process_trial(cfg, trial, manifest[trial])
         pooled_markers.append(markers)
         per_subject_seqs.append((subject, ViewLabel.MOCAP3D, markers))
-        for view, (pose, feats2d) in sorted(view_feats.items(), key=lambda kv: kv[0].value):
+        views = sorted(view_feats.items(), key=lambda kv: kv[0].value)
+        for view, (pose, _) in views:
             pooled_pose[view].append(pose)
             per_subject_seqs.append((subject, view, pose))
-            for feature in cfg.features:
-                for side in FEATURE_SIDES[feature]:
-                    records.append(
-                        compute_record(
-                            trial, feature, side, view,
-                            feats2d.signals[(feature, side)],
-                            feats3d.signals[(feature, side)],
-                            cfg.metric_cfg,
-                        )
-                    )
+        scored = []
+        for feature in cfg.features:
+            for side in FEATURE_SIDES[feature]:
+                key = (feature, side)
+                scored += compute_records(
+                    trial, feature, side, feats3d.signals[key],
+                    {view: feats2d.signals[key] for view, (_, feats2d) in views},
+                    cfg.metric_cfg,
+                )
+        records += sorted(scored, key=lambda rec: rec.view.value)  # stable: view, feature, side
 
     stat_results: list[StatResult] = []
     for feature in cfg.features:

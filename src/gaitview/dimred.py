@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateMatrix, DimensionMismatch
-from .ingest import KEYPOINT_NAMES, _coordinates, _names
+from .ingest import KEYPOINT_NAMES
 
 DEFAULT_VARIANCE_THRESHOLD = 0.95
 
@@ -105,7 +105,7 @@ def pca_reconstruct(projected: FeatureMatrix, result: PcaResult) -> FeatureMatri
 
 def pose_matrix(sequences) -> FeatureMatrix:
     """Stack pose frames into an (frames, 17*2) matrix (x, y per keypoint)."""
-    values = np.concatenate([_coordinates(seq, KEYPOINT_NAMES) for seq in sequences])
+    values = np.concatenate([seq.points(KEYPOINT_NAMES) for seq in sequences])
     labels = [f"{name}_{axis}" for name in KEYPOINT_NAMES for axis in ("x", "y")]
     return FeatureMatrix(values.reshape(len(values), len(labels)), labels)
 
@@ -114,9 +114,10 @@ def marker_matrix(sequences) -> FeatureMatrix:
     """Stack marker frames into an (frames, markers*3) matrix; the columns
     are the markers of the first sequence with frames, sorted by name."""
     sequences = list(sequences)
-    names = next((_names(seq) for seq in sequences if len(seq)), None)
-    if names is None:
+    first = next((seq for seq in sequences if len(seq)), None)
+    if first is None:
         raise ValueError("no frames supplied")
-    values = np.concatenate([_coordinates(seq, names) for seq in sequences])
+    names = [name for name, whole in zip(first.names, first.complete) if whole]
+    values = np.concatenate([seq.points(names) for seq in sequences])
     labels = [f"{name}_{axis}" for name in names for axis in ("x", "y", "z")]
     return FeatureMatrix(values.reshape(len(values), len(labels)), labels)

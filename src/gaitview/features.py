@@ -22,7 +22,7 @@ from .errors import (
     MissingLandmark,
     NoWalkingDirection,
 )
-from .ingest import PoseSequence, _coordinates
+from .ingest import PoseSequence
 from .signal_core import SideLabel, TimeSeries, TrialId, ViewLabel
 
 
@@ -63,14 +63,13 @@ def _is_pose(seq) -> bool:
 def _positions(seq, role: str, marker_map: dict[str, str] | None = None) -> np.ndarray:
     """Per-frame positions of one anatomical role: (N, 2) px or (N, 3) mm."""
     name = role if _is_pose(seq) else (marker_map or {}).get(role, role)
-    return _coordinates(seq, [name], MissingLandmark)[:, 0]
+    return seq.points([name], MissingLandmark)[:, 0]
 
 
 def _sample_rate(seq) -> float:
-    times = [fr.time_s for fr in seq.frames]
-    if len(times) < 2:
+    if len(seq) < 2:
         return 100.0
-    dts = np.diff(times)
+    dts = np.diff(seq.times)
     dt = float(np.median(dts))
     return 1.0 / dt if dt > 0 else 100.0
 
@@ -193,7 +192,7 @@ def extract_all(
 ) -> GaitFeatureSet:
     """Extract the complete 7-signal feature set from one sequence."""
     if source is None:
-        source = seq.view if _is_pose(seq) else ViewLabel.MOCAP3D
+        source = seq.view
     if trial is None:
         trial = TrialId(1, 1)
     out = GaitFeatureSet(trial=trial, source=source)

@@ -5,19 +5,32 @@ File schemas:
   3D marker: header ``frame,time_s,marker,x,y,z``
   marker map: ``role = marker_name`` lines, ``#`` comments
 
-All parsers are pure: a file either yields a sequence or raises a
-positioned error; there is no partial silent output.
+A sequence is dense: ``frame_index`` (N,), ``times`` (N,), ``names`` (K,)
+and ``values`` (N, K, 3), which holds x, y, conf for pose keypoints and
+x, y, z for markers. The parser sorts frames by index and names by name.
+NaN marks a point absent from a frame; the parser rejects non-finite
+input, so NaN never comes from a file. A PoseSequence carries its camera
+view; a MarkerSequence's view is mocap3d. ``PoseFrame``/``MarkerFrame``
+are only a conversion at the edge, for hand-built sequences: the
+``frames=`` constructor and the read-only ``.frames`` view (a fresh list)
+build one from the other.
 
-This is the only module that knows how a frame stores its points; the
-other modules read and replace coordinates as arrays through _names,
-_coordinates and _with_coordinates.
+Parsers are pure: a file either yields a sequence or raises a positioned
+error; there is no partial silent output. Each file is read with one bulk
+``np.loadtxt`` call and checked with vectorised masks; the error of the
+first bad row wins, as if the rows were checked one by one. Numbers are
+plain ASCII decimals as numpy reads them (no ``_`` separators), and frame
+indices fit in 64 bits. The text is scanned row by row only on failure,
+to name the line, the column and the cell.
 """
 from __future__ import annotations
 
 import contextlib
+import copy
 import csv
-import math
-from dataclasses import dataclass, field, replace
+import io
+import itertools
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -58,41 +71,119 @@ class MarkerFrame:
     markers: dict[str, tuple[float, float, float]] = field(default_factory=dict)
 
 
-@dataclass
-class PoseSequence:
-    view: ViewLabel
-    frames: list[PoseFrame] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.frames)
+def _frame_points(fr) -> dict:
+    return fr.keypoints if isinstance(fr, PoseFrame) else fr.markers
 
 
-@dataclass
-class MarkerSequence:
-    frames: list[MarkerFrame] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-
-@dataclass(frozen=True)
-class _Kind:
-    """What separates the pose and the marker CSV schemas."""
+class _Sequence:
+    """Dense points of one trial; see the module docstring for the layout."""
 
     header: list[str]
     point: str  # what a row names: "keypoint" or "marker"
     third: str  # the sixth column: "confidence" or "z"
     dims: int  # leading coordinates of a point: x, y (pose) or x, y, z (marker)
-    frame: type
-    attr: str  # the frame's dict of points
+    _frame: type  # PoseFrame or MarkerFrame, for the conversions at the edge
+    view: ViewLabel
+
+    def __init__(self, frames=(), *, frame_index=None, times=None, names=(), values=None):
+        if frame_index is None:
+            frames = list(frames)
+            points = [_frame_points(fr) for fr in frames]
+            names = sorted(set().union(*points))
+            absent = (np.nan,) * 3
+            frame_index = [fr.frame_index for fr in frames]
+            times = [fr.time_s for fr in frames]
+            values = [[p.get(name, absent) for name in names] for p in points]
+        elif frames:
+            raise TypeError("give frames or arrays, not both")
+        self.frame_index = np.asarray(frame_index, dtype=np.int64)
+        self.times = np.asarray(times, dtype=np.float64)
+        self.names = tuple(names)
+        self.values = np.asarray(values, dtype=np.float64).reshape(
+            len(self.frame_index), len(self.names), 3
+        )
+
+    def __len__(self) -> int:
+        return len(self.frame_index)
+
+    def __eq__(self, other):
+        """Equal layout and values; absent points (NaN) compare equal."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            (self.view, self.names) == (other.view, other.names)
+            and np.array_equal(self.frame_index, other.frame_index)
+            and np.array_equal(self.times, other.times)
+            and np.array_equal(self.values, other.values, equal_nan=True)
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}({len(self)} frames, view={self.view.value}, "
+                f"{self.point}s {list(self.names)})")
+
+    @property
+    def frames(self) -> list:
+        """The sequence as frames holding their present points (a copy)."""
+        present = ~np.isnan(self.values[..., 0])
+        return [
+            self._frame(index, time_s, {
+                name: tuple(point) for name, point, here in zip(self.names, points, mask) if here
+            })
+            for index, time_s, points, mask in zip(
+                self.frame_index.tolist(), self.times.tolist(),
+                self.values.tolist(), present.tolist(),
+            )
+        ]
+
+    @property
+    def complete(self) -> np.ndarray:
+        """(K,) mask of the points present in every frame (none without frames)."""
+        return ~np.isnan(self.values[..., 0]).any(axis=0) & (len(self) > 0)
+
+    def with_values(self, values: np.ndarray):
+        """Copy of the sequence with values replaced; the other arrays are shared."""
+        out = copy.copy(self)
+        out.values = values
+        return out
+
+    def points(self, names, error: type[Exception] = ValueError) -> np.ndarray:
+        """(frames, len(names), dims) coordinates of the named points: x, y
+        for pose keypoints (confidence left out), x, y, z for markers.
+
+        A point absent from a frame raises error.
+        """
+        column = {name: k for k, name in enumerate(self.names)}
+        known = [name in column for name in names]
+        out = np.full((len(self), len(names), self.dims), np.nan)
+        out[:, known] = self.values[:, [column[n] for n in names if n in column], :self.dims]
+        absent = np.isnan(out[..., 0])
+        if absent.any():
+            i, j = divmod(int(np.argmax(absent)), len(names))
+            raise error(f"{self.point} {names[j]!r} absent in frame {self.frame_index[i]}")
+        return out
 
 
-_POSE = _Kind(POSE_HEADER, "keypoint", "confidence", 2, PoseFrame, "keypoints")
-_MARKER = _Kind(MARKER_HEADER, "marker", "z", 3, MarkerFrame, "markers")
+class PoseSequence(_Sequence):
+    header = POSE_HEADER
+    point = "keypoint"
+    third = "confidence"
+    dims = 2
+    _frame = PoseFrame
+
+    def __init__(self, view: ViewLabel = ViewLabel.FRONTAL, frames=(), **arrays):
+        self.view = view
+        super().__init__(frames, **arrays)
 
 
-def _kind(seq) -> _Kind:
-    return _POSE if isinstance(seq, PoseSequence) else _MARKER
+class MarkerSequence(_Sequence):
+    header = MARKER_HEADER
+    point = "marker"
+    third = "z"
+    dims = 3
+    _frame = MarkerFrame
+    view = ViewLabel.MOCAP3D
 
 
 def _open(source, mode: str):
@@ -100,23 +191,6 @@ def _open(source, mode: str):
     if isinstance(source, (str, Path)):
         return open(source, mode, encoding="utf-8", newline="")
     return contextlib.nullcontext(source)
-
-
-def _parse_float(value: str, line: int, column: int, what: str) -> float:
-    try:
-        out = float(value)
-    except ValueError:
-        raise ParseError(line, column, f"invalid {what}: {value!r}") from None
-    if not math.isfinite(out):
-        raise ParseError(line, column, f"non-finite {what}: {value!r}")
-    return out
-
-
-def _parse_int(value: str, line: int, column: int, what: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(line, column, f"invalid {what}: {value!r}") from None
 
 
 def _check_header(row, expected, line):
@@ -127,72 +201,161 @@ def _check_header(row, expected, line):
         raise ParseError(line, 1, f"bad header {got!r}, expected {expected!r}")
 
 
-def _parse(source, kind: _Kind) -> list:
-    """Frames of a pose or marker CSV, sorted by frame index."""
+_TABLE = np.dtype([("frame", "i8"), ("time", "f8"), ("name", "O"),
+                   ("x", "f8"), ("y", "f8"), ("third", "f8")])
+_NUMERIC = ((0, "i8"), (1, "f8"), (3, "f8"), (4, "f8"), (5, "f8"))  # (field, dtype)
+
+
+def _rows(text: str):
+    """(line, cells) of every data row, numbered as csv rows from 2."""
+    rows = csv.reader(io.StringIO(text))
+    next(rows)
+    return ((line, cells) for line, cells in enumerate(rows, start=2) if cells)
+
+
+def _read(text: str):
+    """The data rows of a CSV as a _TABLE array, and an (n, 7) mask of what
+    np.loadtxt cannot read in them: the field count, then each field.
+
+    A file np.loadtxt reads whole gives an all-False mask. Otherwise the
+    rows are read cell by cell up to the first unreadable one, which ends
+    the table with 0 or NaN in its unreadable fields; this error path only
+    feeds the checks of _parse.
+    """
+    if next(_rows(text), None) is None:
+        return np.zeros(0, dtype=_TABLE), np.zeros((0, 7), dtype=bool)
+    try:
+        table = np.loadtxt(io.StringIO(text), dtype=_TABLE, delimiter=",", skiprows=1,
+                           comments=None, quotechar='"', ndmin=1)
+    except ValueError:
+        table = []
+        for _, cells in _rows(text):
+            row = [0, np.nan, cells[2] if len(cells) > 2 else "", np.nan, np.nan, np.nan]
+            flags = [len(cells) != 6] + [False] * 6
+            for j, dtype in _NUMERIC if len(cells) == 6 else ():
+                value = _cell(cells[j], dtype)
+                flags[j + 1] = value is None
+                if value is not None:
+                    row[j] = value
+            table.append(tuple(row))
+            if any(flags):
+                unreadable = np.zeros((len(table), 7), dtype=bool)
+                unreadable[-1] = flags
+                return np.array(table, dtype=_TABLE), unreadable
+        raise
+    return table, np.zeros((len(table), 7), dtype=bool)
+
+
+def _cell(text: str, dtype: str):
+    """The number np.loadtxt reads from one cell, or None if it reads none."""
+    if not text.strip():
+        return None
+    try:
+        return np.loadtxt([text], dtype=[("v", dtype)], delimiter=",", comments=None)["v"].item()
+    except ValueError:
+        return None
+
+
+def _parse(source, cls) -> dict:
+    """Dense arrays of a pose or marker CSV, frames sorted by index."""
     with _open(source, "r") as handle:
-        reader = csv.reader(handle)
-        _check_header(next(reader, None), kind.header, 1)
-        frames: dict[int, tuple[float, dict]] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise ParseError(line_no, len(row) + 1, f"expected 6 fields, got {len(row)}")
-            frame = _parse_int(row[0], line_no, 1, "frame index")
-            time_s = _parse_float(row[1], line_no, 2, "time")
-            name = row[2].strip()
-            if kind is _POSE and name not in KEYPOINT_NAMES:
-                raise SchemaError(f"line {line_no}: unknown keypoint {name!r}")
-            if not name:
-                raise SchemaError(f"line {line_no}: empty marker name")
-            x = _parse_float(row[3], line_no, 4, "x")
-            y = _parse_float(row[4], line_no, 5, "y")
-            third = _parse_float(row[5], line_no, 6, kind.third)
-            if kind is _POSE and not (0.0 <= third <= 1.0):
-                raise SchemaError(f"line {line_no}: confidence {third} outside [0, 1]")
-            frame_time, points = frames.setdefault(frame, (time_s, {}))
-            if time_s != frame_time:
-                raise ParseError(
-                    line_no, 2,
-                    f"time {time_s!r} of frame {frame} conflicts with {frame_time!r} "
-                    "given by an earlier row",
-                )
-            if name in points:
-                raise DuplicateError(
-                    f"line {line_no}: duplicate (frame {frame}, {kind.point} {name!r})"
-                )
-            points[name] = (x, y, third)
-    ordered = [kind.frame(index, *frames[index]) for index in sorted(frames)]
-    if kind is _MARKER and ordered:
-        names = set(ordered[0].markers)
-        for fr in ordered[1:]:
-            if set(fr.markers) != names:
-                raise SchemaError(
-                    f"marker set changes at frame {fr.frame_index}; must be constant per trial"
-                )
-    return ordered
+        text = handle.read()
+    _check_header(next(csv.reader(io.StringIO(text)), None), cls.header, 1)
+    table, unreadable = _read(text)
+    n, pose = len(table), cls is PoseSequence
+    frame, time, x, y, third = (table[c] for c in ("frame", "time", "x", "y", "third"))
+    raw = table["name"].tolist()
+    bare = {name: name.strip() for name in dict.fromkeys(raw)}
+    names = sorted(set(bare.values()))
+    column = {name: k for k, name in enumerate(names)}
+    name_ix = np.fromiter(map({name: column[b] for name, b in bare.items()}.__getitem__, raw),
+                          dtype=np.intp, count=n)
+    unknown = np.array([pose and name not in KEYPOINT_NAMES for name in names], dtype=bool)
+    empty = np.array([not name for name in names], dtype=bool)
+    frame_ids, first, frame_ix = np.unique(frame, return_index=True, return_inverse=True)
+    frame_time = time[first]
+    duplicate = np.ones(n, dtype=bool)
+    duplicate[np.unique(frame_ix * len(names) + name_ix, return_index=True)[1]] = False
+
+    def number(column, what, fault):
+        return lambda i, line, cells: ParseError(
+            line, column, f"{fault} {what}: {cells[column - 1]!r}")
+
+    def schema(reason):
+        return lambda i, line, cells: SchemaError(f"line {line}: {reason(i)}")
+
+    # every check of a row, in the order of a reader that checks one row at a time
+    checks = [
+        (unreadable[:, 0], lambda i, line, cells: ParseError(
+            line, len(cells) + 1, f"expected 6 fields, got {len(cells)}")),
+        (unreadable[:, 1], number(1, "frame index", "invalid")),
+        (unreadable[:, 2], number(2, "time", "invalid")),
+        (~np.isfinite(time), number(2, "time", "non-finite")),
+        (unknown[name_ix], schema(lambda i: f"unknown keypoint {bare[raw[i]]!r}")),
+        (empty[name_ix], schema(lambda i: "empty marker name")),
+        (unreadable[:, 4], number(4, "x", "invalid")),
+        (~np.isfinite(x), number(4, "x", "non-finite")),
+        (unreadable[:, 5], number(5, "y", "invalid")),
+        (~np.isfinite(y), number(5, "y", "non-finite")),
+        (unreadable[:, 6], number(6, cls.third, "invalid")),
+        (~np.isfinite(third), number(6, cls.third, "non-finite")),
+        (pose & ((third < 0.0) | (third > 1.0)),
+         schema(lambda i: f"confidence {third[i]} outside [0, 1]")),
+        (time != frame_time[frame_ix], lambda i, line, cells: ParseError(
+            line, 2, f"time {float(time[i])!r} of frame {frame[i]} conflicts with "
+                     f"{float(frame_time[frame_ix[i]])!r} given by an earlier row")),
+        (duplicate, lambda i, line, cells: DuplicateError(
+            f"line {line}: duplicate (frame {frame[i]}, {cls.point} {bare[raw[i]]!r})")),
+    ]
+    code = np.select([mask for mask, _ in checks], np.arange(1, len(checks) + 1), 0)
+    bad = np.flatnonzero(code)
+    if bad.size:
+        i = bad[0]
+        raise checks[code[i] - 1][1](i, *next(itertools.islice(_rows(text), i, None)))
+
+    present = np.zeros((len(frame_ids), len(names)), dtype=bool)
+    present[frame_ix, name_ix] = True
+    changed = np.flatnonzero((present != present[:1]).any(axis=1))
+    if not pose and changed.size:
+        raise SchemaError(
+            f"marker set changes at frame {frame_ids[changed[0]]}; must be constant per trial"
+        )
+    stalled = np.flatnonzero(frame_time[1:] <= frame_time[:-1]) + 1
+    if stalled.size:
+        k = stalled[0]
+        line = next(itertools.islice(_rows(text), first[k], None))[0]
+        raise ParseError(
+            line, 2, f"time {float(frame_time[k])!r} of frame {frame_ids[k]} does not "
+                     f"increase on {float(frame_time[k - 1])!r} of frame {frame_ids[k - 1]}",
+        )
+    values = np.full((len(frame_ids), len(names), 3), np.nan)
+    values[frame_ix, name_ix] = np.stack((x, y, third), axis=-1)
+    return {"frame_index": frame_ids, "times": frame_time, "names": names, "values": values}
 
 
 def parse_pose_csv(source, view: ViewLabel = ViewLabel.FRONTAL) -> PoseSequence:
     """Parse a 2D pose CSV into a PoseSequence with frames sorted by index."""
-    return PoseSequence(view=view, frames=_parse(source, _POSE))
+    return PoseSequence(view, **_parse(source, PoseSequence))
 
 
 def parse_marker_csv(source) -> MarkerSequence:
     """Parse a 3D marker CSV into a MarkerSequence with frames sorted by index."""
-    return MarkerSequence(frames=_parse(source, _MARKER))
+    return MarkerSequence(**_parse(source, MarkerSequence))
 
 
 def _write(seq, target) -> None:
-    kind = _kind(seq)
+    rows = (
+        (index, time_s, name, repr(x), repr(y), repr(third))
+        for index, time_s, points in zip(
+            seq.frame_index.tolist(), map(repr, seq.times.tolist()), seq.values.tolist()
+        )
+        for name, (x, y, third) in zip(seq.names, points)
+        if x == x  # NaN: an absent point
+    )
     with _open(target, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(kind.header)
-        for fr in seq.frames:
-            points = getattr(fr, kind.attr)
-            for name in sorted(points):
-                x, y, third = points[name]
-                writer.writerow([fr.frame_index, repr(fr.time_s), name, repr(x), repr(y), repr(third)])
+        writer.writerow(seq.header)
+        writer.writerows(rows)
 
 
 def write_pose_csv(seq: PoseSequence, target) -> None:
@@ -205,46 +368,6 @@ def write_marker_csv(seq: MarkerSequence, target) -> None:
     _write(seq, target)
 
 
-def _names(seq) -> list[str]:
-    """Sorted names of the points present in every frame of seq."""
-    attr = _kind(seq).attr
-    sets = [getattr(fr, attr).keys() for fr in seq.frames]
-    return sorted(set(sets[0]).intersection(*sets[1:])) if sets else []
-
-
-def _coordinates(seq, names, error: type[Exception] = ValueError) -> np.ndarray:
-    """(frames, len(names), dims) array of the named points' coordinates:
-    x, y for pose keypoints (confidence left out), x, y, z for markers.
-
-    A name absent from a frame raises error.
-    """
-    kind = _kind(seq)
-    flat: list[float] = []
-    for fr in seq.frames:
-        points = getattr(fr, kind.attr)
-        try:
-            for name in names:
-                flat.extend(points[name][: kind.dims])
-        except KeyError as exc:
-            raise error(
-                f"{kind.point} {exc.args[0]!r} absent in frame {fr.frame_index}"
-            ) from None
-    return np.array(flat, dtype=np.float64).reshape(len(seq.frames), len(names), kind.dims)
-
-
-def _with_coordinates(seq, names, values: np.ndarray):
-    """Copy of seq whose named points take their coordinates from values
-    (the layout of _coordinates); confidences and other points are kept."""
-    kind = _kind(seq)
-    frames = []
-    for fr, rows in zip(seq.frames, values.tolist()):
-        points = dict(getattr(fr, kind.attr))
-        for name, coords in zip(names, rows):
-            points[name] = tuple(coords) + points[name][kind.dims:]
-        frames.append(kind.frame(fr.frame_index, fr.time_s, points))
-    return replace(seq, frames=frames)
-
-
 def fill_gaps(
     seq: PoseSequence,
     conf_threshold: float = DEFAULT_CONF_THRESHOLD,
@@ -254,49 +377,33 @@ def fill_gaps(
 
     A keypoint missing from a frame counts as a gap. Repaired points carry
     confidence equal to the threshold. Gaps longer than max_gap, or touching
-    the first or last frame, raise GapTooLarge.
+    the first or last frame, raise GapTooLarge (the first by keypoint name,
+    then by frame).
     """
     if max_gap < 0:
         raise ValueError("max_gap must be >= 0")
     if not (0.0 <= conf_threshold <= 1.0):
         raise ValueError("conf_threshold must be in [0, 1]")
-    n = len(seq.frames)
-    names = sorted({name for fr in seq.frames for name in fr.keypoints})
-    out_frames = [PoseFrame(fr.frame_index, fr.time_s, dict(fr.keypoints)) for fr in seq.frames]
-
-    for name in names:
-        good = [
-            i
-            for i, fr in enumerate(seq.frames)
-            if name in fr.keypoints and fr.keypoints[name][2] >= conf_threshold
-        ]
-        good_set = set(good)
-        i = 0
-        while i < n:
-            if i in good_set:
-                i += 1
-                continue
-            start = i
-            while i < n and i not in good_set:
-                i += 1
-            end = i  # gap covers [start, end)
-            frame_range = (seq.frames[start].frame_index, seq.frames[end - 1].frame_index)
-            if start == 0 or end == n:
-                raise GapTooLarge(name, frame_range)
-            if end - start > max_gap:
-                raise GapTooLarge(name, frame_range)
-            x0, y0, _ = seq.frames[start - 1].keypoints[name]
-            x1, y1, _ = seq.frames[end].keypoints[name]
-            f0 = seq.frames[start - 1].frame_index
-            f1 = seq.frames[end].frame_index
-            for j in range(start, end):
-                t = (seq.frames[j].frame_index - f0) / (f1 - f0)
-                out_frames[j].keypoints[name] = (
-                    x0 + t * (x1 - x0),
-                    y0 + t * (y1 - y0),
-                    conf_threshold,
-                )
-    return PoseSequence(view=seq.view, frames=out_frames)
+    n = len(seq)
+    values = seq.values.copy()
+    good = values[..., 2] >= conf_threshold  # False where absent (NaN)
+    rows = np.arange(n)[:, None]
+    before = np.maximum.accumulate(np.where(good, rows, -1), axis=0)  # last good row <= i
+    after = np.minimum.accumulate(np.where(good, rows, n)[::-1], axis=0)[::-1]  # first >= i
+    gap = ~good
+    fatal = gap & ((before < 0) | (after == n) | (after - before - 1 > max_gap))
+    if fatal.any():
+        k, i = divmod(int(np.argmax(fatal.T)), n)
+        frames = seq.frame_index.tolist()
+        raise GapTooLarge(seq.names[k], (frames[before[i, k] + 1], frames[after[i, k] - 1]))
+    i, k = np.nonzero(gap)
+    i0, i1 = before[i, k], after[i, k]
+    f = seq.frame_index
+    t = ((f[i] - f[i0]) / (f[i1] - f[i0]))[:, None]
+    start, end = values[i0, k, :2], values[i1, k, :2]
+    values[i, k, :2] = start + t * (end - start)
+    values[i, k, 2] = conf_threshold
+    return seq.with_values(values)
 
 
 def _read_key_values(source) -> dict[str, str]:

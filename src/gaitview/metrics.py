@@ -185,29 +185,47 @@ def compute_record(
     signal_3d: TimeSeries,
     cfg: MetricConfig | None = None,
 ) -> MetricRecord:
-    """All four metrics for one (trial, feature, side, view) pair.
+    """All four metrics for one (trial, feature, side, view) pair."""
+    return compute_records(trial, feature, side, signal_3d, {view: signal_2d}, cfg)[0]
 
-    The 2D signal is resampled to the 3D length first; with cfg.normalize
-    both signals are z-normalized once before the metrics run.
+
+def compute_records(
+    trial: TrialId,
+    feature: FeatureName,
+    side: SideLabel,
+    signal_3d: TimeSeries,
+    signals_2d: dict[ViewLabel, TimeSeries],
+    cfg: MetricConfig | None = None,
+) -> list[MetricRecord]:
+    """One record per view of signals_2d, in its order, against one 3D signal.
+
+    Each 2D signal is resampled to the 3D length first; with cfg.normalize
+    every signal is z-normalized once before the metrics run, and the 3D
+    signal and its entropy are prepared once for all views. A failure names
+    the view being scored.
     """
     cfg = cfg or MetricConfig()
-    try:
-        sig2 = resample_linear(signal_2d, len(signal_3d))
-        sig3 = signal_3d
-        inner = cfg
-        if cfg.normalize:
-            sig2 = znormalize(sig2)
-            sig3 = znormalize(sig3)
-            inner = dataclasses.replace(cfg, normalize=False)
-        dtw = dtw_distance(sig3, sig2, inner)
-        mcc, lag = max_cross_correlation(sig3, sig2, inner)
-        kld = kl_divergence(sig3, sig2, inner)
-        ie2 = information_entropy(sig2, inner)
-        ie3 = information_entropy(sig3, inner)
-    except Exception as exc:
-        raise MetricError(trial.subject_index, trial.trial_index,
-                          feature.value, side.value, view.value, exc) from exc
-    return MetricRecord(
-        trial=trial, feature=feature, side=side, view=view,
-        dtw=dtw, mcc=mcc, mcc_lag=lag, kld=kld, ie_2d=ie2, ie_3d=ie3,
-    )
+    inner = dataclasses.replace(cfg, normalize=False) if cfg.normalize else cfg
+    sig3 = ie3 = None
+    records = []
+    for view, signal_2d in signals_2d.items():
+        try:
+            sig2 = resample_linear(signal_2d, len(signal_3d))
+            if cfg.normalize:
+                sig2 = znormalize(sig2)
+            if sig3 is None:
+                sig3 = znormalize(signal_3d) if cfg.normalize else signal_3d
+            dtw = dtw_distance(sig3, sig2, inner)
+            mcc, lag = max_cross_correlation(sig3, sig2, inner)
+            kld = kl_divergence(sig3, sig2, inner)
+            ie2 = information_entropy(sig2, inner)
+            if ie3 is None:
+                ie3 = information_entropy(sig3, inner)
+        except Exception as exc:
+            raise MetricError(trial.subject_index, trial.trial_index,
+                              feature.value, side.value, view.value, exc) from exc
+        records.append(MetricRecord(
+            trial=trial, feature=feature, side=side, view=view,
+            dtw=dtw, mcc=mcc, mcc_lag=lag, kld=kld, ie_2d=ie2, ie_3d=ie3,
+        ))
+    return records

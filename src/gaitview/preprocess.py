@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidFilterSpec, SignalTooShort
-from .ingest import _coordinates, _names, _with_coordinates
 from .signal_core import TimeSeries
 
 DEFAULT_CUTOFF_HZ = 7.0
@@ -166,11 +165,11 @@ def _smooth(seq, spec: FilterSpec | None):
     """Filter every point track present in all frames, in one filtfilt call."""
     if spec is None:
         spec = FilterSpec()
-    names = _names(seq)
-    values = _coordinates(seq, names)
-    if names:
-        values = filtfilt_array(values, spec)
-    return _with_coordinates(seq, names, values)
+    complete, dims = seq.complete, seq.dims
+    values = seq.values.copy()
+    if complete.any():
+        values[:, complete, :dims] = filtfilt_array(values[:, complete, :dims], spec)
+    return seq.with_values(values)
 
 
 def smooth_pose(seq, spec: FilterSpec | None = None):

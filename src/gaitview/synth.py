@@ -21,9 +21,8 @@ import numpy as np
 
 from .errors import BehindCamera
 from .ingest import (
-    MarkerFrame,
+    KEYPOINT_NAMES,
     MarkerSequence,
-    PoseFrame,
     PoseSequence,
     write_marker_csv,
     write_pose_csv,
@@ -159,7 +158,8 @@ def generate_gait(params: GaitModelParams) -> MarkerSequence:
     """Deterministic sinusoidal walking trial as a 13-marker sequence (meters)."""
     p = params
     rng = np.random.default_rng([p.seed, 0x6A17])
-    frames: list[MarkerFrame] = []
+    names = sorted(MARKER_ROLES)
+    times, rows = [], []
     omega = 2.0 * np.pi * p.cycle_hz
     for i in range(p.n_frames):
         t = i / p.sample_rate_hz
@@ -207,14 +207,10 @@ def generate_gait(params: GaitModelParams) -> MarkerSequence:
                 markers[name] = markers[name] + rng.normal(
                     0.0, p.marker_noise_sd_mm / 1000.0, size=3
                 )
-        frames.append(
-            MarkerFrame(
-                frame_index=i,
-                time_s=t,
-                markers={name: tuple(float(v) for v in pos) for name, pos in markers.items()},
-            )
-        )
-    return MarkerSequence(frames=frames)
+        times.append(t)
+        rows.append([markers[name] for name in names])
+    return MarkerSequence(frame_index=np.arange(p.n_frames), times=times, names=names,
+                          values=rows)
 
 
 _FACE_OFFSETS = {
@@ -227,12 +223,12 @@ _FACE_OFFSETS = {
 }
 
 
-def _keypoint_world(fr: MarkerFrame) -> dict[str, np.ndarray]:
-    head = np.asarray(fr.markers["head"])
+def _keypoint_world(markers: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    head = markers["head"]
     points = {name: head + np.asarray(off) for name, off in _FACE_OFFSETS.items()}
     for role in MARKER_ROLES:
         if role != "head":
-            points[role] = np.asarray(fr.markers[role])
+            points[role] = markers[role]
     return points
 
 
@@ -251,32 +247,31 @@ def project(
     pos = np.asarray(cam.position)
     fx = cam.focal_px
     cx, cy = cam.principal_point
-    frames: list[PoseFrame] = []
-    for fr in seq.frames:
+    names = sorted(KEYPOINT_NAMES)
+    rows = []
+    for index, points in zip(seq.frame_index.tolist(), seq.values):
         keypoints: dict[str, tuple[float, float, float]] = {}
-        for name, world in _keypoint_world(fr).items():
+        for name, world in _keypoint_world(dict(zip(seq.names, points))).items():
             pc = rot @ (world - pos)
             if pc[2] <= 1e-9:
-                raise BehindCamera(fr.frame_index, name)
+                raise BehindCamera(index, name)
             u = cx + fx * pc[0] / pc[2]
             v = cy + fx * pc[1] / pc[2]
-            keypoints[name] = (float(u), float(v), float(conf))
-        frames.append(PoseFrame(frame_index=fr.frame_index, time_s=fr.time_s, keypoints=keypoints))
-    return PoseSequence(view=view, frames=frames)
+            keypoints[name] = (u, v, conf)
+        rows.append([keypoints[name] for name in names])
+    return PoseSequence(view, frame_index=seq.frame_index, times=seq.times, names=names,
+                        values=np.reshape(rows, (len(seq), len(names), 3)))
 
 
 def add_pixel_noise(seq: PoseSequence, sd: float, rng: np.random.Generator) -> PoseSequence:
     """Add i.i.d. Gaussian noise to keypoint pixel coordinates."""
     if sd <= 0:
         return seq
-    frames = []
-    for fr in seq.frames:
-        kps = {}
-        for name, (x, y, conf) in sorted(fr.keypoints.items()):
-            dx, dy = rng.normal(0.0, sd, size=2)
-            kps[name] = (float(x + dx), float(y + dy), conf)
-        frames.append(PoseFrame(fr.frame_index, fr.time_s, kps))
-    return PoseSequence(view=seq.view, frames=frames)
+    present = ~np.isnan(seq.values[..., 0])
+    values = seq.values.copy()
+    # one (dx, dy) draw per present point, frame by frame and name by name
+    values[present, :2] += rng.normal(0.0, sd, size=(int(present.sum()), 2))
+    return seq.with_values(values)
 
 
 def _randomized_params(base: GaitModelParams, rng: np.random.Generator) -> GaitModelParams:
@@ -314,17 +309,7 @@ def make_paired_dataset(
         cams = preset_cameras(sub_params)
         marker_path = out / f"s{subject:02d}_mocap3d.csv"
         # generation is in meters; the marker CSV schema is millimeters
-        seq_mm = MarkerSequence(
-            frames=[
-                MarkerFrame(
-                    fr.frame_index,
-                    fr.time_s,
-                    {n: tuple(1000.0 * v for v in p) for n, p in fr.markers.items()},
-                )
-                for fr in seq3d.frames
-            ]
-        )
-        write_marker_csv(seq_mm, marker_path)
+        write_marker_csv(seq3d.with_values(1000.0 * seq3d.values), marker_path)
         manifest_rows.append((subject, 1, "mocap3d", marker_path.name))
         for view in (ViewLabel.FRONTAL, ViewLabel.LATERAL):
             pose = project(seq3d, cams[view], conf=1.0, view=view)

@@ -1,15 +1,23 @@
 """Independent brute-force references used only by the test suite.
 
-These deliberately share no code with the main implementations: DTW is
-checked by explicit enumeration of every monotone warping path, and the
-Wilcoxon exact p by enumeration of all 2^n sign assignments.
+These deliberately share no logic with the main implementations (the
+parser reference takes only their error classes and schema names): DTW is
+checked by explicit enumeration of every monotone warping path, the
+Wilcoxon exact p by enumeration of all 2^n sign assignments, the CSV
+parser by a reader that checks one row at a time and keeps a dict of
+points per frame, and gap repair by a loop over every keypoint's runs.
 """
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 
 import numpy as np
+
+from gaitview.errors import DuplicateError, GapTooLarge, ParseError, SchemaError
+from gaitview.ingest import KEYPOINT_NAMES, MARKER_HEADER, POSE_HEADER
 
 DTW_MAX_LEN = 8
 WILCOXON_MAX_N = 25
@@ -82,3 +90,97 @@ def wilcoxon_enumerate(differences) -> float:
         if min_w(assignment) <= observed:
             count += 1
     return count / 2**n
+
+
+def _number(convert, value: str, line: int, column: int, what: str):
+    try:
+        out = convert(value)
+    except ValueError:
+        raise ParseError(line, column, f"invalid {what}: {value!r}") from None
+    if not math.isfinite(out):
+        raise ParseError(line, column, f"non-finite {what}: {value!r}")
+    return out
+
+
+def parse_rows(text: str, pose: bool) -> list[tuple[int, float, dict]]:
+    """(frame index, time, {name: (x, y, third)}) of a pose or marker CSV,
+    sorted by frame index, read one row at a time with Python's int() and
+    float(); raises what the parser must raise on the first bad row, then
+    on a changing marker set, then on a frame time that does not increase."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(1, 1, "empty file, missing header")
+    expected = POSE_HEADER if pose else MARKER_HEADER
+    if [c.strip() for c in header] != expected:
+        raise ParseError(1, 1, f"bad header {[c.strip() for c in header]!r}, "
+                               f"expected {expected!r}")
+    point, third_name = ("keypoint", "confidence") if pose else ("marker", "z")
+    frames: dict[int, tuple[float, dict, int]] = {}
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 6:
+            raise ParseError(line, len(row) + 1, f"expected 6 fields, got {len(row)}")
+        try:
+            frame = int(row[0])
+        except ValueError:
+            raise ParseError(line, 1, f"invalid frame index: {row[0]!r}") from None
+        time_s = _number(float, row[1], line, 2, "time")
+        name = row[2].strip()
+        if pose and name not in KEYPOINT_NAMES:
+            raise SchemaError(f"line {line}: unknown keypoint {name!r}")
+        if not name:
+            raise SchemaError(f"line {line}: empty marker name")
+        x = _number(float, row[3], line, 4, "x")
+        y = _number(float, row[4], line, 5, "y")
+        third = _number(float, row[5], line, 6, third_name)
+        if pose and not (0.0 <= third <= 1.0):
+            raise SchemaError(f"line {line}: confidence {third} outside [0, 1]")
+        frame_time, points, _ = frames.setdefault(frame, (time_s, {}, line))
+        if time_s != frame_time:
+            raise ParseError(line, 2, f"time {time_s!r} of frame {frame} conflicts with "
+                                      f"{frame_time!r} given by an earlier row")
+        if name in points:
+            raise DuplicateError(f"line {line}: duplicate (frame {frame}, {point} {name!r})")
+        points[name] = (x, y, third)
+    ordered = sorted(frames.items())
+    for index, (_, points, _) in ordered[1:]:
+        if not pose and set(points) != set(ordered[0][1][1]):
+            raise SchemaError(
+                f"marker set changes at frame {index}; must be constant per trial")
+    for (before, (t0, _, _)), (index, (t1, _, line)) in zip(ordered, ordered[1:]):
+        if t1 <= t0:
+            raise ParseError(line, 2, f"time {t1!r} of frame {index} does not increase on "
+                                      f"{t0!r} of frame {before}")
+    return [(index, time_s, points) for index, (time_s, points, _) in ordered]
+
+
+def fill_gaps_loop(frames, conf_threshold: float, max_gap: int):
+    """Gap repair of (frame index, time, {keypoint: (x, y, conf)}) frames,
+    one keypoint and one run of bad frames at a time."""
+    n = len(frames)
+    names = sorted({name for _, _, points in frames for name in points})
+    out = [(index, time_s, dict(points)) for index, time_s, points in frames]
+    for name in names:
+        good = {i for i, (_, _, points) in enumerate(frames)
+                if name in points and points[name][2] >= conf_threshold}
+        i = 0
+        while i < n:
+            if i in good:
+                i += 1
+                continue
+            start = i
+            while i < n and i not in good:
+                i += 1
+            end = i  # the run is [start, end)
+            frame_range = (frames[start][0], frames[end - 1][0])
+            if start == 0 or end == n or end - start > max_gap:
+                raise GapTooLarge(name, frame_range)
+            f0, _, before = frames[start - 1]
+            f1, _, after = frames[end]
+            (x0, y0, _), (x1, y1, _) = before[name], after[name]
+            for j in range(start, end):
+                t = (frames[j][0] - f0) / (f1 - f0)
+                out[j][2][name] = (x0 + t * (x1 - x0), y0 + t * (y1 - y0), conf_threshold)
+    return out

@@ -1,11 +1,13 @@
+import csv
 import io
 import string
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaitview.errors import DuplicateError, GapTooLarge, ParseError, SchemaError
+from gaitview.errors import DuplicateError, GaitViewError, GapTooLarge, ParseError, SchemaError
 from gaitview.ingest import (
     KEYPOINT_NAMES,
     MarkerFrame,
@@ -20,6 +22,7 @@ from gaitview.ingest import (
     write_pose_csv,
 )
 from gaitview.signal_core import ViewLabel
+from oracles import fill_gaps_loop, parse_rows
 
 POSE_HEADER = "frame,time_s,keypoint,x,y,conf\n"
 MARKER_HEADER = "frame,time_s,marker,x,y,z\n"
@@ -71,6 +74,37 @@ class TestParsePose:
         assert (err.value.line, err.value.column) == (3, 2)
         assert "frame 50" in str(err.value)
 
+    def test_times_must_increase_with_frame_index(self):
+        body = "0,0.00,nose,1,2,0.9\n1,0.01,nose,1,2,0.9\n2,0.01,nose,1,2,0.9\n"
+        with pytest.raises(ParseError) as err:
+            parse_pose_csv(io.StringIO(POSE_HEADER + body))
+        assert (err.value.line, err.value.column) == (4, 2)
+        assert "frame 2 does not increase on 0.01 of frame 1" in str(err.value)
+
+    def test_times_must_increase_with_shuffled_rows(self):
+        # rows may come in any order; frame 3 starts on line 2 and is earlier than frame 1
+        body = "3,0.01,nose,1,2,0.9\n1,0.02,nose,1,2,0.9\n"
+        with pytest.raises(ParseError) as err:
+            parse_pose_csv(io.StringIO(POSE_HEADER + body))
+        assert (err.value.line, err.value.column) == (2, 2)
+
+    def test_numbers_are_plain_ascii_decimals(self):
+        # Python's float() would read both; the bulk reader reads neither
+        for cell in ("1_0", "\u0665"):
+            with pytest.raises(ParseError) as err:
+                parse_pose_csv(io.StringIO(POSE_HEADER + f"0,0.0,nose,{cell},2,0.9\n"))
+            assert (err.value.line, err.value.column) == (2, 4)
+            assert f"invalid x: {cell!r}" in str(err.value)
+
+    def test_absent_points_are_nan(self):
+        body = "0,0.0,nose,1,2,0.9\n0,0.0,left_hip,3,4,0.8\n1,0.01,nose,5,6,0.7\n"
+        seq = parse_pose_csv(io.StringIO(POSE_HEADER + body))
+        assert seq.names == ("left_hip", "nose")
+        assert seq.values.shape == (2, 2, 3)
+        assert np.isnan(seq.values[1, 0]).all()
+        assert seq.values[1, 1].tolist() == [5.0, 6.0, 0.7]
+        assert seq.frames[1].keypoints == {"nose": (5.0, 6.0, 0.7)}
+
     def test_frames_sorted(self):
         body = "5,0.05,nose,1,2,0.9\n1,0.01,nose,3,4,0.9\n"
         seq = parse_pose_csv(io.StringIO(POSE_HEADER + body))
@@ -115,6 +149,12 @@ class TestParseMarker:
         with pytest.raises(SchemaError):
             parse_marker_csv(io.StringIO(MARKER_HEADER + body))
 
+    def test_times_must_increase(self):
+        body = "0,0.5,a,1,2,3\n1,0.5,a,1,2,3\n"
+        with pytest.raises(ParseError) as err:
+            parse_marker_csv(io.StringIO(MARKER_HEADER + body))
+        assert (err.value.line, err.value.column) == (3, 2)
+
     def test_conflicting_frame_time(self):
         body = "0,0.0,a,1,2,3\n0,0.01,b,1,2,3\n"
         with pytest.raises(ParseError) as err:
@@ -132,12 +172,20 @@ frame_indices = st.lists(st.integers(-10, 10_000), min_size=0, max_size=6, uniqu
 
 
 @st.composite
+def timed_indices(draw):
+    """Sorted frame indices and times that strictly increase with them."""
+    indices = draw(frame_indices)
+    times = draw(st.lists(finite, min_size=len(indices), max_size=len(indices), unique=True))
+    return list(zip(indices, sorted(times)))
+
+
+@st.composite
 def pose_sequences(draw):
     point = st.tuples(finite, finite, st.floats(0.0, 1.0))
     frames = [
-        PoseFrame(index, draw(finite),
+        PoseFrame(index, time_s,
                   draw(st.dictionaries(st.sampled_from(KEYPOINT_NAMES), point, min_size=1)))
-        for index in draw(frame_indices)
+        for index, time_s in draw(timed_indices())
     ]
     return PoseSequence(view=draw(st.sampled_from(ViewLabel)), frames=frames)
 
@@ -150,8 +198,8 @@ def marker_sequences(draw):
                           unique=True))
     point = st.tuples(finite, finite, finite)
     frames = [
-        MarkerFrame(index, draw(finite), {n: draw(point) for n in names})
-        for index in draw(frame_indices)
+        MarkerFrame(index, time_s, {n: draw(point) for n in names})
+        for index, time_s in draw(timed_indices())
     ]
     return MarkerSequence(frames=frames)
 
@@ -168,6 +216,129 @@ class TestRoundTripProperty:
         buf = io.StringIO()
         write_marker_csv(seq, buf)
         assert parse_marker_csv(io.StringIO(buf.getvalue())) == seq
+
+
+def render(header: str, rows) -> str:
+    buf = io.StringIO()
+    buf.write(header)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+@st.composite
+def csv_rows(draw, pose):
+    """Rows of a valid file in any order: frame indices with holes, times
+    increasing with them, and pose frames that lack some keypoints."""
+    if pose:
+        names = st.lists(st.sampled_from(KEYPOINT_NAMES), min_size=1, max_size=4, unique=True)
+        third = st.floats(0.0, 1.0)
+    else:
+        marker_set = draw(st.lists(st.sampled_from(["head", "pelvis", "l_ank", "r ank", "a,b"]),
+                                   min_size=1, max_size=3, unique=True))
+        names = st.just(marker_set)
+        third = finite
+    rows = [
+        [str(index), repr(time_s), name, repr(draw(finite)), repr(draw(finite)), repr(draw(third))]
+        for index, time_s in draw(timed_indices())
+        for name in draw(names)
+    ]
+    return draw(st.permutations(rows))
+
+
+# cells a corruption writes: unreadable, non-finite, out of range, unknown
+# names and readable numbers; ASCII without "_", where the parser reads
+# numbers as Python's int() and float() do
+corrupt_cells = st.one_of(
+    st.sampled_from(["abc", "", " ", "1.2.3", "0x1F", "nan", "-inf", "1e400", "NaN", " 7 ",
+                     "+3", "1.5", "-0.25", "left_toe", " nose ", "head"]),
+    st.text("0123456789.eE+- ,\"'xnaif", max_size=5),
+    finite.map(repr),
+    st.integers(-5, 20).map(str),
+    st.sampled_from(KEYPOINT_NAMES),
+)
+
+
+def outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except GaitViewError as exc:
+        return type(exc), str(exc)
+
+
+def parse_with_oracle(text, pose, view=ViewLabel.LATERAL):
+    frames = parse_rows(text, pose)
+    if pose:
+        return PoseSequence(view, [PoseFrame(*fr) for fr in frames])
+    return MarkerSequence([MarkerFrame(*fr) for fr in frames])
+
+
+def parse_dense(text, pose, view=ViewLabel.LATERAL):
+    if pose:
+        return parse_pose_csv(io.StringIO(text), view)
+    return parse_marker_csv(io.StringIO(text))
+
+
+class TestParseOracle:
+    """The bulk parser against the row-by-row reference in tests/oracles.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_equals_row_reader(self, data, pose):
+        text = render(POSE_HEADER if pose else MARKER_HEADER, data.draw(csv_rows(pose)))
+        assert parse_dense(text, pose) == parse_with_oracle(text, pose)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_corrupt_cell_same_error(self, data, pose):
+        rows = data.draw(csv_rows(pose).filter(bool))
+        row = data.draw(st.sampled_from(rows))
+        how = data.draw(st.sampled_from(["cell", "copy", "drop", "extra"]))
+        column = data.draw(st.integers(0, 5))
+        if how == "cell":
+            row[column] = data.draw(corrupt_cells)
+        elif how == "copy":  # a cell of another row: duplicates, time conflicts, order
+            row[column] = data.draw(st.sampled_from(rows))[column]
+        elif how == "drop":
+            del row[column]
+        else:
+            row.insert(column, data.draw(corrupt_cells))
+        text = render(POSE_HEADER if pose else MARKER_HEADER, rows)
+        assert outcome(lambda t: parse_dense(t, pose), text) == \
+            outcome(lambda t: parse_with_oracle(t, pose), text)
+
+
+@st.composite
+def gappy_frames(draw):
+    """(frame index, time, points) frames whose keypoints go missing or
+    fall below typical thresholds."""
+    names = draw(st.lists(st.sampled_from(KEYPOINT_NAMES), min_size=1, max_size=3, unique=True))
+    coordinate = st.floats(-1e4, 1e4)
+    conf = st.one_of(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]), st.floats(0.0, 1.0))
+    frames = []
+    for index, time_s in draw(timed_indices()):
+        points = {}
+        for name in names:
+            if draw(st.integers(0, 5)):  # one in six is absent
+                points[name] = (draw(coordinate), draw(coordinate), draw(conf))
+        frames.append((index, time_s, points))
+    return frames
+
+
+class TestFillGapsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(gappy_frames(), st.sampled_from([0.0, 0.3, 0.5, 1.0]), st.integers(0, 4))
+    def test_equals_per_keypoint_loop(self, frames, threshold, max_gap):
+        seq = PoseSequence(ViewLabel.FRONTAL, [PoseFrame(*fr) for fr in frames])
+
+        def expected(_):
+            repaired = fill_gaps_loop(frames, threshold, max_gap)
+            return PoseSequence(ViewLabel.FRONTAL, [PoseFrame(*fr) for fr in repaired])
+
+        got = outcome(lambda s: fill_gaps(s, threshold, max_gap), seq)
+        want = outcome(expected, seq)
+        assert got == want
+        if got[0] == "ok":  # bit for bit, not only ==
+            assert got[1].values.tobytes() == want[1].values.tobytes()
 
 
 class TestFillGaps:

@@ -6,16 +6,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gaitview.errors import ConstantSignal, LengthMismatch, MetricError
+from gaitview import metrics
 from gaitview.features import FeatureName
 from gaitview.metrics import (
     MetricConfig,
     compute_record,
+    compute_records,
     dtw_distance,
     information_entropy,
     kl_divergence,
     max_cross_correlation,
 )
-from gaitview.signal_core import SideLabel, TimeSeries, TrialId, ViewLabel
+from gaitview.signal_core import SideLabel, TimeSeries, TrialId, ViewLabel, znormalize
 
 from oracles import DTW_MAX_LEN, dtw_bruteforce
 
@@ -247,3 +249,27 @@ class TestComputeRecord:
         assert info.value.view == "frontal"
         assert (info.value.subject, info.value.trial) == (3, 2)
         assert "subject 3, trial 2" in str(info.value)
+
+    def test_views_share_one_prepared_3d_signal(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        sig3 = ts(rng.normal(size=120))
+        views = {ViewLabel.FRONTAL: ts(rng.normal(size=90)),
+                 ViewLabel.LATERAL: ts(rng.normal(size=150))}
+        args = (TrialId(2, 1), FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL)
+        expected = [compute_record(*args, view, sig, sig3) for view, sig in views.items()]
+        normalized, pairs = [], []
+        monkeypatch.setattr(metrics, "znormalize",
+                            lambda s: normalized.append(s) or znormalize(s))
+        monkeypatch.setattr(metrics, "dtw_distance",
+                            lambda *a: pairs.append(a) or dtw_distance(*a))
+        assert compute_records(*args, sig3, views) == expected
+        assert len(normalized) == 3  # each 2D signal once, the 3D signal once
+        assert len(pairs) == 2  # still one DTW per (2D, 3D) pair
+
+    def test_error_names_the_failing_view(self):
+        views = {ViewLabel.FRONTAL: ts(np.sin(np.arange(50.0))),
+                 ViewLabel.LATERAL: ts([1.0] * 50)}
+        with pytest.raises(MetricError) as info:
+            compute_records(TrialId(3, 2), FeatureName.KNEE_ROTATION, SideLabel.RIGHT,
+                            ts(np.cos(np.arange(50.0))), views)
+        assert info.value.view == "lateral"

@@ -169,7 +169,7 @@ def per_track_reference(seq, spec):
         for fr, old, row in zip(frames, seq.frames, smoothed):
             rest = getattr(old, attr)[name][2:] if pose else ()
             getattr(fr, attr)[name] = tuple(float(v) for v in row) + rest
-    return replace(seq, frames=frames)
+    return PoseSequence(seq.view, frames) if pose else MarkerSequence(frames)
 
 
 def random_pose(rng, n=60):
