@@ -294,8 +294,10 @@ class TestParseOracle:
         row = data.draw(st.sampled_from(rows))
         how = data.draw(st.sampled_from(["cell", "copy", "drop", "extra"]))
         column = data.draw(st.integers(0, 5))
-        if how == "cell":
-            row[column] = data.draw(corrupt_cells)
+        if how == "cell":  # a second bad cell in the row tests the order of the checks
+            for column in data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=2,
+                                             unique=True)):
+                row[column] = data.draw(corrupt_cells)
         elif how == "copy":  # a cell of another row: duplicates, time conflicts, order
             row[column] = data.draw(st.sampled_from(rows))[column]
         elif how == "drop":
@@ -307,19 +309,41 @@ class TestParseOracle:
             outcome(lambda t: parse_with_oracle(t, pose), text)
 
 
+@pytest.mark.parametrize("row", [
+    "x,nan,left_toe,1,2,0.9",  # frame index before time
+    "0,nan,left_toe,1,2,0.9",  # time before keypoint name
+    "0,0.0,left_toe,abc,2,0.9",  # keypoint name before x
+    "0,0.0,nose,inf,abc,0.9",  # x before y
+    "0,0.0,nose,1,abc,1.5",  # y before the confidence range
+    "0,0.0,nose,1,2,abc,7",  # field count first
+    "0,0.0,nose,1,2,1.5",  # confidence range before the duplicate
+    "0,0.5,nose,1,2,0.9",  # time conflict before the duplicate
+    "0,0.0,nose,1,2,0.8",  # duplicate
+])
+def test_first_failing_check_of_a_row(row):
+    text = POSE_HEADER + "0,0.0,nose,1,2,0.9\n" + row + "\n"
+    assert outcome(lambda t: parse_dense(t, True), text) == \
+        outcome(lambda t: parse_with_oracle(t, True), text)
+    assert outcome(lambda t: parse_dense(t, True), text)[0] != "ok"
+
+
 @st.composite
 def gappy_frames(draw):
     """(frame index, time, points) frames whose keypoints go missing or
-    fall below typical thresholds."""
+    fall below typical thresholds; the first and last frames are mostly
+    confident, so that most gaps can be repaired."""
     names = draw(st.lists(st.sampled_from(KEYPOINT_NAMES), min_size=1, max_size=3, unique=True))
     coordinate = st.floats(-1e4, 1e4)
     conf = st.one_of(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]), st.floats(0.0, 1.0))
+    timed = draw(timed_indices())
+    anchored = draw(st.integers(0, 3)) > 0
     frames = []
-    for index, time_s in draw(timed_indices()):
+    for j, (index, time_s) in enumerate(timed):
+        edge = anchored and j in (0, len(timed) - 1)
         points = {}
         for name in names:
-            if draw(st.integers(0, 5)):  # one in six is absent
-                points[name] = (draw(coordinate), draw(coordinate), draw(conf))
+            if edge or draw(st.integers(0, 5)):  # one in six inner points is absent
+                points[name] = (draw(coordinate), draw(coordinate), 1.0 if edge else draw(conf))
         frames.append((index, time_s, points))
     return frames
 
