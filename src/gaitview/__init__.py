@@ -26,6 +26,5 @@ from .stats import (  # noqa: F401
     StatResult,
     cliffs_delta,
     compare_views,
-    shapiro_wilk,
     wilcoxon_signed_rank,
 )

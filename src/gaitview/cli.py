@@ -48,6 +48,7 @@ RECORDS_HEADER = [
 ]
 PCA_HEADER = ["group", "initial_dim", "k", "explained_ratio"]
 ALL_METRICS = ("dtw", "mcc", "kld", "ie")
+PCA_SCOPES = ("pooled", "per-subject")
 OUT_DIR_ENV = "GAITVIEW_OUT"
 
 
@@ -57,7 +58,7 @@ class RunConfig:
     out_dir: Path
     alpha: float = 0.05
     pca_threshold: float = 0.95
-    pca_scope: str = "pooled"  # or "per-subject"
+    pca_scope: str = "pooled"  # one of PCA_SCOPES
     apply_filter: bool = True
     filter_spec: FilterSpec = field(default_factory=FilterSpec)
     metric_cfg: MetricConfig = field(default_factory=MetricConfig)
@@ -92,24 +93,33 @@ def _fmt(value: float) -> str:
 def load_manifest(path: Path) -> dict[TrialId, dict[str, Path]]:
     """manifest.csv -> {trial: {kind: absolute file path}}.
 
-    Rows of an unknown kind, a repeated (subject, kind) and a subject listed
-    under a second trial raise ParseError naming the manifest line: one
-    trial per subject is supported.
+    A row with an empty or missing cell, a subject or trial that is not an
+    integer >= 1, an unknown kind, a repeated (subject, kind) or a subject
+    listed under a second trial raises ParseError naming the manifest line
+    and column: one trial per subject is supported.
     """
     base = path.parent
     kinds = {view.value for view in ViewLabel}
     out: dict[int, tuple[int, dict[str, Path]]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"subject", "trial", "kind", "path"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        required = ("subject", "trial", "kind", "path")
+        if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
             raise GaitViewError(f"manifest {path} must have columns {sorted(required)}")
 
         def error(column: str, reason: str) -> ParseError:
             return ParseError(reader.line_num, reader.fieldnames.index(column) + 1, reason, path)
 
+        def index(row: dict, column: str) -> int:
+            if not row[column].isdecimal() or int(row[column]) < 1:
+                raise error(column, f"{column} must be an integer >= 1, got {row[column]!r}")
+            return int(row[column])
+
         for row in reader:
-            subject, trial, kind = int(row["subject"]), int(row["trial"]), row["kind"]
+            for column in required:
+                if not row[column]:
+                    raise error(column, f"missing {column} cell")
+            subject, trial, kind = index(row, "subject"), index(row, "trial"), row["kind"]
             if kind not in kinds:
                 raise error("kind", f"unknown kind {kind!r}, expected one of {sorted(kinds)}")
             first_trial, files = out.setdefault(subject, (trial, {}))
@@ -236,7 +246,7 @@ def _pca_rows(cfg, pooled_pose, pooled_markers, per_subject_seqs):
 
 def _radar_metric_value(rec: MetricRecord, metric: str) -> float:
     # IE has no better direction in reports; for the radar we use closeness
-    # of the 2D entropy to the 3D entropy as the fidelity axis
+    # of the 2D entropy to the 3D entropy as the fidelity axis, lower is better
     if metric == "ie":
         return abs(rec.ie_2d - rec.ie_3d)
     return getattr(rec, metric)
@@ -262,7 +272,7 @@ def _radar_data(records, cfg) -> dict:
                         means[view.value] = float(np.mean(vals))
                 if len(means) != 2:
                     continue
-                lower_is_better = metric in ("dtw", "kld", "ie")
+                lower_is_better = (METRIC_DIRECTION[metric] or "lower") == "lower"
                 f, l = means["frontal"], means["lateral"]
                 if f == l:
                     axes[metric] = {"frontal": 0.5, "lateral": 0.5}
@@ -359,8 +369,8 @@ def _write_outputs(cfg, records, stat_results, pca_rows, radar):
 def recommend(analyzed_dir, alpha: float = 0.05) -> list[dict]:
     """Per (feature, side) view recommendation from a completed analyze run.
 
-    Majority vote of significant DTW/MCC/KLD winners; IE is excluded (no
-    better direction). Writes recommendations.csv into the analyzed dir.
+    Majority vote of significant winners of the metrics with a better
+    direction (not IE). Writes recommendations.csv into the analyzed dir.
     """
     analyzed = Path(analyzed_dir)
     stats_files = sorted(analyzed.glob("stats_*.csv"))
@@ -378,7 +388,7 @@ def recommend(analyzed_dir, alpha: float = 0.05) -> list[dict]:
                 name = row["metric"]
                 metric, _, side = name.partition("_")
                 side = side or "bilateral"
-                if metric not in ("dtw", "mcc", "kld"):
+                if METRIC_DIRECTION.get(metric) is None:
                     continue
                 votes.setdefault(side, [])
                 if float(row["p_value"]) < alpha and row["winner"] in ("frontal", "lateral"):
@@ -431,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--config", help="key=value config file; flags override it")
     p_an.add_argument("--alpha", type=float, default=None)
     p_an.add_argument("--pca-threshold", type=float, default=None)
-    p_an.add_argument("--pca-scope", choices=["pooled", "per-subject"], default=None)
+    p_an.add_argument("--pca-scope", choices=PCA_SCOPES, default=None)
     p_an.add_argument("--cutoff-hz", type=float, default=None)
     p_an.add_argument("--filter-order", type=int, default=None)
     p_an.add_argument("--sample-rate-hz", type=float, default=None)
@@ -454,44 +464,74 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setting(args, file_cfg: dict, name: str, cast, default):
+_BOOLEANS = {"true": True, "false": False, "1": True, "0": False,
+             "yes": True, "no": False, "on": True, "off": False}
+
+
+def _boolean(raw: str) -> bool:
+    if raw.lower() not in _BOOLEANS:
+        raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, got {raw!r}")
+    return _BOOLEANS[raw.lower()]
+
+
+def _pca_scope(raw: str) -> str:
+    if raw not in PCA_SCOPES:
+        raise ValueError(f"expected one of {'/'.join(PCA_SCOPES)}, got {raw!r}")
+    return raw
+
+
+# --config keys (a dash reads as an underscore) and the parser of each value
+CONFIG_KEYS = {
+    "out": str, "alpha": float, "pca_threshold": float, "pca_scope": _pca_scope,
+    "cutoff_hz": float, "sample_rate_hz": float, "filter_order": int,
+    "apply_filter": _boolean, "normalize": _boolean, "histogram_bins": int,
+    "log_base": float, "smoothing_epsilon": float, "conf_threshold": float,
+    "max_gap": int, "features": str, "metrics": str, "marker_map": str,
+}
+
+
+def _read_config(path) -> dict:
+    """--config file -> {key: parsed value}. An unknown key, or a value its
+    key cannot take, raises GaitViewError naming the file and the key."""
+    settings = {}
+    for raw_key, raw in _read_key_values(path).items():
+        key = raw_key.replace("-", "_")
+        if key not in CONFIG_KEYS:
+            raise GaitViewError(f"{path}: unknown key {raw_key!r}")
+        try:
+            settings[key] = CONFIG_KEYS[key](raw)
+        except ValueError as exc:
+            raise GaitViewError(f"{path}: {raw_key}: {exc}") from None
+    return settings
+
+
+def _setting(args, file_cfg: dict, name: str, default):
     flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if name in file_cfg:
-        raw = file_cfg[name]
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    return default
+    return flag if flag is not None else file_cfg.get(name, default)
 
 
 def _run_config_from_args(args) -> RunConfig:
-    file_cfg = (
-        {key.replace("-", "_"): value for key, value in _read_key_values(args.config).items()}
-        if args.config else {}
-    )
+    file_cfg = _read_config(args.config) if args.config else {}
     out = args.out or file_cfg.get("out") or os.environ.get(OUT_DIR_ENV)
     if not out:
         raise GaitViewError("no output directory: pass --out or set " + OUT_DIR_ENV)
     filter_spec = FilterSpec(
-        cutoff_hz=_setting(args, file_cfg, "cutoff_hz", float, 7.0),
-        sample_rate_hz=_setting(args, file_cfg, "sample_rate_hz", float, 100.0),
-        order=_setting(args, file_cfg, "filter_order", int, 4),
+        cutoff_hz=_setting(args, file_cfg, "cutoff_hz", 7.0),
+        sample_rate_hz=_setting(args, file_cfg, "sample_rate_hz", 100.0),
+        order=_setting(args, file_cfg, "filter_order", 4),
     )
     metric_cfg = MetricConfig(
-        normalize=not args.no_normalize
-        and _setting(args, file_cfg, "normalize", bool, True),
-        histogram_bins=_setting(args, file_cfg, "histogram_bins", int, 256),
-        log_base=_setting(args, file_cfg, "log_base", float, 2.0),
-        smoothing_epsilon=_setting(args, file_cfg, "smoothing_epsilon", float, 1e-10),
+        normalize=not args.no_normalize and _setting(args, file_cfg, "normalize", True),
+        histogram_bins=_setting(args, file_cfg, "histogram_bins", 256),
+        log_base=_setting(args, file_cfg, "log_base", 2.0),
+        smoothing_epsilon=_setting(args, file_cfg, "smoothing_epsilon", 1e-10),
     )
-    feature_names = _setting(args, file_cfg, "features", str, None)
+    feature_names = _setting(args, file_cfg, "features", None)
     features = (
         tuple(FeatureName(name.strip()) for name in feature_names.split(","))
         if feature_names else tuple(FeatureName)
     )
-    metric_names = _setting(args, file_cfg, "metrics", str, None)
+    metric_names = _setting(args, file_cfg, "metrics", None)
     metrics = (
         tuple(name.strip() for name in metric_names.split(","))
         if metric_names else ALL_METRICS
@@ -501,18 +541,18 @@ def _run_config_from_args(args) -> RunConfig:
     for metric in metrics:
         if metric not in METRIC_DIRECTION:
             raise GaitViewError(f"unknown metric {metric!r}")
-    marker_map_path = _setting(args, file_cfg, "marker_map", str, None)
+    marker_map_path = _setting(args, file_cfg, "marker_map", None)
     return RunConfig(
         manifest=Path(args.manifest),
         out_dir=Path(out),
-        alpha=_setting(args, file_cfg, "alpha", float, 0.05),
-        pca_threshold=_setting(args, file_cfg, "pca_threshold", float, 0.95),
-        pca_scope=_setting(args, file_cfg, "pca_scope", str, "pooled"),
-        apply_filter=not args.no_filter and _setting(args, file_cfg, "apply_filter", bool, True),
+        alpha=_setting(args, file_cfg, "alpha", 0.05),
+        pca_threshold=_setting(args, file_cfg, "pca_threshold", 0.95),
+        pca_scope=_setting(args, file_cfg, "pca_scope", "pooled"),
+        apply_filter=not args.no_filter and _setting(args, file_cfg, "apply_filter", True),
         filter_spec=filter_spec,
         metric_cfg=metric_cfg,
-        conf_threshold=_setting(args, file_cfg, "conf_threshold", float, DEFAULT_CONF_THRESHOLD),
-        max_gap=_setting(args, file_cfg, "max_gap", int, DEFAULT_MAX_GAP),
+        conf_threshold=_setting(args, file_cfg, "conf_threshold", DEFAULT_CONF_THRESHOLD),
+        max_gap=_setting(args, file_cfg, "max_gap", DEFAULT_MAX_GAP),
         features=features,
         metrics=metrics,
         marker_map=load_marker_map(marker_map_path) if marker_map_path else None,

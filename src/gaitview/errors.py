@@ -109,14 +109,6 @@ class EmptySample(GaitViewError):
     """An empty sample where at least one observation is required."""
 
 
-class UnsupportedSampleSize(GaitViewError):
-    """Sample size outside the supported range of the test."""
-
-
-class ConstantSample(GaitViewError):
-    """All values equal; the test statistic is undefined."""
-
-
 class UnpairedSubject(GaitViewError):
     """A subject is missing one of the two views being compared."""
 

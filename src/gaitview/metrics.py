@@ -2,13 +2,14 @@
 and information entropy, comparing a 2D feature signal against its 3D
 counterpart.
 
-All functions are pure and reentrant. Defaults: z-normalization on (pixel
-and millimeter units are not directly comparable), 256 equal-width
-histogram bins, base-2 logarithm, additive epsilon smoothing.
+All functions are pure and reentrant, and the metric functions score the
+signals they are given: only compute_records applies cfg.normalize (on by
+default; pixel and millimeter units are not directly comparable). Other
+defaults: 256 equal-width histogram bins, base-2 logarithm, additive
+epsilon smoothing.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -29,7 +30,6 @@ class MetricConfig:
     histogram_bins: int = DEFAULT_HISTOGRAM_BINS
     log_base: float = DEFAULT_LOG_BASE
     smoothing_epsilon: float = DEFAULT_SMOOTHING_EPSILON
-    mcc_pearson: bool = False  # optional normalized variant; off in default reports
 
     def __post_init__(self):
         if self.histogram_bins < 2:
@@ -54,15 +54,13 @@ class MetricRecord:
     ie_3d: float
 
 
-def _prepared(ts: TimeSeries, cfg: MetricConfig) -> np.ndarray:
+def _prepared(ts: TimeSeries) -> np.ndarray:
     if len(ts) == 0:
         raise DegenerateSignal("empty signal")
-    if cfg.normalize:
-        ts = znormalize(ts)
     return ts.samples
 
 
-def dtw_distance(x: TimeSeries, y: TimeSeries, cfg: MetricConfig | None = None) -> float:
+def dtw_distance(x: TimeSeries, y: TimeSeries) -> float:
     """Dynamic-time-warping distance with |a - b| point cost.
 
     Full n x m recurrence D(i,j) = d(i,j) + min(D(i-1,j), D(i,j-1),
@@ -75,12 +73,8 @@ def dtw_distance(x: TimeSeries, y: TimeSeries, cfg: MetricConfig | None = None) 
     still adds its own cost to the exact minimum of its predecessors, so the
     result equals the cell-by-cell recurrence bit for bit.
     """
-    cfg = cfg or MetricConfig()
-    xs = _prepared(x, cfg)
-    ys = _prepared(y, cfg)
+    xs, ys = _prepared(x), _prepared(y)
     n, m = xs.size, ys.size
-    if n == 0 or m == 0:
-        raise DegenerateSignal("empty signal")
     y_rev = ys[::-1]
     before, last, cur = np.full((3, n + 1), np.inf)  # diagonals k - 2, k - 1, k
     last[1] = abs(xs[0] - ys[0])
@@ -100,34 +94,23 @@ def dtw_distance(x: TimeSeries, y: TimeSeries, cfg: MetricConfig | None = None) 
     return float(last[n])
 
 
-def max_cross_correlation(
-    x: TimeSeries, y: TimeSeries, cfg: MetricConfig | None = None
-) -> tuple[float, int]:
+def max_cross_correlation(x: TimeSeries, y: TimeSeries) -> tuple[float, int]:
     """Maximum of the lagged inner product R(tau) = sum_t x_t * y_{t+tau}.
 
     Lags span -(N-1)..N-1 (negative lags shift x). Ties break toward the
-    smallest |tau|, then toward negative tau. With cfg.mcc_pearson the
-    peak value is normalized by the product of the signals' norms.
+    smallest |tau|, then toward negative tau.
     """
-    cfg = cfg or MetricConfig()
     if len(x) != len(y):
         raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
     if len(x) < 2:
         raise DegenerateSignal("need >= 2 samples")
-    xs = _prepared(x, cfg)
-    ys = _prepared(y, cfg)
+    xs, ys = x.samples, y.samples
     n = xs.size
     r = np.correlate(ys, xs, mode="full")  # r[k] = sum_t x[t] y[t + (k - (n-1))]
     lags = np.arange(-(n - 1), n)
     order = np.lexsort((lags, np.abs(lags), -r))
     best = order[0]
-    value = float(r[best])
-    if cfg.mcc_pearson:
-        denom = float(np.linalg.norm(xs) * np.linalg.norm(ys))
-        if denom == 0.0:
-            raise ConstantSignal("all-zero signal in normalized cross-correlation")
-        value /= denom
-    return value, int(lags[best])
+    return float(r[best]), int(lags[best])
 
 
 def _histogram_mass(values: np.ndarray, edges: np.ndarray, eps: float) -> np.ndarray:
@@ -144,8 +127,7 @@ def kl_divergence(x: TimeSeries, y: TimeSeries, cfg: MetricConfig | None = None)
     divergence is finite even when Q has empty bins.
     """
     cfg = cfg or MetricConfig()
-    xs = _prepared(x, cfg)
-    ys = _prepared(y, cfg)
+    xs, ys = _prepared(x), _prepared(y)
     lo = min(xs.min(), ys.min())
     hi = max(xs.max(), ys.max())
     if hi - lo == 0.0:
@@ -164,9 +146,7 @@ def information_entropy(x: TimeSeries, cfg: MetricConfig | None = None) -> float
     to affine transforms of the samples (bins span the signal's own range).
     """
     cfg = cfg or MetricConfig()
-    if len(x) == 0:
-        raise DegenerateSignal("empty signal")
-    xs = x.samples
+    xs = _prepared(x)
     lo, hi = float(xs.min()), float(xs.max())
     if hi - lo == 0.0:
         return 0.0
@@ -205,7 +185,6 @@ def compute_records(
     the view being scored.
     """
     cfg = cfg or MetricConfig()
-    inner = dataclasses.replace(cfg, normalize=False) if cfg.normalize else cfg
     sig3 = ie3 = None
     records = []
     for view, signal_2d in signals_2d.items():
@@ -215,12 +194,12 @@ def compute_records(
                 sig2 = znormalize(sig2)
             if sig3 is None:
                 sig3 = znormalize(signal_3d) if cfg.normalize else signal_3d
-            dtw = dtw_distance(sig3, sig2, inner)
-            mcc, lag = max_cross_correlation(sig3, sig2, inner)
-            kld = kl_divergence(sig3, sig2, inner)
-            ie2 = information_entropy(sig2, inner)
+            dtw = dtw_distance(sig3, sig2)
+            mcc, lag = max_cross_correlation(sig3, sig2)
+            kld = kl_divergence(sig3, sig2, cfg)
+            ie2 = information_entropy(sig2, cfg)
             if ie3 is None:
-                ie3 = information_entropy(sig3, inner)
+                ie3 = information_entropy(sig3, cfg)
         except Exception as exc:
             raise MetricError(trial.subject_index, trial.trial_index,
                               feature.value, side.value, view.value, exc) from exc

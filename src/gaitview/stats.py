@@ -2,8 +2,7 @@
 
 Wilcoxon signed-rank (exact by sign-assignment enumeration up to n = 25,
 normal approximation with tie and continuity corrections above), Cliff's
-delta with Small/Medium/Large labels at |delta| thresholds 0.33 and 0.474,
-and Shapiro-Wilk normality annotation.
+delta with Small/Medium/Large labels at |delta| thresholds 0.33 and 0.474.
 """
 from __future__ import annotations
 
@@ -12,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllZeroDifferences,
-    ConstantSample,
-    EmptySample,
-    UnpairedSubject,
-    UnsupportedSampleSize,
-)
+from .errors import AllZeroDifferences, EmptySample, UnpairedSubject
 from .features import FeatureName
 from .signal_core import SideLabel, ViewLabel
 
@@ -155,19 +148,6 @@ def cliffs_delta(s: PairedSample) -> tuple[float, str]:
     losses = int(np.count_nonzero(diff < 0))
     delta = (wins - losses) / (a.size * b.size)
     return float(delta), effect_label(delta)
-
-
-def shapiro_wilk(values) -> tuple[float, float]:
-    """Shapiro-Wilk normality test (report annotation only)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size < 3 or arr.size > 5000:
-        raise UnsupportedSampleSize(f"n = {arr.size} outside [3, 5000]")
-    if np.all(arr == arr[0]):
-        raise ConstantSample("all values equal")
-    from scipy import stats as sstats  # imported here: only this test needs it
-
-    w, p = sstats.shapiro(arr)
-    return float(w), float(p)
 
 
 def _metric_value(record, metric: str) -> float:

@@ -26,8 +26,6 @@ from gaitview.stats import PairedSample, cliffs_delta, effect_label, wilcoxon_si
 
 from oracles import dtw_bruteforce, wilcoxon_enumerate
 
-RAW = MetricConfig(normalize=False)
-
 
 def report(capsys, number: int, description: str, ok: bool):
     status = "PASS" if ok else "FAIL"
@@ -66,7 +64,7 @@ def test_criterion_01_dtw_oracle_equivalence(capsys):
         m = int(rng.integers(1, 9))
         a = rng.normal(size=n)
         b = rng.normal(size=m)
-        if dtw_distance(ts(a), ts(b), RAW) != dtw_bruteforce(a.tolist(), b.tolist()):
+        if dtw_distance(ts(a), ts(b)) != dtw_bruteforce(a.tolist(), b.tolist()):
             ok = False
             break
     elapsed = time.monotonic() - start
@@ -80,9 +78,9 @@ def test_criterion_02_dtw_axioms(capsys):
     for _ in range(1000):
         a = ts(rng.normal(size=int(rng.integers(2, 30))))
         b = ts(rng.normal(size=int(rng.integers(2, 30))))
-        d_ab = dtw_distance(a, b, RAW)
-        if not (dtw_distance(a, a, RAW) == 0.0
-                and d_ab == dtw_distance(b, a, RAW)
+        d_ab = dtw_distance(a, b)
+        if not (dtw_distance(a, a) == 0.0
+                and d_ab == dtw_distance(b, a)
                 and d_ab >= 0.0):
             ok = False
             break
@@ -96,7 +94,7 @@ def test_criterion_03_mcc_lag_recovery(capsys):
     for k in range(1, 21):
         x = znormalize(ts(np.sin(2 * np.pi * t / period)))
         y = znormalize(ts(np.sin(2 * np.pi * (t - k) / period)))
-        _, lag = max_cross_correlation(x, y, RAW)
+        _, lag = max_cross_correlation(x, y)
         if lag != k:
             ok = False
             break
@@ -106,15 +104,15 @@ def test_criterion_03_mcc_lag_recovery(capsys):
 def test_criterion_04_kld_properties(capsys):
     rng = np.random.default_rng(1004)
     v = rng.normal(size=500)
-    ok = kl_divergence(ts(v), ts(v), RAW) < 1e-9
+    ok = kl_divergence(ts(v), ts(v)) < 1e-9
     for _ in range(1000):
         a = ts(rng.normal(size=60))
         b = ts(rng.normal(loc=rng.uniform(-1, 1), size=60))
-        if kl_divergence(a, b, RAW) < 0.0:
+        if kl_divergence(a, b) < 0.0:
             ok = False
             break
     # two-bin analytic case: P all in bin 0, Q split half/half over [0, 1].
-    cfg = MetricConfig(normalize=False, histogram_bins=2)
+    cfg = MetricConfig(histogram_bins=2)
     eps = cfg.smoothing_epsilon
     x = ts(np.linspace(0.0, 0.4, 64))
     y = ts([0.25] * 32 + [1.0] * 32)
@@ -129,13 +127,13 @@ def test_criterion_04_kld_properties(capsys):
 
 def test_criterion_05_ie_calibration(capsys):
     uniform = ts(np.arange(256, dtype=float))
-    ok = abs(information_entropy(uniform, RAW) - 8.0) < 1e-9
-    ok = ok and information_entropy(ts([3.0] * 50), RAW) == 0.0
+    ok = abs(information_entropy(uniform) - 8.0) < 1e-9
+    ok = ok and information_entropy(ts([3.0] * 50)) == 0.0
     rng = np.random.default_rng(1005)
     base = rng.normal(size=300)
-    href = information_entropy(ts(base), RAW)
+    href = information_entropy(ts(base))
     for _ in range(100):
-        if information_entropy(ts(rng.permutation(base)), RAW) != href:
+        if information_entropy(ts(rng.permutation(base))) != href:
             ok = False
             break
     report(capsys, 5, "IE: 256-level uniform = 8.0, constant = 0, permutation invariant", ok)

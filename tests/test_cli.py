@@ -62,14 +62,17 @@ class TestVersion:
 
 SCIPY_PROBE = """
 import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now raises
 from gaitview.cli import main
 assert main(sys.argv[1:]) == 0
-print(sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy.")))
+print(sorted(k for k, m in sys.modules.items()
+             if m is not None and (k == "scipy" or k.startswith("scipy."))))
 """
 
 
 def scipy_modules_after(*argv):
-    """scipy modules a fresh interpreter holds after running `gaitview *argv`."""
+    """scipy modules a fresh interpreter holds after running `gaitview *argv`
+    with scipy made unimportable; a run that imports scipy fails."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -90,6 +93,10 @@ class TestStartupWithoutScipy:
     def test_analyze(self, dataset, tmp_path):
         out = str(tmp_path / "analysis")
         assert scipy_modules_after("analyze", "--manifest", str(dataset), "--out", out) == "[]"
+
+    def test_synth(self, tmp_path):
+        out = str(tmp_path / "data")
+        assert scipy_modules_after("synth", "--subjects", "1", "--out", out) == "[]"
 
 
 class TestSynthCommand:
@@ -234,13 +241,17 @@ class TestAnalyzeCommand:
 
     def test_config_file_and_flag_precedence(self, dataset, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("histogram-bins = 64\nalpha = 0.01 # stricter\n")
+        cfg.write_text("histogram-bins = 64\nalpha = 0.01 # stricter\n"
+                       "normalize = OFF\napply-filter = yes\npca-scope = per-subject\n")
         out = tmp_path / "cfg_out"
         assert run_analyze(dataset, out, "--config", str(cfg),
                            "--histogram-bins", "128") == 0
         meta = json.loads((out / "run_metadata.json").read_text())
         assert meta["histogram_bins"] == 128  # flag wins
         assert meta["alpha"] == 0.01
+        assert meta["normalize"] is False
+        with open(out / "pca_summary.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) - 1 == 6  # per-subject groups
 
     def test_malformed_config_line_exit_1(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -249,6 +260,21 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert f"{cfg}: line 3" in err
         assert "expected 'key = value'" in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("histogram_bin = 64", "unknown key 'histogram_bin'"),
+        ("normalize = ture", "normalize: expected one of true/false/1/0/yes/no/on/off"),
+        ("apply-filter = maybe", "apply-filter: expected one of"),
+        ("pca_scope = bogus", "pca_scope: expected one of pooled/per-subject, got 'bogus'"),
+        ("max-gap = 2.5", "max-gap: invalid literal for int()"),
+    ])
+    def test_config_value_it_cannot_apply_exit_1(self, dataset, tmp_path, capsys,
+                                                 line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"alpha = 0.01\n{line}\n")
+        assert run_analyze(dataset, tmp_path / "o", "--config", str(cfg)) == 1
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_per_subject_pca_scope(self, dataset, tmp_path):
         out = tmp_path / "per_subj"
@@ -266,6 +292,10 @@ class TestManifest:
         ("1,1,sideways,s01_lateral.csv", 5, "unknown kind 'sideways'"),
         ("1,2,frontal,s01_frontal.csv", 5, "subject 1 is listed under trials 1 and 2"),
         ("1,1,lateral,s01_lateral.csv", 5, "duplicate lateral row for subject 1"),
+        ("1,1,mocap3d", 5, "column 4: missing path cell"),
+        ("x,1,mocap3d,s01_mocap3d.csv", 5, "column 1: subject must be an integer >= 1, got 'x'"),
+        ("1,-2,mocap3d,s01_mocap3d.csv", 5, "column 2: trial must be an integer >= 1, got '-2'"),
+        ("0,1,mocap3d,s01_mocap3d.csv", 5, "column 1: subject must be an integer >= 1, got '0'"),
     ])
     def test_rejected_row_exit_1(self, tmp_path, capsys, extra_row, line, message):
         manifest = run_synth(tmp_path / "d", subjects=1)

@@ -21,8 +21,6 @@ from gaitview.signal_core import SideLabel, TimeSeries, TrialId, ViewLabel, znor
 
 from oracles import DTW_MAX_LEN, dtw_bruteforce
 
-RAW = MetricConfig(normalize=False)
-
 
 def ts(values):
     return TimeSeries(np.asarray(values, dtype=float))
@@ -59,21 +57,21 @@ short_signals = st.lists(
 class TestDtw:
     def test_identical_is_zero(self):
         x = ts([1.0, 2.0, 3.0, 2.0])
-        assert dtw_distance(x, x, RAW) == 0.0
+        assert dtw_distance(x, x) == 0.0
 
     def test_singletons(self):
-        assert dtw_distance(ts([3.0]), ts([7.5]), RAW) == 4.5
+        assert dtw_distance(ts([3.0]), ts([7.5])) == 4.5
 
     def test_small_example(self):
         # D fills by hand: x=[0,1,2], y=[0,2] -> 1
-        assert dtw_distance(ts([0.0, 1.0, 2.0]), ts([0.0, 2.0]), RAW) == 1.0
+        assert dtw_distance(ts([0.0, 1.0, 2.0]), ts([0.0, 2.0])) == 1.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             a = ts(rng.normal(size=rng.integers(2, 12)))
             b = ts(rng.normal(size=rng.integers(2, 12)))
-            assert dtw_distance(a, b, RAW) == dtw_distance(b, a, RAW)
+            assert dtw_distance(a, b) == dtw_distance(b, a)
 
     def test_matches_bruteforce_enumeration(self):
         rng = np.random.default_rng(7)
@@ -82,13 +80,13 @@ class TestDtw:
             m = int(rng.integers(1, DTW_MAX_LEN + 1))
             a = rng.normal(size=n)
             b = rng.normal(size=m)
-            got = dtw_distance(ts(a), ts(b), RAW)
+            got = dtw_distance(ts(a), ts(b))
             want = dtw_bruteforce(a.tolist(), b.tolist())
             assert got == want
 
     @given(short_signals, short_signals)
     def test_oracle_property(self, a, b):
-        assert dtw_distance(ts(a), ts(b), RAW) == dtw_bruteforce(a, b)
+        assert dtw_distance(ts(a), ts(b)) == dtw_bruteforce(a, b)
 
     def test_equals_cell_loop(self):
         rng = np.random.default_rng(11)
@@ -98,20 +96,14 @@ class TestDtw:
             for scale in (1e-6, 1.0, 1e6):
                 a = rng.normal(size=n) * scale
                 b = rng.normal(size=m) * scale
-                assert dtw_distance(ts(a), ts(b), RAW) == dtw_cell_loop(a, b), (n, m, scale)
+                assert dtw_distance(ts(a), ts(b)) == dtw_cell_loop(a, b), (n, m, scale)
 
     def test_repeating_last_value_adds_nothing(self):
         a = [0.0, 1.0, 0.5]
         b = [0.0, 1.2, 0.5]
-        base = dtw_distance(ts(a), ts(b), RAW)
-        padded = dtw_distance(ts(a + [0.5, 0.5]), ts(b), RAW)
+        base = dtw_distance(ts(a), ts(b))
+        padded = dtw_distance(ts(a + [0.5, 0.5]), ts(b))
         assert padded == base
-
-    def test_normalization_default(self):
-        # offset and scale vanish under the default config
-        a = ts(np.sin(np.linspace(0, 6, 40)))
-        b = TimeSeries(a.samples * 13.0 + 5.0)
-        assert dtw_distance(a, b) < 1e-10
 
 
 class TestMcc:
@@ -122,12 +114,12 @@ class TestMcc:
         for k in (1, 3, 7, 20):
             x = ts(base)
             y = ts(np.sin(2 * np.pi * (t - k) / period))
-            _, lag = max_cross_correlation(x, y, RAW)
+            _, lag = max_cross_correlation(x, y)
             assert lag == k
 
     def test_zero_lag_for_identical(self):
         x = ts(np.sin(np.linspace(0, 12, 200)))
-        val, lag = max_cross_correlation(x, x, RAW)
+        val, lag = max_cross_correlation(x, x)
         assert lag == 0
         assert abs(val - float(np.dot(x.samples, x.samples))) < 1e-9
 
@@ -135,38 +127,29 @@ class TestMcc:
         # constant signals tie every lag; shorter overlaps score less, so
         # the full-overlap lag 0 wins outright
         x = ts([1.0, 1.0, 1.0])
-        _, lag = max_cross_correlation(x, x, RAW)
+        _, lag = max_cross_correlation(x, x)
         assert lag == 0
         # two-point impulse pair ties lags -1 and +1 exactly
         a = ts([1.0, 0.0, 1.0])
         b = ts([0.0, 1.0, 0.0])
-        _, lag = max_cross_correlation(a, b, RAW)
+        _, lag = max_cross_correlation(a, b)
         assert lag == -1
-
-    def test_pearson_variant_bounded(self):
-        rng = np.random.default_rng(4)
-        cfg = MetricConfig(normalize=False, mcc_pearson=True)
-        for _ in range(20):
-            a = ts(rng.normal(size=50))
-            b = ts(rng.normal(size=50))
-            val, _ = max_cross_correlation(a, b, cfg)
-            assert -1.0 - 1e-12 <= val <= 1.0 + 1e-12
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            max_cross_correlation(ts([1.0, 2.0]), ts([1.0, 2.0, 3.0]), RAW)
+            max_cross_correlation(ts([1.0, 2.0]), ts([1.0, 2.0, 3.0]))
 
 
 class TestKld:
     def test_identical_distributions_zero(self):
         rng = np.random.default_rng(2)
         v = rng.normal(size=400)
-        assert kl_divergence(ts(v), ts(v), RAW) == 0.0
+        assert kl_divergence(ts(v), ts(v)) == 0.0
 
     def test_two_bin_construction(self):
         # pooled range [0, 1], 2 bins. P: all mass in bin 0. Q: half/half.
         # D = 1*log2(1/0.5) = 1 bit (up to epsilon smoothing)
-        cfg = MetricConfig(normalize=False, histogram_bins=2)
+        cfg = MetricConfig(histogram_bins=2)
         x = ts(np.linspace(0.0, 0.1, 50).tolist() + [0.0, 1e-6])
         y = ts([0.05] * 26 + [1.0] * 26)
         val = kl_divergence(x, y, cfg)
@@ -177,46 +160,46 @@ class TestKld:
         for _ in range(30):
             a = ts(rng.normal(size=100))
             b = ts(rng.normal(loc=rng.uniform(-2, 2), size=100))
-            assert kl_divergence(a, b, RAW) >= 0.0
+            assert kl_divergence(a, b) >= 0.0
 
     def test_asymmetric(self):
         rng = np.random.default_rng(12)
         a = ts(rng.normal(size=300))
         b = ts(rng.uniform(-3, 3, size=300))
-        assert kl_divergence(a, b, RAW) != kl_divergence(b, a, RAW)
+        assert kl_divergence(a, b) != kl_divergence(b, a)
 
     def test_constant_pooled_range_rejected(self):
         with pytest.raises(ConstantSignal):
-            kl_divergence(ts([2.0, 2.0]), ts([2.0, 2.0]), RAW)
+            kl_divergence(ts([2.0, 2.0]), ts([2.0, 2.0]))
 
     def test_log_base_conversion(self):
         rng = np.random.default_rng(13)
         a = ts(rng.normal(size=200))
         b = ts(rng.normal(1.0, 2.0, size=200))
-        bits = kl_divergence(a, b, RAW)
-        nats = kl_divergence(a, b, MetricConfig(normalize=False, log_base=math.e))
+        bits = kl_divergence(a, b)
+        nats = kl_divergence(a, b, MetricConfig(log_base=math.e))
         assert abs(bits * math.log(2) - nats) < 1e-12
 
 
 class TestEntropy:
     def test_constant_is_zero(self):
-        assert information_entropy(ts([4.0] * 10), RAW) == 0.0
+        assert information_entropy(ts([4.0] * 10)) == 0.0
 
     def test_uniform_256_levels(self):
         vals = np.arange(256, dtype=float)
-        assert abs(information_entropy(ts(vals), RAW) - 8.0) < 1e-12
+        assert abs(information_entropy(ts(vals)) - 8.0) < 1e-12
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(5)
         v = rng.normal(size=500)
-        base = information_entropy(ts(v), RAW)
-        moved = information_entropy(ts(v * -3.5 + 11.0), RAW)
+        base = information_entropy(ts(v))
+        moved = information_entropy(ts(v * -3.5 + 11.0))
         assert abs(base - moved) < 1e-9
 
     def test_bounded_by_log_bins(self):
         rng = np.random.default_rng(6)
         v = rng.uniform(size=100000)
-        h = information_entropy(ts(v), RAW)
+        h = information_entropy(ts(v))
         assert h <= 8.0 + 1e-12
         assert h > 7.9
 
@@ -238,6 +221,15 @@ class TestComputeRecord:
         # is loose but separates this from genuinely mismatched shapes
         assert rec.kld < 2.0
         assert abs(rec.ie_2d - rec.ie_3d) < 0.5
+
+    def test_normalization_default(self):
+        # offset and scale vanish under the default config, and only there
+        args = (TrialId(1, 1), FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL,
+                ViewLabel.LATERAL)
+        a = ts(np.sin(np.linspace(0, 6, 40)))
+        b = TimeSeries(a.samples * 13.0 + 5.0)
+        assert compute_record(*args, b, a).dtw < 1e-10
+        assert compute_record(*args, b, a, MetricConfig(normalize=False)).dtw > 100.0
 
     def test_errors_wrapped(self):
         with pytest.raises(MetricError) as info:

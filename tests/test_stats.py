@@ -4,12 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from gaitview.errors import (
-    AllZeroDifferences,
-    ConstantSample,
-    UnpairedSubject,
-    UnsupportedSampleSize,
-)
+from gaitview.errors import AllZeroDifferences, UnpairedSubject
 from gaitview.features import FeatureName
 from gaitview.metrics import MetricRecord
 from gaitview.signal_core import SideLabel, TrialId, ViewLabel
@@ -19,7 +14,6 @@ from gaitview.stats import (
     cliffs_delta,
     compare_views,
     effect_label,
-    shapiro_wilk,
     wilcoxon_signed_rank,
 )
 
@@ -133,28 +127,6 @@ class TestCliffsDelta:
         assert effect_label(0.4739) == "medium"
         assert effect_label(0.474) == "large"
         assert effect_label(-0.474) == "large"
-
-
-class TestShapiro:
-    def test_normal_data_usually_passes(self):
-        rng = np.random.default_rng(30)
-        rejections = 0
-        for _ in range(40):
-            _, p = shapiro_wilk(rng.normal(size=50))
-            rejections += p < 0.05
-        assert rejections <= 6  # ~5% expected
-
-    def test_bimodal_detected(self):
-        rng = np.random.default_rng(31)
-        data = np.concatenate([rng.normal(-8, 0.5, 60), rng.normal(8, 0.5, 60)])
-        _, p = shapiro_wilk(data)
-        assert p < 1e-6
-
-    def test_bounds(self):
-        with pytest.raises(UnsupportedSampleSize):
-            shapiro_wilk([1.0, 2.0])
-        with pytest.raises(ConstantSample):
-            shapiro_wilk([5.0, 5.0, 5.0, 5.0])
 
 
 def make_records(frontal_vals, lateral_vals, metric="dtw",
