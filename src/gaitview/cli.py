@@ -93,10 +93,11 @@ def _fmt(value: float) -> str:
 def load_manifest(path: Path) -> dict[TrialId, dict[str, Path]]:
     """manifest.csv -> {trial: {kind: absolute file path}}.
 
-    A row with an empty or missing cell, a subject or trial that is not an
-    integer >= 1, an unknown kind, a repeated (subject, kind) or a subject
-    listed under a second trial raises ParseError naming the manifest line
-    and column: one trial per subject is supported.
+    A row with an empty or missing cell, a cell beyond the header, a
+    subject or trial that is not an integer >= 1, an unknown kind, a
+    repeated (subject, kind) or a subject listed under a second trial raises
+    ParseError naming the manifest line and column: one trial per subject
+    is supported.
     """
     base = path.parent
     kinds = {view.value for view in ViewLabel}
@@ -116,6 +117,10 @@ def load_manifest(path: Path) -> dict[TrialId, dict[str, Path]]:
             return int(row[column])
 
         for row in reader:
+            if None in row:  # cells beyond the header
+                raise ParseError(reader.line_num, len(reader.fieldnames) + 1,
+                                 f"extra cell {row[None][0]!r} beyond the "
+                                 f"{len(reader.fieldnames)} header columns", path)
             for column in required:
                 if not row[column]:
                     raise error(column, f"missing {column} cell")
@@ -490,12 +495,17 @@ CONFIG_KEYS = {
 }
 
 
+def _config_key(key: str) -> str:
+    return key.replace("-", "_")
+
+
 def _read_config(path) -> dict:
     """--config file -> {key: parsed value}. An unknown key, or a value its
-    key cannot take, raises GaitViewError naming the file and the key."""
+    key cannot take, raises GaitViewError naming the file and the key; a key
+    set twice (in either spelling) raises ParseError naming the second line."""
     settings = {}
-    for raw_key, raw in _read_key_values(path).items():
-        key = raw_key.replace("-", "_")
+    for raw_key, raw in _read_key_values(path, _config_key).items():
+        key = _config_key(raw_key)
         if key not in CONFIG_KEYS:
             raise GaitViewError(f"{path}: unknown key {raw_key!r}")
         try:

@@ -30,6 +30,7 @@ import copy
 import csv
 import io
 import itertools
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -213,23 +214,39 @@ def _rows(text: str):
     return ((line, cells) for line, cells in enumerate(rows, start=2) if cells)
 
 
+def _load(text: str, rows: int | None = None):
+    """The first `rows` data rows of a CSV (all by default) as a _TABLE array."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # blank lines are not counted in max_rows
+        return np.loadtxt(io.StringIO(text), dtype=_TABLE, delimiter=",", skiprows=1,
+                          comments=None, quotechar='"', ndmin=1, max_rows=rows)
+
+
 def _read(text: str):
     """The data rows of a CSV as a _TABLE array, and an (n, 7) mask of what
     np.loadtxt cannot read in them: the field count, then each field.
 
-    A file np.loadtxt reads whole gives an all-False mask. Otherwise the
-    rows are read cell by cell up to the first unreadable one, which ends
-    the table with 0 or NaN in its unreadable fields; this error path only
-    feeds the checks of _parse.
+    A file np.loadtxt reads whole gives an all-False mask. Otherwise a
+    bisection on max_rows finds the longest prefix np.loadtxt reads, and the
+    rows after it are read cell by cell up to the first unreadable one,
+    which ends the table with 0 or NaN in its unreadable fields; this error
+    path only feeds the checks of _parse.
     """
     if next(_rows(text), None) is None:
         return np.zeros(0, dtype=_TABLE), np.zeros((0, 7), dtype=bool)
     try:
-        table = np.loadtxt(io.StringIO(text), dtype=_TABLE, delimiter=",", skiprows=1,
-                           comments=None, quotechar='"', ndmin=1)
+        table = _load(text)
     except ValueError:
-        table = []
-        for _, cells in _rows(text):
+        good, bad = 0, sum(1 for _ in _rows(text))  # np.loadtxt reads `good` rows, not `bad`
+        prefix = np.zeros(0, dtype=_TABLE)
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                prefix, good = _load(text, mid), mid
+            except ValueError:
+                bad = mid
+        rest = []
+        for _, cells in itertools.islice(_rows(text), good, None):
             row = [0, np.nan, cells[2] if len(cells) > 2 else "", np.nan, np.nan, np.nan]
             flags = [len(cells) != 6] + [False] * 6
             for j, dtype in _NUMERIC if len(cells) == 6 else ():
@@ -237,11 +254,12 @@ def _read(text: str):
                 flags[j + 1] = value is None
                 if value is not None:
                     row[j] = value
-            table.append(tuple(row))
+            rest.append(tuple(row))
             if any(flags):
+                table = np.concatenate((prefix, np.array(rest, dtype=_TABLE)))
                 unreadable = np.zeros((len(table), 7), dtype=bool)
                 unreadable[-1] = flags
-                return np.array(table, dtype=_TABLE), unreadable
+                return table, unreadable
         raise
     return table, np.zeros((len(table), 7), dtype=bool)
 
@@ -406,12 +424,14 @@ def fill_gaps(
     return seq.with_values(values)
 
 
-def _read_key_values(source) -> dict[str, str]:
-    """Parse ``key = value`` lines; ``#`` starts a comment."""
+def _read_key_values(source, key_of=None) -> dict[str, str]:
+    """Parse ``key = value`` lines; ``#`` starts a comment. A key given a
+    second time (as key_of maps it, if given) raises ParseError at its line."""
     path = source if isinstance(source, (str, Path)) else None
     with _open(source, "r") as handle:
         text = handle.read()
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -421,6 +441,11 @@ def _read_key_values(source) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ParseError(line_no, 1, f"empty key or value in {raw!r}", path)
+        same = key_of(key) if key_of else key
+        if same in lines:
+            raise ParseError(line_no, 1, f"duplicate key {key!r}, first set on line "
+                                         f"{lines[same]}", path)
+        lines[same] = line_no
         values[key] = value
     return values
 

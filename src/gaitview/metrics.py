@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConstantSignal, DegenerateSignal, LengthMismatch, MetricError
 from .features import FeatureName
@@ -22,6 +23,7 @@ from .signal_core import SideLabel, TimeSeries, TrialId, ViewLabel, resample_lin
 DEFAULT_HISTOGRAM_BINS = 256
 DEFAULT_LOG_BASE = 2.0
 DEFAULT_SMOOTHING_EPSILON = 1e-10
+_DTW_BLOCK = 64  # anti-diagonals whose costs are computed together
 
 
 @dataclass(frozen=True)
@@ -69,29 +71,43 @@ def dtw_distance(x: TimeSeries, y: TimeSeries) -> float:
     The table is swept by anti-diagonals i + j = k: a cell depends only on
     diagonals k - 1 and k - 2, so each diagonal is one vectorised step.
     Diagonals are kept indexed by row i + 1, with +inf for the cells off
-    the table, so the first row and column need no special case. Every cell
-    still adds its own cost to the exact minimum of its predecessors, so the
-    result equals the cell-by-cell recurrence bit for bit.
+    the table, so the first row and column need no special case.
+
+    The costs come a block of _DTW_BLOCK diagonals at a time, from one
+    subtract and one abs: a sliding window over y reversed and padded with
+    +inf holds y[k - i] in row n + m - 2 - k, column i, so the cells off
+    the table cost inf. A block covers only the rows lo..hi-1 its diagonals
+    touch, and the [lo:hi] and [lo+1:hi+1] views of the three diagonals are
+    built once per block, which leaves three ufunc calls per diagonal.
+    Memory stays O(block x n). Every cell still adds its own cost to the
+    exact minimum of its predecessors, so the result equals the
+    cell-by-cell recurrence bit for bit.
     """
     xs, ys = _prepared(x), _prepared(y)
     n, m = xs.size, ys.size
-    y_rev = ys[::-1]
-    before, last, cur = np.full((3, n + 1), np.inf)  # diagonals k - 2, k - 1, k
-    last[1] = abs(xs[0] - ys[0])
-    cost = np.empty(n)
-    for k in range(1, n + m - 1):
-        lo = max(0, k - m + 1)  # rows lo..hi-1 of the table lie on diagonal k
-        hi = min(n, k + 1)
-        c = cost[:hi - lo]
-        shift = m - 1 - k  # y[k - i] is y_rev[shift + i]
-        np.subtract(xs[lo:hi], y_rev[shift + lo:shift + hi], out=c)
+    pad = np.full(n - 1, np.inf)
+    windows = sliding_window_view(np.concatenate((pad, ys[::-1], pad)), n)
+    top = n + m - 2  # windows[top - k, i] is y[k - i]
+    bufs = tuple(np.full((3, n + 1), np.inf))  # diagonals k - 2, k - 1, k
+    bufs[1][1] = abs(xs[0] - ys[0])
+    cost = np.empty((min(_DTW_BLOCK, top), n))
+    for k0 in range(1, top + 1, _DTW_BLOCK):
+        k1 = min(k0 + _DTW_BLOCK, top + 1)
+        lo = max(0, k0 - m + 1)  # rows lo..hi-1 of the table lie on diagonals k0..k1-1
+        hi = min(n, k1)
+        c = cost[:k1 - k0, :hi - lo]
+        np.subtract(xs[lo:hi], windows[top - k1 + 1:top - k0 + 1, lo:hi][::-1], out=c)
         np.abs(c, out=c)
-        out = cur[lo + 1:hi + 1]
-        np.minimum(last[lo:hi], last[lo + 1:hi + 1], out=out)  # up, left
-        np.minimum(out, before[lo:hi], out=out)  # diagonal
-        np.add(c, out, out=out)
-        before, last, cur = last, cur, before
-    return float(last[n])
+        before, last, cur = ((b[lo:hi], b[lo + 1:hi + 1]) for b in bufs)
+        for row in c:
+            out = cur[1]
+            np.minimum(last[0], last[1], out=out)  # up, left
+            np.minimum(out, before[0], out=out)  # diagonal
+            np.add(row, out, out=out)
+            before, last, cur = last, cur, before
+        turn = (k1 - k0) % 3
+        bufs = bufs[turn:] + bufs[:turn]
+    return float(bufs[1][n])
 
 
 def max_cross_correlation(x: TimeSeries, y: TimeSeries) -> tuple[float, int]:

@@ -267,6 +267,9 @@ class TestAnalyzeCommand:
         ("apply-filter = maybe", "apply-filter: expected one of"),
         ("pca_scope = bogus", "pca_scope: expected one of pooled/per-subject, got 'bogus'"),
         ("max-gap = 2.5", "max-gap: invalid literal for int()"),
+        ("alpha = 0.5", "line 2, column 1: duplicate key 'alpha', first set on line 1"),
+        ("log-base = 10\nlog_base = 2",
+         "line 3, column 1: duplicate key 'log_base', first set on line 2"),
     ])
     def test_config_value_it_cannot_apply_exit_1(self, dataset, tmp_path, capsys,
                                                  line, message):
@@ -296,6 +299,8 @@ class TestManifest:
         ("x,1,mocap3d,s01_mocap3d.csv", 5, "column 1: subject must be an integer >= 1, got 'x'"),
         ("1,-2,mocap3d,s01_mocap3d.csv", 5, "column 2: trial must be an integer >= 1, got '-2'"),
         ("0,1,mocap3d,s01_mocap3d.csv", 5, "column 1: subject must be an integer >= 1, got '0'"),
+        ("1,1,mocap3d,s01_mocap3d.csv,extra", 5,
+         "column 5: extra cell 'extra' beyond the 4 header columns"),
     ])
     def test_rejected_row_exit_1(self, tmp_path, capsys, extra_row, line, message):
         manifest = run_synth(tmp_path / "d", subjects=1)

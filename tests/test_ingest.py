@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import string
 
 import numpy as np
@@ -165,6 +166,18 @@ class TestParseMarker:
         body = "0,0.0,a,1,2,3\n0,0.0,a,4,5,6\n"
         with pytest.raises(DuplicateError):
             parse_marker_csv(io.StringIO(MARKER_HEADER + body))
+
+    def test_bad_last_row_costs_log_rows_reads(self, monkeypatch):
+        rows = [f"{f},{f / 100},m{k},1,2,3" for f in range(400) for k in range(5)]
+        rows[-1] = rows[-1].replace(",3.99,", ",3.9x,")
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(1) or loadtxt(*a, **kw))
+        with pytest.raises(ParseError) as err:
+            parse_marker_csv(io.StringIO(MARKER_HEADER + "\n".join(rows) + "\n"))
+        assert (err.value.line, err.value.column) == (len(rows) + 1, 2)
+        assert err.value.reason == "invalid time: '3.9x'"
+        assert len(calls) <= 2 * math.ceil(math.log2(len(rows))) + 5  # cell by cell: 10,000
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -432,6 +445,13 @@ class TestMarkerMap:
     def test_bad_line(self):
         with pytest.raises(ParseError):
             load_marker_map(io.StringIO("left_ankle LANK\n"))
+
+    def test_duplicate_role(self):
+        text = "left_ankle = LANK\n# again\nleft_ankle = LANK2\n"
+        with pytest.raises(ParseError) as err:
+            load_marker_map(io.StringIO(text))
+        assert (err.value.line, err.value.reason) == (
+            3, "duplicate key 'left_ankle', first set on line 1")
 
 
 def test_keypoint_schema_is_17_names():

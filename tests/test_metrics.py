@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaitview.errors import ConstantSignal, LengthMismatch, MetricError
@@ -47,6 +48,11 @@ def dtw_cell_loop(xs, ys):
         prev = cur
     return float(prev[-1])
 
+
+BLOCK = metrics._DTW_BLOCK
+# lengths up to about three blocks of anti-diagonals, and one block +- 1
+blocked_lengths = st.one_of(st.integers(1, 3 * BLOCK + 2),
+                            st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1]))
 
 short_signals = st.lists(
     st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
@@ -97,6 +103,33 @@ class TestDtw:
                 a = rng.normal(size=n) * scale
                 b = rng.normal(size=m) * scale
                 assert dtw_distance(ts(a), ts(b)) == dtw_cell_loop(a, b), (n, m, scale)
+
+    @settings(max_examples=60, deadline=None)
+    @given(blocked_lengths, blocked_lengths, st.integers(0, 2**32 - 1),
+           st.sampled_from([1e-6, 1.0, 1e6]))
+    @example(1, 3 * BLOCK + 1, 0, 1.0)
+    @example(3 * BLOCK + 1, 1, 0, 1.0)
+    @example(3 * BLOCK, 5, 1, 1e6)
+    @example(4, 3 * BLOCK, 2, 1e-6)
+    @example(BLOCK - 1, BLOCK + 1, 3, 1.0)
+    @example(BLOCK, BLOCK, 4, 1.0)
+    def test_equals_cell_loop_across_blocks(self, n, m, seed, scale):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=n) * scale
+        b = rng.normal(size=m) * scale
+        assert dtw_distance(ts(a), ts(b)) == dtw_cell_loop(a, b)
+
+    def test_memory_is_blocks_not_table(self):
+        n = m = 2000
+        rng = np.random.default_rng(5)
+        a, b = ts(rng.normal(size=n)), ts(rng.normal(size=m))
+        tracemalloc.start()
+        try:
+            dtw_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m * 8 / 10
 
     def test_repeating_last_value_adds_nothing(self):
         a = [0.0, 1.0, 0.5]
