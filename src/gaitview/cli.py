@@ -4,10 +4,16 @@ analyze runs ingest -> gap fill -> zero-phase filter -> feature extraction
 -> metrics -> paired stats -> PCA and writes deterministic CSV/JSON
 reports (6 significant digits in CSV, full precision in JSON, sorted keys
 and fixed row order, so identical inputs give byte-identical outputs).
+Each trial's files are parsed and repaired one by one, filtered in one
+smooth call, then reduced to features; an error names the subject, trial,
+view and file it came from. Once every report is written, analyze deletes
+the stats_<feature>.csv and recommendations.csv an earlier run left in the
+output directory that this run did not write.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -21,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .dimred import FeatureMatrix, marker_matrix, pca_fit, pose_matrix
-from .errors import GaitViewError, InputFileError, NotAnalyzed, ParseError
+from .errors import GaitViewError, InputFileError, NotAnalyzed, ParseError, SignalTooShort
 from .features import FEATURE_SIDES, FeatureName, extract_all, signal_key_name
 from .ingest import (
     DEFAULT_CONF_THRESHOLD,
@@ -33,7 +39,7 @@ from .ingest import (
     parse_pose_csv,
 )
 from .metrics import MetricConfig, MetricRecord, compute_records
-from .preprocess import FilterSpec, smooth_markers, smooth_pose
+from .preprocess import FilterSpec, smooth
 from .signal_core import SideLabel, TrialId, ViewLabel
 from .stats import METRIC_DIRECTION, StatResult, compare_views
 from .synth import GaitModelParams, make_paired_dataset
@@ -47,8 +53,10 @@ RECORDS_HEADER = [
     "dtw", "mcc", "mcc_lag", "kld", "ie_2d", "ie_3d",
 ]
 PCA_HEADER = ["group", "initial_dim", "k", "explained_ratio"]
+RECOMMENDATIONS = "recommendations.csv"
 ALL_METRICS = ("dtw", "mcc", "kld", "ie")
 PCA_SCOPES = ("pooled", "per-subject")
+_TRIAL_VIEWS = (ViewLabel.MOCAP3D, ViewLabel.FRONTAL, ViewLabel.LATERAL)  # files of a trial
 OUT_DIR_ENV = "GAITVIEW_OUT"
 
 
@@ -138,33 +146,44 @@ def load_manifest(path: Path) -> dict[TrialId, dict[str, Path]]:
 
 
 def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
-    """Parse, repair, filter and extract features for one subject's trial."""
+    """Parse and repair each file of one subject's trial, filter the trial's
+    sequences in one call, then extract features; a failure names the
+    subject, trial, view and file."""
     if "mocap3d" not in paths:
         raise GaitViewError(f"subject {trial.subject_index}: manifest lists no mocap3d file")
-    markers, feats3d = _process_file(cfg, trial, ViewLabel.MOCAP3D, paths["mocap3d"])
-    view_feats = {
-        view: _process_file(cfg, trial, view, paths[view.value])
-        for view in (ViewLabel.FRONTAL, ViewLabel.LATERAL)
-        if view.value in paths
-    }
-    return markers, feats3d, view_feats
+    files = {view: paths[view.value] for view in _TRIAL_VIEWS if view.value in paths}
+    seqs = {}
+    for view, path in files.items():
+        with _naming(trial, view, path):
+            if not path.exists():
+                raise GaitViewError("missing file")
+            if view is ViewLabel.MOCAP3D:
+                seqs[view] = parse_marker_csv(path)
+            else:
+                seqs[view] = fill_gaps(parse_pose_csv(path, view=view),
+                                       cfg.conf_threshold, cfg.max_gap)
+    if cfg.apply_filter:
+        spec = cfg.filter_spec
+        try:
+            seqs = dict(zip(seqs, smooth(list(seqs.values()), spec)))
+        except SignalTooShort as exc:
+            view = next(view for view, seq in seqs.items()
+                        if len(seq) <= spec.pad_len and seq.complete.any())
+            with _naming(trial, view, files[view]):
+                raise  # as the InputFileError of the first sequence too short to filter
+    feats = {}
+    for view, seq in seqs.items():
+        with _naming(trial, view, files[view]):
+            feats[view] = extract_all(seq, cfg.marker_map, trial=trial, source=view)
+    view_feats = {view: (seqs[view], feats[view]) for view in seqs if view is not ViewLabel.MOCAP3D}
+    return seqs[ViewLabel.MOCAP3D], feats[ViewLabel.MOCAP3D], view_feats
 
 
-def _process_file(cfg: RunConfig, trial: TrialId, view: ViewLabel, path: Path):
-    """(sequence, features) of one file; a failure names the subject, trial,
-    view and file."""
+@contextlib.contextmanager
+def _naming(trial: TrialId, view: ViewLabel, path: Path):
+    """Re-raise a failure as InputFileError naming the subject, trial, view and file."""
     try:
-        if not path.exists():
-            raise GaitViewError("missing file")
-        if view is ViewLabel.MOCAP3D:
-            seq = parse_marker_csv(path)
-            if cfg.apply_filter:
-                seq = smooth_markers(seq, cfg.filter_spec)
-            return seq, extract_all(seq, cfg.marker_map, trial=trial, source=view)
-        seq = fill_gaps(parse_pose_csv(path, view=view), cfg.conf_threshold, cfg.max_gap)
-        if cfg.apply_filter:
-            seq = smooth_pose(seq, cfg.filter_spec)
-        return seq, extract_all(seq, trial=trial, source=view)
+        yield
     except (GaitViewError, ValueError, OSError) as exc:
         raise InputFileError(trial.subject_index, trial.trial_index, view.value, path,
                              exc) from exc
@@ -369,6 +388,10 @@ def _write_outputs(cfg, records, stat_results, pca_rows, radar):
         for p in written:
             p.unlink(missing_ok=True)
         raise
+    # reports of an earlier run that this run did not write, which recommend would read
+    for path in [out / f"stats_{f.value}.csv" for f in FeatureName] + [out / RECOMMENDATIONS]:
+        if path not in written:
+            path.unlink(missing_ok=True)
 
 
 def recommend(analyzed_dir, alpha: float = 0.05) -> list[dict]:
@@ -413,7 +436,7 @@ def recommend(analyzed_dir, alpha: float = 0.05) -> list[dict]:
                 "feature": feature, "side": side,
                 "recommended_view": choice, "rationale": rationale,
             })
-    out_path = analyzed / "recommendations.csv"
+    out_path = analyzed / RECOMMENDATIONS
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["feature", "side", "recommended_view", "rationale"])

@@ -8,9 +8,16 @@ walking axis), knee rotation (interior joint angle), trunk rotation
 correction: the projection distortion is exactly what the metrics
 downstream are meant to measure. For 3D data the vertical axis is z and
 the ground plane is x-y.
+
+extract_all gathers the ten body points the features read once per
+sequence, with the marker map resolved once, and computes the sample
+rate, hip midpoint and walking axis once for all seven signals. Each
+public *_signal function and walking_axis runs the same private kernel on
+a gather of its own sequence, so every algorithm has one implementation.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -60,23 +67,67 @@ def _is_pose(seq) -> bool:
     return isinstance(seq, PoseSequence)
 
 
-def _positions(seq, role: str, marker_map: dict[str, str] | None = None) -> np.ndarray:
-    """Per-frame positions of one anatomical role: (N, 2) px or (N, 3) mm."""
-    name = role if _is_pose(seq) else (marker_map or {}).get(role, role)
-    return seq.points([name], MissingLandmark)[:, 0]
+# every anatomical role a feature reads
+_ROLES = tuple(f"{side}_{part}" for part in ("hip", "knee", "ankle", "shoulder", "wrist")
+              for side in ("left", "right"))
+_ROLE_INDEX = {role: k for k, role in enumerate(_ROLES)}
 
 
-def _sample_rate(seq) -> float:
-    if len(seq) < 2:
-        return 100.0
-    dts = np.diff(seq.times)
-    dt = float(np.median(dts))
-    return 1.0 / dt if dt > 0 else 100.0
+class _Body:
+    """The roles of one sequence, gathered in one indexing call, and what
+    several features share: sample rate, hip midpoint and walking axis,
+    each computed when first read.
+
+    body[role] is the role's per-frame positions, (N, 2) px or (N, 3) mm;
+    a role absent from a frame raises MissingLandmark when it is read.
+    """
+
+    def __init__(self, seq, marker_map: dict[str, str] | None = None):
+        names = _ROLES if _is_pose(seq) else [(marker_map or {}).get(r, r) for r in _ROLES]
+        self._seq, self._names = seq, names
+        self._points = seq.points(names, None)
+        self._absent = np.isnan(self._points[..., 0]).any(axis=0).tolist()
+
+    def __getitem__(self, role: str) -> np.ndarray:
+        k = _ROLE_INDEX[role]
+        if self._absent[k]:
+            self._seq.points([self._names[k]], MissingLandmark)  # raises, naming the frame
+        return self._points[:, k]
+
+    @functools.cached_property
+    def rate(self) -> float:
+        if len(self._seq) < 2:
+            return 100.0
+        dts = np.diff(self._seq.times)
+        dt = float(np.median(dts))
+        return 1.0 / dt if dt > 0 else 100.0
+
+    @functools.cached_property
+    def hip_mid(self) -> np.ndarray:
+        return 0.5 * (self["left_hip"] + self["right_hip"])
+
+    @functools.cached_property
+    def axis(self) -> np.ndarray:
+        plane = _ground(self.hip_mid)
+        centered = plane - plane.mean(axis=0)
+        net = plane[-1] - plane[0]
+        if np.linalg.norm(net) < 1e-12:
+            raise NoWalkingDirection("hip midpoint shows no net displacement")
+        _, _, vt = np.linalg.svd(centered, full_matrices=False)
+        axis = vt[0]
+        if np.dot(axis, net) < 0:
+            axis = -axis
+        return axis / np.linalg.norm(axis)
 
 
 def _ground(points: np.ndarray) -> np.ndarray:
     """Ground-plane components: identity for 2D, drop z for 3D."""
     return points[:, :2]
+
+
+def _check_side(side: SideLabel, what: str) -> None:
+    if side not in (SideLabel.LEFT, SideLabel.RIGHT):
+        raise ValueError(f"{what} is side-specific")
 
 
 def walking_axis(seq, marker_map: dict[str, str] | None = None) -> np.ndarray:
@@ -85,19 +136,17 @@ def walking_axis(seq, marker_map: dict[str, str] | None = None) -> np.ndarray:
     Principal direction of hip-midpoint displacement (image plane for 2D,
     ground plane for 3D), oriented along the net displacement.
     """
-    mid = 0.5 * (
-        _positions(seq, "left_hip", marker_map) + _positions(seq, "right_hip", marker_map)
-    )
-    plane = _ground(mid)
-    centered = plane - plane.mean(axis=0)
-    net = plane[-1] - plane[0]
-    if np.linalg.norm(net) < 1e-12:
-        raise NoWalkingDirection("hip midpoint shows no net displacement")
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    axis = vt[0]
-    if np.dot(axis, net) < 0:
-        axis = -axis
-    return axis / np.linalg.norm(axis)
+    return _Body(seq, marker_map).axis
+
+
+def _step_length(body: _Body, side: SideLabel) -> TimeSeries:
+    _check_side(side, "step length")
+    other = SideLabel.RIGHT if side is SideLabel.LEFT else SideLabel.LEFT
+    a = _ground(body[f"{side.value}_ankle"])
+    b = _ground(body[f"{other.value}_ankle"])
+    values = (a - b) @ body.axis
+    return TimeSeries(values, sample_rate_hz=body.rate,
+                      label=signal_key_name(FeatureName.STEP_LENGTH, side))
 
 
 def step_length_signal(
@@ -107,15 +156,7 @@ def step_length_signal(
 
     Positive when the named side leads.
     """
-    if side not in (SideLabel.LEFT, SideLabel.RIGHT):
-        raise ValueError("step length is side-specific")
-    other = SideLabel.RIGHT if side is SideLabel.LEFT else SideLabel.LEFT
-    a = _ground(_positions(seq, f"{side.value}_ankle", marker_map))
-    b = _ground(_positions(seq, f"{other.value}_ankle", marker_map))
-    axis = walking_axis(seq, marker_map)
-    values = (a - b) @ axis
-    return TimeSeries(values, sample_rate_hz=_sample_rate(seq),
-                      label=signal_key_name(FeatureName.STEP_LENGTH, side))
+    return _step_length(_Body(seq, marker_map), side)
 
 
 def _interior_angle_deg(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -128,30 +169,28 @@ def _interior_angle_deg(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
 
 
+def _knee_rotation(body: _Body, side: SideLabel) -> TimeSeries:
+    _check_side(side, "knee rotation")
+    hip = body[f"{side.value}_hip"]
+    knee = body[f"{side.value}_knee"]
+    ankle = body[f"{side.value}_ankle"]
+    values = _interior_angle_deg(hip - knee, ankle - knee)
+    return TimeSeries(values, sample_rate_hz=body.rate,
+                      label=signal_key_name(FeatureName.KNEE_ROTATION, side))
+
+
 def knee_rotation_signal(
     seq, side: SideLabel, marker_map: dict[str, str] | None = None
 ) -> TimeSeries:
     """Interior angle at the knee between knee->hip and knee->ankle, degrees [0, 180]."""
-    if side not in (SideLabel.LEFT, SideLabel.RIGHT):
-        raise ValueError("knee rotation is side-specific")
-    hip = _positions(seq, f"{side.value}_hip", marker_map)
-    knee = _positions(seq, f"{side.value}_knee", marker_map)
-    ankle = _positions(seq, f"{side.value}_ankle", marker_map)
-    values = _interior_angle_deg(hip - knee, ankle - knee)
-    return TimeSeries(values, sample_rate_hz=_sample_rate(seq),
-                      label=signal_key_name(FeatureName.KNEE_ROTATION, side))
+    return _knee_rotation(_Body(seq, marker_map), side)
 
 
-def trunk_rotation_signal(seq, marker_map: dict[str, str] | None = None) -> TimeSeries:
-    """Signed angle between the shoulder line and the hip line, degrees (-180, 180].
-
-    Lines run left -> right; in 3D both are projected onto the ground plane
-    first, so the angle is the rotation about the vertical axis.
-    """
-    ls = _positions(seq, "left_shoulder", marker_map)
-    rs = _positions(seq, "right_shoulder", marker_map)
-    lh = _positions(seq, "left_hip", marker_map)
-    rh = _positions(seq, "right_hip", marker_map)
+def _trunk_rotation(body: _Body, side: SideLabel = SideLabel.BILATERAL) -> TimeSeries:
+    ls = body["left_shoulder"]
+    rs = body["right_shoulder"]
+    lh = body["left_hip"]
+    rh = body["right_hip"]
     s = _ground(rs - ls)
     h = _ground(rh - lh)
     ns = np.linalg.norm(s, axis=1)
@@ -165,23 +204,40 @@ def trunk_rotation_signal(seq, marker_map: dict[str, str] | None = None) -> Time
     dot = np.einsum("ij,ij->i", h, s)
     values = np.degrees(np.arctan2(cross, dot))
     values[values <= -180.0] = 180.0
-    return TimeSeries(values, sample_rate_hz=_sample_rate(seq),
+    return TimeSeries(values, sample_rate_hz=body.rate,
                       label=signal_key_name(FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL))
+
+
+def trunk_rotation_signal(seq, marker_map: dict[str, str] | None = None) -> TimeSeries:
+    """Signed angle between the shoulder line and the hip line, degrees (-180, 180].
+
+    Lines run left -> right; in 3D both are projected onto the ground plane
+    first, so the angle is the rotation about the vertical axis.
+    """
+    return _trunk_rotation(_Body(seq, marker_map))
+
+
+def _wrist_hipmid(body: _Body, side: SideLabel) -> TimeSeries:
+    _check_side(side, "wrist-to-hipmid")
+    wrist = body[f"{side.value}_wrist"]
+    values = np.linalg.norm(wrist - body.hip_mid, axis=1)
+    return TimeSeries(values, sample_rate_hz=body.rate,
+                      label=signal_key_name(FeatureName.WRIST_HIPMID, side))
 
 
 def wrist_hipmid_signal(
     seq, side: SideLabel, marker_map: dict[str, str] | None = None
 ) -> TimeSeries:
     """Euclidean distance from the side's wrist to the hip midpoint (px or mm)."""
-    if side not in (SideLabel.LEFT, SideLabel.RIGHT):
-        raise ValueError("wrist-to-hipmid is side-specific")
-    wrist = _positions(seq, f"{side.value}_wrist", marker_map)
-    mid = 0.5 * (
-        _positions(seq, "left_hip", marker_map) + _positions(seq, "right_hip", marker_map)
-    )
-    values = np.linalg.norm(wrist - mid, axis=1)
-    return TimeSeries(values, sample_rate_hz=_sample_rate(seq),
-                      label=signal_key_name(FeatureName.WRIST_HIPMID, side))
+    return _wrist_hipmid(_Body(seq, marker_map), side)
+
+
+_KERNELS = {
+    FeatureName.STEP_LENGTH: _step_length,
+    FeatureName.KNEE_ROTATION: _knee_rotation,
+    FeatureName.TRUNK_ROTATION: _trunk_rotation,
+    FeatureName.WRIST_HIPMID: _wrist_hipmid,
+}
 
 
 def extract_all(
@@ -190,22 +246,22 @@ def extract_all(
     trial: TrialId | None = None,
     source: ViewLabel | None = None,
 ) -> GaitFeatureSet:
-    """Extract the complete 7-signal feature set from one sequence."""
+    """Extract the complete 7-signal feature set from one sequence.
+
+    The roles are gathered once, and the sample rate, hip midpoint and
+    walking axis computed once, for all seven signals. The first signal
+    that fails, in FEATURE_SIDES order, raises FeatureError.
+    """
     if source is None:
         source = seq.view
     if trial is None:
         trial = TrialId(1, 1)
     out = GaitFeatureSet(trial=trial, source=source)
-    extractors = {
-        FeatureName.STEP_LENGTH: lambda side: step_length_signal(seq, side, marker_map),
-        FeatureName.KNEE_ROTATION: lambda side: knee_rotation_signal(seq, side, marker_map),
-        FeatureName.TRUNK_ROTATION: lambda side: trunk_rotation_signal(seq, marker_map),
-        FeatureName.WRIST_HIPMID: lambda side: wrist_hipmid_signal(seq, side, marker_map),
-    }
+    body = _Body(seq, marker_map)
     for feature, sides in FEATURE_SIDES.items():
         for side in sides:
             try:
-                out.signals[(feature, side)] = extractors[feature](side)
+                out.signals[(feature, side)] = _KERNELS[feature](body, side)
             except Exception as exc:
                 raise FeatureError(feature.value, side.value, exc) from exc
     return out

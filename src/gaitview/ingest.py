@@ -30,7 +30,6 @@ import copy
 import csv
 import io
 import itertools
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -149,18 +148,18 @@ class _Sequence:
         out.values = values
         return out
 
-    def points(self, names, error: type[Exception] = ValueError) -> np.ndarray:
+    def points(self, names, error: type[Exception] | None = ValueError) -> np.ndarray:
         """(frames, len(names), dims) coordinates of the named points: x, y
         for pose keypoints (confidence left out), x, y, z for markers.
 
-        A point absent from a frame raises error.
+        A point absent from a frame raises error, or is NaN if error is None.
         """
         column = {name: k for k, name in enumerate(self.names)}
         known = [name in column for name in names]
         out = np.full((len(self), len(names), self.dims), np.nan)
         out[:, known] = self.values[:, [column[n] for n in names if n in column], :self.dims]
         absent = np.isnan(out[..., 0])
-        if absent.any():
+        if error is not None and absent.any():
             i, j = divmod(int(np.argmax(absent)), len(names))
             raise error(f"{self.point} {names[j]!r} absent in frame {self.frame_index[i]}")
         return out
@@ -214,12 +213,24 @@ def _rows(text: str):
     return ((line, cells) for line, cells in enumerate(rows, start=2) if cells)
 
 
-def _load(text: str, rows: int | None = None):
-    """The first `rows` data rows of a CSV (all by default) as a _TABLE array."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # blank lines are not counted in max_rows
-        return np.loadtxt(io.StringIO(text), dtype=_TABLE, delimiter=",", skiprows=1,
-                          comments=None, quotechar='"', ndmin=1, max_rows=rows)
+def _row_texts(text: str) -> list[str]:
+    """The text of every data row, in the order _rows numbers them; a row
+    spans more than one line when a quoted cell holds a line break."""
+    lines = io.StringIO(text).readlines()
+    reader = csv.reader(lines)
+    next(reader)
+    texts, start = [], reader.line_num
+    for cells in reader:
+        if cells:
+            texts.append("".join(lines[start:reader.line_num]))
+        start = reader.line_num
+    return texts
+
+
+def _load(text: str, skiprows: int = 1):
+    """Every data row of CSV text as a _TABLE array (skiprows: the header)."""
+    return np.loadtxt(io.StringIO(text), dtype=_TABLE, delimiter=",", skiprows=skiprows,
+                      comments=None, quotechar='"', ndmin=1)
 
 
 def _read(text: str):
@@ -227,22 +238,26 @@ def _read(text: str):
     np.loadtxt cannot read in them: the field count, then each field.
 
     A file np.loadtxt reads whole gives an all-False mask. Otherwise a
-    bisection on max_rows finds the longest prefix np.loadtxt reads, and the
-    rows after it are read cell by cell up to the first unreadable one,
-    which ends the table with 0 or NaN in its unreadable fields; this error
-    path only feeds the checks of _parse.
+    bisection finds the longest prefix np.loadtxt reads; each probe reads
+    only the rows after the prefix found so far, so the probes read fewer
+    rows than the file holds. The rows after the prefix are read cell by
+    cell up to the first unreadable one, which ends the table with 0 or NaN
+    in its unreadable fields; this error path only feeds the checks of
+    _parse.
     """
     if next(_rows(text), None) is None:
         return np.zeros(0, dtype=_TABLE), np.zeros((0, 7), dtype=bool)
     try:
         table = _load(text)
     except ValueError:
-        good, bad = 0, sum(1 for _ in _rows(text))  # np.loadtxt reads `good` rows, not `bad`
-        prefix = np.zeros(0, dtype=_TABLE)
+        rows = _row_texts(text)
+        good, bad = 0, len(rows)  # np.loadtxt reads rows[:good], not rows[:bad]
+        prefix = [np.zeros(0, dtype=_TABLE)]
         while bad - good > 1:
             mid = (good + bad) // 2
             try:
-                prefix, good = _load(text, mid), mid
+                prefix.append(_load("".join(rows[good:mid]), skiprows=0))
+                good = mid
             except ValueError:
                 bad = mid
         rest = []
@@ -256,7 +271,7 @@ def _read(text: str):
                     row[j] = value
             rest.append(tuple(row))
             if any(flags):
-                table = np.concatenate((prefix, np.array(rest, dtype=_TABLE)))
+                table = np.concatenate(prefix + [np.array(rest, dtype=_TABLE)])
                 unreadable = np.zeros((len(table), 7), dtype=bool)
                 unreadable[-1] = flags
                 return table, unreadable

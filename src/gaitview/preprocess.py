@@ -12,6 +12,11 @@ forward-backward filtering see Gustafsson 1996). They perform scipy's
 floating-point operations in scipy's order, so their results equal scipy's
 bit for bit; the tests hold scipy as the oracle. Filtering never imports
 scipy.
+
+smooth filters the sequences of a trial together: the complete tracks of
+sequences of one length become the columns of one filtfilt_array call,
+with one design. Columns never interact, so each value equals that of
+filtering its sequence alone.
 """
 from __future__ import annotations
 
@@ -143,44 +148,48 @@ def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.
     Per sample this is scipy's lfilter loop, column by column:
     y = z[0] + b[0]*x; z[i] = (z[i+1] + x*b[i+1]) - y*a[i+1]; the last state
     has no z[i+1], which the trailing -0.0 of the state (x + -0.0 == x for
-    every x) supplies without changing a bit.
+    every x) supplies without changing a bit. One add of the state to every
+    b[i]*x gives y (row 0) and the sums carried into the new state.
     """
-    bx = b[:, None, None] * x  # every product b[i]*x up front: the same values
-    head = bx[0]  # (samples, columns)
-    rest = np.ascontiguousarray(np.moveaxis(bx[1:], 0, 1))  # (samples, taps, columns)
+    sums = b[:, None] * x[:, None, :]  # (samples, taps, columns): every b[i]*x up front
     state = np.concatenate((zi, np.full((1, x.shape[1]), -0.0)))
-    first, lower, upper = state[0], state[:-1], state[1:]
-    a_rest = a[1:, None]
-    carried, fed_back = np.empty_like(lower), np.empty_like(lower)
-    y = np.empty_like(x)
-    for y_k, head_k, rest_k in zip(y, head, rest):
-        np.add(first, head_k, out=y_k)
-        np.add(upper, rest_k, out=carried)
+    lower, a_rest = state[:-1], a[1:, None]
+    fed_back = np.empty_like(lower)
+    for sums_k, y_k, carried_k in zip(sums, sums[:, 0], sums[:, 1:]):
+        np.add(state, sums_k, out=sums_k)
         np.multiply(y_k, a_rest, out=fed_back)
-        np.subtract(carried, fed_back, out=lower)
-    return y
+        np.subtract(carried_k, fed_back, out=lower)
+    return sums[:, 0]
 
 
-def _smooth(seq, spec: FilterSpec | None):
-    """Filter every point track present in all frames, in one filtfilt call."""
+def smooth(seqs, spec: FilterSpec | None = None) -> list:
+    """Zero-phase filter the coordinate tracks of every sequence: x/y of each
+    keypoint (confidences untouched), x/y/z of each marker.
+
+    Tracks not present in every frame pass through unchanged (run fill_gaps
+    first). Sequences of one length are filtered together: their tracks
+    are concatenated column-wise into one filtfilt_array call, so each
+    length costs one filter design. Columns never interact, so every value
+    equals that of filtering the sequence alone. Returns new sequences in
+    the order given.
+
+    Lengths are filtered in the order they first appear, so the
+    SignalTooShort raised is that of the first sequence with tracks no
+    longer than spec.pad_len.
+    """
     if spec is None:
         spec = FilterSpec()
-    complete, dims = seq.complete, seq.dims
-    values = seq.values.copy()
-    if complete.any():
-        values[:, complete, :dims] = filtfilt_array(values[:, complete, :dims], spec)
-    return seq.with_values(values)
-
-
-def smooth_pose(seq, spec: FilterSpec | None = None):
-    """Zero-phase filter each keypoint's x/y track; confidences untouched.
-
-    Keypoints not present in every frame pass through unchanged (run
-    fill_gaps first). Returns a new PoseSequence.
-    """
-    return _smooth(seq, spec)
-
-
-def smooth_markers(seq, spec: FilterSpec | None = None):
-    """Zero-phase filter each marker's x/y/z track. Returns a new MarkerSequence."""
-    return _smooth(seq, spec)
+    where = [(slice(None), seq.complete, slice(seq.dims)) for seq in seqs]
+    tracks = [seq.values[at] for seq, at in zip(seqs, where)]  # (frames, points, dims)
+    by_length: dict[int, list[int]] = {}
+    for i, track in enumerate(tracks):
+        if track.size:
+            by_length.setdefault(len(track), []).append(i)
+    out = [seq.values.copy() for seq in seqs]
+    for members in by_length.values():
+        columns = [tracks[i].reshape(len(tracks[i]), -1) for i in members]
+        filtered = filtfilt_array(np.concatenate(columns, axis=1), spec)
+        ends = np.cumsum([c.shape[1] for c in columns])[:-1]
+        for i, block in zip(members, np.split(filtered, ends, axis=1)):
+            out[i][where[i]] = block.reshape(tracks[i].shape)
+    return [seq.with_values(values) for seq, values in zip(seqs, out)]

@@ -16,6 +16,7 @@ from gaitview.cli import (
     main,
     recommend,
 )
+from gaitview import preprocess
 from gaitview.errors import NotAnalyzed
 
 
@@ -226,6 +227,31 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert f"(subject 2, trial 1, lateral, {short}): " in err
         assert "signal length 12 must exceed padding length 15" in err
+
+    def test_narrower_run_removes_stale_reports(self, dataset, tmp_path):
+        out = tmp_path / "out"
+        assert run_analyze(dataset, out) == 0
+        recommend(out)
+        before = tree_digests(out)
+        (tmp_path / "d").mkdir()
+        broken = tmp_path / "d" / "manifest.csv"
+        broken.write_text("subject,trial,kind,path\n1,1,mocap3d,absent.csv\n")
+        assert run_analyze(broken, out, "--features", "step_length") == 1
+        assert tree_digests(out) == before  # a failed run removes nothing
+        assert run_analyze(dataset, out, "--features", "step_length") == 0
+        assert sorted(tree_digests(out)) == sorted([
+            "metric_records.csv", "pca_summary.csv", "radar.json", "run_metadata.json",
+            "stats_step_length.csv",
+        ])
+        assert [row["feature"] for row in recommend(out)] == ["step_length"] * 2
+
+    def test_one_filter_design_per_trial(self, dataset, tmp_path, monkeypatch):
+        designs = []
+        design = preprocess.butterworth_coeffs
+        monkeypatch.setattr(preprocess, "butterworth_coeffs",
+                            lambda spec: designs.append(spec) or design(spec))
+        assert run_analyze(dataset, tmp_path / "out") == 0
+        assert designs == [preprocess.FilterSpec()] * 2  # 2 subjects, 3 equal-length files each
 
     def test_metric_subset(self, dataset, tmp_path):
         out = tmp_path / "subset"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitview.errors import FeatureError, MissingLandmark, NoWalkingDirection
 from gaitview.features import (
@@ -13,10 +15,10 @@ from gaitview.features import (
     walking_axis,
     wrist_hipmid_signal,
 )
-from gaitview.ingest import KEYPOINT_NAMES, PoseFrame, PoseSequence
+from gaitview.ingest import KEYPOINT_NAMES, MarkerSequence, PoseFrame, PoseSequence
 from gaitview.metrics import max_cross_correlation
 from gaitview.signal_core import SideLabel, ViewLabel
-from gaitview.synth import GaitModelParams, generate_gait
+from gaitview.synth import GaitModelParams, generate_gait, preset_cameras, project
 
 
 def pose_seq(frames_kp, view=ViewLabel.LATERAL, fs=100.0):
@@ -227,3 +229,87 @@ class TestOnSynthetic:
         assert np.all(ts.samples <= 180.0)
         assert ts.samples.min() > 90.0
         assert ts.samples.max() - ts.samples.min() > 20.0
+
+
+# the public entry point of each feature, called as (seq, side, marker_map)
+PUBLIC = {
+    FeatureName.STEP_LENGTH: step_length_signal,
+    FeatureName.KNEE_ROTATION: knee_rotation_signal,
+    FeatureName.TRUNK_ROTATION: lambda seq, side, marker_map: trunk_rotation_signal(
+        seq, marker_map),
+    FeatureName.WRIST_HIPMID: wrist_hipmid_signal,
+}
+ROLES = [f"{side}_{part}" for part in ("hip", "knee", "ankle", "shoulder", "wrist")
+         for side in ("left", "right")]
+
+
+@st.composite
+def gait_sequences(draw):
+    """A synthetic walk as markers (named by role or through a marker map)
+    or as a frontal or lateral pose, optionally broken: a role absent from
+    one frame, or hips that never move."""
+    params = GaitModelParams(n_frames=draw(st.integers(2, 60)), seed=draw(st.integers(0, 99)),
+                             marker_noise_sd_mm=draw(st.sampled_from([0.0, 2.0])))
+    seq, marker_map = generate_gait(params), None
+    kind = draw(st.sampled_from(["markers", "mapped", ViewLabel.FRONTAL, ViewLabel.LATERAL]))
+    if kind == "mapped":
+        marker_map = {role: f"M{k}" for k, role in enumerate(ROLES)}
+        seq = MarkerSequence(frame_index=seq.frame_index, times=seq.times,
+                             names=[marker_map.get(n, n) for n in seq.names], values=seq.values)
+    elif kind != "markers":
+        seq = project(seq, preset_cameras(params)[kind], view=kind)
+    values = seq.values.copy()
+    fault = draw(st.sampled_from([None, "absent", "standing"]))
+    if fault == "absent":
+        role = draw(st.sampled_from(ROLES))
+        name = marker_map[role] if marker_map else role
+        values[draw(st.integers(0, len(seq) - 1)), seq.names.index(name)] = np.nan
+    elif fault == "standing":
+        hips = [seq.names.index(marker_map[r] if marker_map else r)
+                for r in ("left_hip", "right_hip")]
+        values[:, hips] = values[:1, hips]
+    return seq.with_values(values), marker_map
+
+
+def first_failure(seq, marker_map):
+    """The FeatureError of the first public signal function that fails, in
+    FEATURE_SIDES order, or None."""
+    for feature, sides in FEATURE_SIDES.items():
+        for side in sides:
+            try:
+                PUBLIC[feature](seq, side, marker_map)
+            except Exception as exc:
+                return FeatureError(feature.value, side.value, exc)
+    return None
+
+
+class TestExtractAllEqualsPublicFunctions:
+    @settings(max_examples=120, deadline=None)
+    @given(gait_sequences())
+    def test_bit_for_bit_and_same_first_error(self, case):
+        seq, marker_map = case
+        expected = first_failure(seq, marker_map)
+        if expected is not None:
+            with pytest.raises(FeatureError) as info:
+                extract_all(seq, marker_map)
+            assert str(info.value) == str(expected)
+            assert type(info.value.cause) is type(expected.cause)
+            return
+        fs = extract_all(seq, marker_map)
+        assert list(fs.signals) == [(f, s) for f, sides in FEATURE_SIDES.items() for s in sides]
+        for (feature, side), ts in fs.signals.items():
+            alone = PUBLIC[feature](seq, side, marker_map)
+            assert ts.samples.tobytes() == alone.samples.tobytes()
+            assert (ts.sample_rate_hz, ts.label) == (alone.sample_rate_hz, alone.label)
+
+    @pytest.mark.parametrize("role", ROLES)
+    def test_role_absent_from_one_frame(self, role):
+        seq = generate_gait(GaitModelParams(n_frames=40))
+        values = seq.values.copy()
+        values[17, seq.names.index(role)] = np.nan
+        seq = seq.with_values(values)
+        expected = first_failure(seq, None)
+        with pytest.raises(FeatureError) as info:
+            extract_all(seq)
+        assert str(info.value) == str(expected)
+        assert f"marker {role!r} absent in frame 17" in str(info.value)

@@ -179,6 +179,27 @@ class TestParseMarker:
         assert err.value.reason == "invalid time: '3.9x'"
         assert len(calls) <= 2 * math.ceil(math.log2(len(rows))) + 5  # cell by cell: 10,000
 
+    def test_bad_last_row_reads_each_row_at_most_twice(self, monkeypatch):
+        rows = [f"{f},{f / 100},m{k},1,2,3" for f in range(400) for k in range(5)]
+        rows[-1] = rows[-1].replace(",3.99,", ",3.9x,")
+        handed = []  # data rows (or single cells) given to each np.loadtxt call
+        loadtxt = np.loadtxt
+
+        def counting(source, *args, skiprows=0, **kwargs):
+            lines = source.getvalue().splitlines() if isinstance(source, io.StringIO) else source
+            handed.append(len(lines) - skiprows)
+            return loadtxt(source, *args, skiprows=skiprows, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        with pytest.raises(ParseError) as err:
+            parse_marker_csv(io.StringIO(MARKER_HEADER + "\n".join(rows) + "\n"))
+        assert (err.value.line, err.value.column) == (len(rows) + 1, 2)
+        assert err.value.reason == "invalid time: '3.9x'"
+        # the whole file, bisection probes holding fewer rows than the file,
+        # and the five numeric cells of the unreadable row; probes that hand
+        # np.loadtxt the whole file each time add up to about 24,000
+        assert sum(handed) <= 2 * len(rows) + 5
+
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 frame_indices = st.lists(st.integers(-10, 10_000), min_size=0, max_size=6, unique=True).map(sorted)

@@ -14,8 +14,7 @@ from gaitview.preprocess import (
     butterworth_coeffs,
     filtfilt,
     filtfilt_array,
-    smooth_markers,
-    smooth_pose,
+    smooth,
 )
 from gaitview.signal_core import TimeSeries, ViewLabel
 
@@ -194,9 +193,8 @@ def random_markers(rng, n=60):
 
 
 class TestSmoothing:
-    @pytest.mark.parametrize("make, smooth", [(random_pose, smooth_pose),
-                                              (random_markers, smooth_markers)])
-    def test_equals_per_track_loop_with_one_design(self, make, smooth, monkeypatch):
+    @pytest.mark.parametrize("make", [random_pose, random_markers])
+    def test_equals_per_track_loop_with_one_design(self, make, monkeypatch):
         seq = make(np.random.default_rng(3))
         spec = FilterSpec(6.0, 100.0, 4)
         expected = per_track_reference(seq, spec)
@@ -207,6 +205,61 @@ class TestSmoothing:
             return butterworth_coeffs(s)
 
         monkeypatch.setattr(preprocess, "butterworth_coeffs", counting)
-        out = smooth(seq, spec)
+        out = smooth([seq], spec)[0]
         assert out == expected
         assert designs == [spec]
+
+
+@st.composite
+def mixed_sequences(draw):
+    """1-4 pose or marker sequences sharing a few lengths; some have no
+    points, and some tracks miss a frame."""
+    spec = draw(filter_specs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = [spec.pad_len + 1 + extra for extra in draw(
+        st.lists(st.sampled_from([0, 7, 40]), min_size=1, max_size=3))]
+    seqs = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.sampled_from(lengths))
+        pose = draw(st.booleans())
+        names = (sorted(draw(st.sets(st.sampled_from(KEYPOINT_NAMES), max_size=5))) if pose
+                 else [f"m{k}" for k in range(draw(st.integers(0, 4)))])
+        values = rng.normal(0, 300, (n, len(names), 3)).cumsum(axis=0)
+        if pose:
+            values[..., 2] = rng.uniform(0, 1, (n, len(names)))
+        for k in draw(st.sets(st.integers(0, max(len(names) - 1, 0)), max_size=2)):
+            if k < len(names):
+                values[draw(st.integers(0, n - 1)), k] = np.nan  # an incomplete track
+        arrays = dict(frame_index=np.arange(n), times=np.arange(n) / 100, names=names,
+                      values=values)
+        seqs.append(PoseSequence(ViewLabel.FRONTAL, **arrays) if pose
+                    else MarkerSequence(**arrays))
+    return spec, seqs
+
+
+class TestSmoothTogether:
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_sequences())
+    def test_equals_each_sequence_alone_with_one_design_per_length(self, case):
+        spec, seqs = case
+        designs = []
+
+        def counting(s):
+            designs.append(s)
+            return butterworth_coeffs(s)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(preprocess, "butterworth_coeffs", counting)
+            together = smooth(seqs, spec)
+        filtered_lengths = {len(seq) for seq in seqs if seq.complete.any()}
+        assert designs == [spec] * len(filtered_lengths)
+        assert len(together) == len(seqs)
+        for seq, out in zip(seqs, together):
+            alone = smooth([seq], spec)[0]
+            assert type(out) is type(seq) and out.names == seq.names
+            assert out.values.tobytes() == alone.values.tobytes()
+            untouched = ~seq.complete
+            assert np.array_equal(out.values[:, untouched], seq.values[:, untouched],
+                                  equal_nan=True)
+            assert np.array_equal(out.values[..., seq.dims:], seq.values[..., seq.dims:],
+                                  equal_nan=True)
