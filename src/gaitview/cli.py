@@ -166,7 +166,7 @@ def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
         spec = cfg.filter_spec
         try:
             seqs = dict(zip(seqs, smooth(list(seqs.values()), spec)))
-        except SignalTooShort as exc:
+        except SignalTooShort:
             view = next(view for view, seq in seqs.items()
                         if len(seq) <= spec.pad_len and seq.complete.any())
             with _naming(trial, view, files[view]):
@@ -175,7 +175,8 @@ def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
     for view, seq in seqs.items():
         with _naming(trial, view, files[view]):
             feats[view] = extract_all(seq, cfg.marker_map, trial=trial, source=view)
-    view_feats = {view: (seqs[view], feats[view]) for view in seqs if view is not ViewLabel.MOCAP3D}
+    view_feats = {view: (seqs[view], feats[view]) for view in seqs}
+    del view_feats[ViewLabel.MOCAP3D]
     return seqs[ViewLabel.MOCAP3D], feats[ViewLabel.MOCAP3D], view_feats
 
 
