@@ -14,7 +14,6 @@ from .signal_core import (  # noqa: F401
 from .metrics import (  # noqa: F401
     MetricConfig,
     MetricRecord,
-    compute_record,
     dtw_distance,
     information_entropy,
     kl_divergence,

@@ -6,9 +6,13 @@ reports (6 significant digits in CSV, full precision in JSON, sorted keys
 and fixed row order, so identical inputs give byte-identical outputs).
 Each trial's files are parsed and repaired one by one, filtered in one
 smooth call, then reduced to features; an error names the subject, trial,
-view and file it came from. Once every report is written, analyze deletes
-the stats_<feature>.csv and recommendations.csv an earlier run left in the
-output directory that this run did not write.
+view and file it came from. The reports are replaced as a set: analyze
+writes them all into a temporary directory inside the output directory,
+checks that none of their names there is taken by a directory or another
+non-file, then moves them in and deletes the stats_<feature>.csv and
+recommendations.csv an earlier run left that this run did not write. A run
+that fails before the move leaves the output directory as it was, and files
+gaitview does not own are never touched.
 """
 from __future__ import annotations
 
@@ -20,6 +24,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,21 +82,10 @@ class RunConfig:
     marker_map: dict[str, str] | None = None
 
     def fingerprint(self) -> str:
-        payload = {
-            "alpha": self.alpha,
-            "pca_threshold": self.pca_threshold,
-            "pca_scope": self.pca_scope,
-            "apply_filter": self.apply_filter,
-            "filter_spec": dataclasses.asdict(self.filter_spec),
-            "metric_cfg": dataclasses.asdict(self.metric_cfg),
-            "conf_threshold": self.conf_threshold,
-            "max_gap": self.max_gap,
-            "features": [f.value for f in self.features],
-            "metrics": list(self.metrics),
-            "marker_map": self.marker_map,
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
+        """sha256 of every setting but the manifest and output paths."""
+        payload = dataclasses.asdict(self)
+        del payload["manifest"], payload["out_dir"]
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def _fmt(value: float) -> str:
@@ -147,8 +141,9 @@ def load_manifest(path: Path) -> dict[TrialId, dict[str, Path]]:
 
 def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
     """Parse and repair each file of one subject's trial, filter the trial's
-    sequences in one call, then extract features; a failure names the
-    subject, trial, view and file."""
+    sequences in one call, then extract features; returns the sequences and
+    the features, each keyed by view in _TRIAL_VIEWS order. A failure names
+    the subject, trial, view and file."""
     if "mocap3d" not in paths:
         raise GaitViewError(f"subject {trial.subject_index}: manifest lists no mocap3d file")
     files = {view: paths[view.value] for view in _TRIAL_VIEWS if view.value in paths}
@@ -175,9 +170,7 @@ def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
     for view, seq in seqs.items():
         with _naming(trial, view, files[view]):
             feats[view] = extract_all(seq, cfg.marker_map, trial=trial, source=view)
-    view_feats = {view: (seqs[view], feats[view]) for view in seqs}
-    del view_feats[ViewLabel.MOCAP3D]
-    return seqs[ViewLabel.MOCAP3D], feats[ViewLabel.MOCAP3D], view_feats
+    return seqs, feats
 
 
 @contextlib.contextmanager
@@ -190,33 +183,24 @@ def _naming(trial: TrialId, view: ViewLabel, path: Path):
                              exc) from exc
 
 
-def run_analysis(cfg: RunConfig) -> dict:
-    """Full pipeline over every subject in the manifest; returns the bundle
-    (records, stats, pca rows, radar data) after writing all report files."""
+def run_analysis(cfg: RunConfig) -> None:
+    """Full pipeline over every subject in the manifest, ending in the report files."""
     manifest = load_manifest(cfg.manifest)
     if not manifest:
         raise GaitViewError(f"manifest {cfg.manifest} lists no subjects")
     records: list[MetricRecord] = []
-    pooled_pose: dict[ViewLabel, list] = {ViewLabel.FRONTAL: [], ViewLabel.LATERAL: []}
-    pooled_markers: list = []
-    per_subject_seqs: list[tuple[int, ViewLabel, object]] = []
-
+    sequences: list[tuple[int, ViewLabel, object]] = []  # (subject, view, sequence)
     for trial in sorted(manifest):
-        subject = trial.subject_index
-        markers, feats3d, view_feats = _process_trial(cfg, trial, manifest[trial])
-        pooled_markers.append(markers)
-        per_subject_seqs.append((subject, ViewLabel.MOCAP3D, markers))
-        views = sorted(view_feats.items(), key=lambda kv: kv[0].value)
-        for view, (pose, _) in views:
-            pooled_pose[view].append(pose)
-            per_subject_seqs.append((subject, view, pose))
+        seqs, feats = _process_trial(cfg, trial, manifest[trial])
+        sequences += [(trial.subject_index, view, seq) for view, seq in seqs.items()]
+        signals3d = feats.pop(ViewLabel.MOCAP3D).signals
         scored = []
         for feature in cfg.features:
             for side in FEATURE_SIDES[feature]:
                 key = (feature, side)
                 scored += compute_records(
-                    trial, feature, side, feats3d.signals[key],
-                    {view: feats2d.signals[key] for view, (_, feats2d) in views},
+                    trial, feature, side, signals3d[key],
+                    {view: feats2d.signals[key] for view, feats2d in feats.items()},
                     cfg.metric_cfg,
                 )
         records += sorted(scored, key=lambda rec: rec.view.value)  # stable: view, feature, side
@@ -226,46 +210,26 @@ def run_analysis(cfg: RunConfig) -> dict:
         for side in FEATURE_SIDES[feature]:
             for metric in cfg.metrics:
                 stat_results.append(compare_views(records, feature, side, metric, cfg.alpha))
-
-    pca_rows = _pca_rows(cfg, pooled_pose, pooled_markers, per_subject_seqs)
-    radar = _radar_data(records, cfg)
-    _write_outputs(cfg, records, stat_results, pca_rows, radar)
-    return {
-        "records": records,
-        "stats": stat_results,
-        "pca": pca_rows,
-        "radar": radar,
-    }
+    _write_outputs(cfg, records, stat_results, _pca_rows(cfg, sequences),
+                   _radar_data(records, cfg))
 
 
-def _pca_rows(cfg, pooled_pose, pooled_markers, per_subject_seqs):
-    rows = []
+def _pca_rows(cfg, sequences) -> list[tuple[str, int, int, float]]:
+    """(group, initial_dim, k, explained_ratio) per PCA group: one group per
+    view of every sequence pooled, or one per (subject, view)."""
     if cfg.pca_scope == "pooled":
-        groups = [
-            (ViewLabel.FRONTAL.value, pose_matrix(pooled_pose[ViewLabel.FRONTAL])
-             if pooled_pose[ViewLabel.FRONTAL] else None),
-            (ViewLabel.LATERAL.value, pose_matrix(pooled_pose[ViewLabel.LATERAL])
-             if pooled_pose[ViewLabel.LATERAL] else None),
-            (ViewLabel.MOCAP3D.value, marker_matrix(pooled_markers)),
-        ]
+        groups = [(view.value, view, [seq for _, v, seq in sequences if v is view])
+                  for view in _TRIAL_VIEWS]
     else:
-        groups = []
-        for subject, view, seq in per_subject_seqs:
-            name = f"{view.value}_s{subject:02d}"
-            matrix = marker_matrix([seq]) if view is ViewLabel.MOCAP3D else pose_matrix([seq])
-            groups.append((name, matrix))
-    for name, matrix in groups:
-        if matrix is None:
+        groups = [(f"{view.value}_s{subject:02d}", view, [seq])
+                  for subject, view, seq in sequences]
+    rows = []
+    for name, view, seqs in groups:
+        if not seqs:
             continue
+        matrix = marker_matrix(seqs) if view is ViewLabel.MOCAP3D else pose_matrix(seqs)
         result = pca_fit(matrix, cfg.pca_threshold)
-        rows.append(
-            {
-                "group": name,
-                "initial_dim": matrix.n_cols,
-                "k": result.k,
-                "explained_ratio": result.explained_ratio,
-            }
-        )
+        rows.append((name, matrix.n_cols, result.k, result.explained_ratio))
     return rows
 
 
@@ -312,67 +276,44 @@ def _radar_data(records, cfg) -> dict:
     return radar
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_outputs(cfg, records, stat_results, pca_rows, radar):
+    """Write every report into a temporary directory inside the output
+    directory, then move them into it and delete the stats_<feature>.csv
+    and recommendations.csv of an earlier run that this run did not write.
+    A report that cannot be written, or a target name taken by a directory
+    or another non-file, fails before the first move, and the temporary
+    directory goes on every exit path."""
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    try:
-        path = out / "metric_records.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            written.append(path)
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(RECORDS_HEADER)
-            ordered = sorted(
-                records,
-                key=lambda r: (r.trial.subject_index, r.trial.trial_index,
-                               r.feature.value, r.side.value, r.view.value),
-            )
-            for r in ordered:
-                writer.writerow([
-                    r.trial.subject_index, r.trial.trial_index,
-                    r.feature.value, r.side.value, r.view.value,
-                    _fmt(r.dtw), _fmt(r.mcc), r.mcc_lag,
-                    _fmt(r.kld), _fmt(r.ie_2d), _fmt(r.ie_3d),
-                ])
-
-        by_feature: dict[FeatureName, list[StatResult]] = {}
-        for res in stat_results:
-            by_feature.setdefault(res.feature, []).append(res)
-        for feature in sorted(by_feature, key=lambda f: f.value):
-            path = out / f"stats_{feature.value}.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                written.append(path)
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(STATS_HEADER)
-                rows = sorted(
-                    by_feature[feature], key=lambda r: (r.metric, r.side.value)
-                )
-                for r in rows:
-                    name = r.metric if r.side is SideLabel.BILATERAL else f"{r.metric}_{r.side.value}"
-                    writer.writerow([
-                        name,
-                        _fmt(r.mean_sd_a[0]), _fmt(r.mean_sd_a[1]),
-                        _fmt(r.mean_sd_b[0]), _fmt(r.mean_sd_b[1]),
-                        _fmt(r.p_value), _fmt(r.cliffs_delta),
-                        r.effect_label, r.winner,
-                    ])
-
-        path = out / "pca_summary.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            written.append(path)
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(PCA_HEADER)
-            for row in sorted(pca_rows, key=lambda r: r["group"]):
-                writer.writerow([
-                    row["group"], row["initial_dim"], row["k"], _fmt(row["explained_ratio"]),
-                ])
-
-        path = out / "radar.json"
-        written.append(path)
-        path.write_text(json.dumps(radar, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-        path = out / "run_metadata.json"
-        written.append(path)
+    with tempfile.TemporaryDirectory(prefix=".gaitview-", dir=out) as tmp:
+        tmp = Path(tmp)
+        _write_csv(tmp / "metric_records.csv", RECORDS_HEADER, (
+            [r.trial.subject_index, r.trial.trial_index, r.feature.value, r.side.value,
+             r.view.value, _fmt(r.dtw), _fmt(r.mcc), r.mcc_lag, _fmt(r.kld),
+             _fmt(r.ie_2d), _fmt(r.ie_3d)]
+            for r in sorted(records, key=lambda r: (
+                r.trial.subject_index, r.trial.trial_index,
+                r.feature.value, r.side.value, r.view.value))
+        ))
+        for feature in sorted({res.feature for res in stat_results}, key=lambda f: f.value):
+            rows = sorted((r for r in stat_results if r.feature is feature),
+                          key=lambda r: (r.metric, r.side.value))
+            _write_csv(tmp / f"stats_{feature.value}.csv", STATS_HEADER, (
+                [r.metric if r.side is SideLabel.BILATERAL else f"{r.metric}_{r.side.value}",
+                 _fmt(r.mean_sd_a[0]), _fmt(r.mean_sd_a[1]),
+                 _fmt(r.mean_sd_b[0]), _fmt(r.mean_sd_b[1]),
+                 _fmt(r.p_value), _fmt(r.cliffs_delta), r.effect_label, r.winner]
+                for r in rows
+            ))
+        _write_csv(tmp / "pca_summary.csv", PCA_HEADER,
+                   ([name, dim, k, _fmt(ratio)] for name, dim, k, ratio in sorted(pca_rows)))
         meta = {
             "gaitview_version": __version__,
             "config_hash": cfg.fingerprint(),
@@ -384,15 +325,22 @@ def _write_outputs(cfg, records, stat_results, pca_rows, radar):
             "cutoff_hz": cfg.filter_spec.cutoff_hz,
             "filter_order": cfg.filter_spec.order,
         }
-        path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    except BaseException:
-        for p in written:
-            p.unlink(missing_ok=True)
-        raise
-    # reports of an earlier run that this run did not write, which recommend would read
-    for path in [out / f"stats_{f.value}.csv" for f in FeatureName] + [out / RECOMMENDATIONS]:
-        if path not in written:
-            path.unlink(missing_ok=True)
+        for name, data in (("radar.json", radar), ("run_metadata.json", meta)):
+            (tmp / name).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n",
+                                    encoding="utf-8")
+
+        written = sorted(path.name for path in tmp.iterdir())
+        # reports of an earlier run that this run did not write, which recommend would read
+        stale = [name for name in [f"stats_{f.value}.csv" for f in FeatureName] + [RECOMMENDATIONS]
+                 if name not in written]
+        for name in written + stale:
+            if (out / name).exists() and not (out / name).is_file():
+                raise GaitViewError(f"{out / name} is not a file; the reports in {out} "
+                                    "are left as they were")
+        for name in written:
+            os.replace(tmp / name, out / name)
+    for name in stale:
+        (out / name).unlink(missing_ok=True)
 
 
 def recommend(analyzed_dir, alpha: float = 0.05) -> list[dict]:
@@ -437,12 +385,8 @@ def recommend(analyzed_dir, alpha: float = 0.05) -> list[dict]:
                 "feature": feature, "side": side,
                 "recommended_view": choice, "rationale": rationale,
             })
-    out_path = analyzed / RECOMMENDATIONS
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feature", "side", "recommended_view", "rationale"])
-        for row in rows:
-            writer.writerow([row["feature"], row["side"], row["recommended_view"], row["rationale"]])
+    _write_csv(analyzed / RECOMMENDATIONS, ["feature", "side", "recommended_view", "rationale"],
+               (row.values() for row in rows))
     return rows
 
 
@@ -468,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--manifest", required=True)
     p_an.add_argument("--out", default=os.environ.get(OUT_DIR_ENV))
     p_an.add_argument("--config", help="key=value config file; flags override it")
-    p_an.add_argument("--alpha", type=float, default=None)
+    p_an.add_argument("--alpha", type=_alpha, default=None)
     p_an.add_argument("--pca-threshold", type=float, default=None)
     p_an.add_argument("--pca-scope", choices=PCA_SCOPES, default=None)
     p_an.add_argument("--cutoff-hz", type=float, default=None)
@@ -487,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rec = sub.add_parser("recommend", help="per-parameter view recommendation")
     p_rec.add_argument("--analyzed", required=True, help="directory written by analyze")
-    p_rec.add_argument("--alpha", type=float, default=0.05)
+    p_rec.add_argument("--alpha", type=_alpha, default=0.05)
 
     sub.add_parser("version", help="print version and exit")
     return parser
@@ -509,9 +453,16 @@ def _pca_scope(raw: str) -> str:
     return raw
 
 
+def _alpha(raw: str) -> float:
+    value = float(raw)
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {raw}")
+    return value
+
+
 # --config keys (a dash reads as an underscore) and the parser of each value
 CONFIG_KEYS = {
-    "out": str, "alpha": float, "pca_threshold": float, "pca_scope": _pca_scope,
+    "out": str, "alpha": _alpha, "pca_threshold": float, "pca_scope": _pca_scope,
     "cutoff_hz": float, "sample_rate_hz": float, "filter_order": int,
     "apply_filter": _boolean, "normalize": _boolean, "histogram_bins": int,
     "log_base": float, "smoothing_epsilon": float, "conf_threshold": float,
@@ -534,63 +485,57 @@ def _read_config(path) -> dict:
             raise GaitViewError(f"{path}: unknown key {raw_key!r}")
         try:
             settings[key] = CONFIG_KEYS[key](raw)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise GaitViewError(f"{path}: {raw_key}: {exc}") from None
     return settings
 
 
-def _setting(args, file_cfg: dict, name: str, default):
-    flag = getattr(args, name, None)
-    return flag if flag is not None else file_cfg.get(name, default)
+def _names(key: str, raw: str, parse) -> tuple:
+    """A comma-separated features/metrics value -> its parsed names; a name
+    listed twice raises GaitViewError naming it."""
+    names = [name.strip() for name in raw.split(",")]
+    for name in names:
+        if names.count(name) > 1:
+            raise GaitViewError(f"{key}: {name!r} is listed twice")
+    return tuple(parse(name) for name in names)
+
+
+def _metric(name: str) -> str:
+    if name not in METRIC_DIRECTION:
+        raise GaitViewError(f"unknown metric {name!r}")
+    return name
+
+
+def _take(settings: dict, cls) -> dict:
+    """Pop the settings that name a field of dataclass cls."""
+    return {f.name: settings.pop(f.name) for f in dataclasses.fields(cls) if f.name in settings}
 
 
 def _run_config_from_args(args) -> RunConfig:
-    file_cfg = _read_config(args.config) if args.config else {}
-    out = args.out or file_cfg.get("out") or os.environ.get(OUT_DIR_ENV)
+    """Each setting from its flag, else from --config; a setting neither
+    gives keeps the default of the dataclass that holds it."""
+    settings = _read_config(args.config) if args.config else {}
+    # flags win; the --out default reads GAITVIEW_OUT, so it wins over the file's out
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in CONFIG_KEYS and value not in (None, ""))
+    out = settings.pop("out", None)
     if not out:
         raise GaitViewError("no output directory: pass --out or set " + OUT_DIR_ENV)
-    filter_spec = FilterSpec(
-        cutoff_hz=_setting(args, file_cfg, "cutoff_hz", 7.0),
-        sample_rate_hz=_setting(args, file_cfg, "sample_rate_hz", 100.0),
-        order=_setting(args, file_cfg, "filter_order", 4),
-    )
-    metric_cfg = MetricConfig(
-        normalize=not args.no_normalize and _setting(args, file_cfg, "normalize", True),
-        histogram_bins=_setting(args, file_cfg, "histogram_bins", 256),
-        log_base=_setting(args, file_cfg, "log_base", 2.0),
-        smoothing_epsilon=_setting(args, file_cfg, "smoothing_epsilon", 1e-10),
-    )
-    feature_names = _setting(args, file_cfg, "features", None)
-    features = (
-        tuple(FeatureName(name.strip()) for name in feature_names.split(","))
-        if feature_names else tuple(FeatureName)
-    )
-    metric_names = _setting(args, file_cfg, "metrics", None)
-    metrics = (
-        tuple(name.strip() for name in metric_names.split(","))
-        if metric_names else ALL_METRICS
-    )
-    if not features or not metrics:
-        raise GaitViewError("feature and metric selections must be non-empty")
-    for metric in metrics:
-        if metric not in METRIC_DIRECTION:
-            raise GaitViewError(f"unknown metric {metric!r}")
-    marker_map_path = _setting(args, file_cfg, "marker_map", None)
-    return RunConfig(
-        manifest=Path(args.manifest),
-        out_dir=Path(out),
-        alpha=_setting(args, file_cfg, "alpha", 0.05),
-        pca_threshold=_setting(args, file_cfg, "pca_threshold", 0.95),
-        pca_scope=_setting(args, file_cfg, "pca_scope", "pooled"),
-        apply_filter=not args.no_filter and _setting(args, file_cfg, "apply_filter", True),
-        filter_spec=filter_spec,
-        metric_cfg=metric_cfg,
-        conf_threshold=_setting(args, file_cfg, "conf_threshold", DEFAULT_CONF_THRESHOLD),
-        max_gap=_setting(args, file_cfg, "max_gap", DEFAULT_MAX_GAP),
-        features=features,
-        metrics=metrics,
-        marker_map=load_marker_map(marker_map_path) if marker_map_path else None,
-    )
+    if args.no_filter:
+        settings["apply_filter"] = False
+    if args.no_normalize:
+        settings["normalize"] = False
+    if "filter_order" in settings:
+        settings["order"] = settings.pop("filter_order")
+    filter_spec = FilterSpec(**_take(settings, FilterSpec))
+    metric_cfg = MetricConfig(**_take(settings, MetricConfig))
+    for key, parse in (("features", FeatureName), ("metrics", _metric)):
+        if key in settings:
+            settings[key] = _names(key, settings[key], parse)
+    if "marker_map" in settings:
+        settings["marker_map"] = load_marker_map(settings["marker_map"])
+    return RunConfig(manifest=Path(args.manifest), out_dir=Path(out),
+                     filter_spec=filter_spec, metric_cfg=metric_cfg, **settings)
 
 
 def main(argv=None) -> int:

@@ -172,19 +172,6 @@ def information_entropy(x: TimeSeries, cfg: MetricConfig | None = None) -> float
     return float(-np.sum(p * np.log(p))) / math.log(cfg.log_base)
 
 
-def compute_record(
-    trial: TrialId,
-    feature: FeatureName,
-    side: SideLabel,
-    view: ViewLabel,
-    signal_2d: TimeSeries,
-    signal_3d: TimeSeries,
-    cfg: MetricConfig | None = None,
-) -> MetricRecord:
-    """All four metrics for one (trial, feature, side, view) pair."""
-    return compute_records(trial, feature, side, signal_3d, {view: signal_2d}, cfg)[0]
-
-
 def compute_records(
     trial: TrialId,
     feature: FeatureName,

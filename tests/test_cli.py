@@ -13,10 +13,12 @@ from gaitview.cli import (
     PCA_HEADER,
     RECORDS_HEADER,
     STATS_HEADER,
+    RunConfig,
     main,
     recommend,
 )
 from gaitview import preprocess
+from gaitview.features import FeatureName
 from gaitview.errors import NotAnalyzed
 
 
@@ -314,6 +316,91 @@ class TestAnalyzeCommand:
         assert "frontal_s01" in groups
         assert "mocap3d_s02" in groups
         assert len(groups) == 6
+
+
+class TestSettings:
+    def test_config_hash_is_pinned(self):
+        # run_metadata.json's config_hash; a refactor of RunConfig must not move it
+        paths = (Path("data/manifest.csv"), Path("results"))
+        assert RunConfig(*paths).fingerprint() == (
+            "911610354a101edab82cec7b9820cd3b4d6045f13e9b7d21026049382a240f15")
+        assert RunConfig(
+            *paths, pca_scope="per-subject", metrics=("dtw", "kld"),
+            features=(FeatureName.STEP_LENGTH, FeatureName.TRUNK_ROTATION),
+            marker_map={"l_hip": "LASI", "r_hip": "RASI"},
+        ).fingerprint() == "1722680cf096a8b83461342b30b6385aac55b69bd73889d97d356c31ebefa780"
+
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--features", "trunk_rotation,trunk_rotation"], None,
+         "features: 'trunk_rotation' is listed twice"),
+        (["--metrics", "dtw, kld,dtw"], None, "metrics: 'dtw' is listed twice"),
+        ([], "features = step_length,trunk_rotation,step_length",
+         "features: 'step_length' is listed twice"),
+        ([], "metrics = mcc,mcc", "metrics: 'mcc' is listed twice"),
+    ])
+    def test_repeated_name_exit_1(self, dataset, tmp_path, capsys, flags, config, message):
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config + "\n")
+            flags = ["--config", str(tmp_path / "run.cfg")]
+        assert run_analyze(dataset, tmp_path / "o", *flags) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.05"])
+    def test_alpha_outside_unit_interval_rejected(self, dataset, analyzed, tmp_path, capsys,
+                                                  value):
+        message = f"must be in (0, 1), got {value}"
+        with pytest.raises(SystemExit) as exit_info:
+            run_analyze(dataset, tmp_path / "o", "--alpha", value)
+        assert exit_info.value.code == 2
+        assert f"argument --alpha: {message}" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"alpha = {value}\n")
+        assert run_analyze(dataset, tmp_path / "o", "--config", str(cfg)) == 1
+        assert f"error: {cfg}: alpha: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        copy = tmp_path / "analysis"
+        shutil.copytree(analyzed, copy)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["recommend", "--analyzed", str(copy), "--alpha", value])
+        assert exit_info.value.code == 2
+        assert f"argument --alpha: {message}" in capsys.readouterr().err
+        assert not (copy / "recommendations.csv").exists()
+
+
+class TestReportSet:
+    @pytest.mark.parametrize("blocked", ["radar.json", "stats_knee_rotation.csv"])
+    def test_failed_run_leaves_earlier_reports_whole(self, dataset, tmp_path, capsys,
+                                                     blocked):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("not a report\n")
+        assert run_analyze(dataset, out) == 0
+        assert (out / "notes.txt").read_text() == "not a report\n"
+        (out / blocked).unlink()
+        (out / blocked).mkdir()
+        names, before = sorted(os.listdir(out)), tree_digests(out)
+        # a narrower run would rewrite every report and delete stats_knee_rotation.csv
+        assert run_analyze(dataset, out, "--features", "step_length", "--metrics", "dtw") == 1
+        assert sorted(os.listdir(out)) == names  # no temporary entry either
+        assert tree_digests(out) == before
+        assert "notes.txt" in before
+        assert f"{out / blocked} is not a file" in capsys.readouterr().err
+
+    def test_successful_and_bad_input_runs_leave_no_temporary_entry(self, dataset, tmp_path):
+        out = tmp_path / "out"
+        assert run_analyze(dataset, out) == 0
+        (out / "notes.txt").write_text("not a report\n")
+        assert run_analyze(dataset, out, "--features", "step_length") == 0
+        names = [
+            "metric_records.csv", "notes.txt", "pca_summary.csv", "radar.json",
+            "run_metadata.json", "stats_step_length.csv",
+        ]
+        assert sorted(os.listdir(out)) == names
+        broken = tmp_path / "manifest.csv"
+        broken.write_text("subject,trial,kind,path\n1,1,mocap3d,absent.csv\n")
+        assert run_analyze(broken, out) == 1
+        assert sorted(os.listdir(out)) == names
 
 
 class TestManifest:

@@ -11,7 +11,6 @@ from gaitview import metrics
 from gaitview.features import FeatureName
 from gaitview.metrics import (
     MetricConfig,
-    compute_record,
     compute_records,
     dtw_distance,
     information_entropy,
@@ -243,10 +242,10 @@ class TestComputeRecord:
         t2 = np.linspace(0, 4 * np.pi, 150)
         sig3 = TimeSeries(np.sin(t3))
         sig2 = TimeSeries(np.sin(t2) * 40.0 + 300.0)  # pixel-ish scale
-        rec = compute_record(
+        rec = compute_records(
             TrialId(1, 2), FeatureName.STEP_LENGTH, SideLabel.LEFT,
-            ViewLabel.LATERAL, sig2, sig3,
-        )
+            sig3, {ViewLabel.LATERAL: sig2},
+        )[0]
         assert rec.view is ViewLabel.LATERAL
         assert rec.mcc_lag == 0
         assert rec.dtw < 2.0  # near-identical after z-normalization
@@ -257,18 +256,18 @@ class TestComputeRecord:
 
     def test_normalization_default(self):
         # offset and scale vanish under the default config, and only there
-        args = (TrialId(1, 1), FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL,
-                ViewLabel.LATERAL)
+        args = (TrialId(1, 1), FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL)
         a = ts(np.sin(np.linspace(0, 6, 40)))
         b = TimeSeries(a.samples * 13.0 + 5.0)
-        assert compute_record(*args, b, a).dtw < 1e-10
-        assert compute_record(*args, b, a, MetricConfig(normalize=False)).dtw > 100.0
+        assert compute_records(*args, a, {ViewLabel.LATERAL: b})[0].dtw < 1e-10
+        assert compute_records(*args, a, {ViewLabel.LATERAL: b},
+                               MetricConfig(normalize=False))[0].dtw > 100.0
 
     def test_errors_wrapped(self):
         with pytest.raises(MetricError) as info:
-            compute_record(
+            compute_records(
                 TrialId(3, 2), FeatureName.KNEE_ROTATION, SideLabel.RIGHT,
-                ViewLabel.FRONTAL, ts([1.0] * 50), ts([1.0] * 50),
+                ts([1.0] * 50), {ViewLabel.FRONTAL: ts([1.0] * 50)},
             )
         assert info.value.feature == "knee_rotation"
         assert info.value.view == "frontal"
@@ -281,7 +280,7 @@ class TestComputeRecord:
         views = {ViewLabel.FRONTAL: ts(rng.normal(size=90)),
                  ViewLabel.LATERAL: ts(rng.normal(size=150))}
         args = (TrialId(2, 1), FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL)
-        expected = [compute_record(*args, view, sig, sig3) for view, sig in views.items()]
+        expected = [compute_records(*args, sig3, {view: sig})[0] for view, sig in views.items()]
         normalized, pairs = [], []
         monkeypatch.setattr(metrics, "znormalize",
                             lambda s: normalized.append(s) or znormalize(s))
