@@ -413,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--out", default=os.environ.get(OUT_DIR_ENV))
     p_an.add_argument("--config", help="key=value config file; flags override it")
     p_an.add_argument("--alpha", type=_alpha, default=None)
-    p_an.add_argument("--pca-threshold", type=float, default=None)
+    p_an.add_argument("--pca-threshold", type=_pca_threshold, default=None)
     p_an.add_argument("--pca-scope", choices=PCA_SCOPES, default=None)
     p_an.add_argument("--cutoff-hz", type=float, default=None)
     p_an.add_argument("--filter-order", type=int, default=None)
@@ -423,8 +423,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--histogram-bins", type=int, default=None)
     p_an.add_argument("--log-base", type=float, default=None)
     p_an.add_argument("--smoothing-epsilon", type=float, default=None)
-    p_an.add_argument("--conf-threshold", type=float, default=None)
-    p_an.add_argument("--max-gap", type=int, default=None)
+    p_an.add_argument("--conf-threshold", type=_conf_threshold, default=None)
+    p_an.add_argument("--max-gap", type=_max_gap, default=None)
     p_an.add_argument("--features", default=None, help="comma-separated feature names")
     p_an.add_argument("--metrics", default=None, help="comma-separated metric names")
     p_an.add_argument("--marker-map", default=None, help="role = marker config file")
@@ -453,20 +453,29 @@ def _pca_scope(raw: str) -> str:
     return raw
 
 
-def _alpha(raw: str) -> float:
-    value = float(raw)
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {raw}")
-    return value
+def _bounded(convert, accepts, bounds: str):
+    """Parser of a flag and its --config key that rejects values outside bounds."""
+    def parse(raw: str):
+        value = convert(raw)
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {raw}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
 
+
+_alpha = _bounded(float, lambda v: 0 < v < 1, "in (0, 1)")
+_pca_threshold = _bounded(float, lambda v: 0 < v <= 1, "in (0, 1]")
+_conf_threshold = _bounded(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+_max_gap = _bounded(int, lambda v: v >= 0, ">= 0")
 
 # --config keys (a dash reads as an underscore) and the parser of each value
 CONFIG_KEYS = {
-    "out": str, "alpha": _alpha, "pca_threshold": float, "pca_scope": _pca_scope,
+    "out": str, "alpha": _alpha, "pca_threshold": _pca_threshold, "pca_scope": _pca_scope,
     "cutoff_hz": float, "sample_rate_hz": float, "filter_order": int,
     "apply_filter": _boolean, "normalize": _boolean, "histogram_bins": int,
-    "log_base": float, "smoothing_epsilon": float, "conf_threshold": float,
-    "max_gap": int, "features": str, "metrics": str, "marker_map": str,
+    "log_base": float, "smoothing_epsilon": float, "conf_threshold": _conf_threshold,
+    "max_gap": _max_gap, "features": str, "metrics": str, "marker_map": str,
 }
 
 

@@ -376,19 +376,24 @@ def parse_marker_csv(source) -> MarkerSequence:
     return MarkerSequence(**_parse(source, MarkerSequence))
 
 
+def _csv_cell(text: str) -> str:
+    """text as csv.writer writes it between two other cells of a row."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text, None])
+    return buffer.getvalue()[:-2]  # the empty last cell and the line end
+
+
 def _write(seq, target) -> None:
-    rows = (
-        (index, time_s, name, repr(x), repr(y), repr(third))
-        for index, time_s, points in zip(
-            seq.frame_index.tolist(), map(repr, seq.times.tolist()), seq.values.tolist()
-        )
-        for name, (x, y, third) in zip(seq.names, points)
+    names = [_csv_cell(name) for name in seq.names]
+    frames = map("{},{!r},".format, seq.frame_index.tolist(), seq.times.tolist())
+    rows = "".join(
+        f"{frame}{name},{x!r},{y!r},{third!r}\n"
+        for frame, points in zip(frames, seq.values.tolist())
+        for name, (x, y, third) in zip(names, points)
         if x == x  # NaN: an absent point
     )
     with _open(target, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(seq.header)
-        writer.writerows(rows)
+        handle.write(",".join(seq.header) + "\n" + rows)
 
 
 def write_pose_csv(seq: PoseSequence, target) -> None:

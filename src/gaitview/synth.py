@@ -7,6 +7,11 @@ of pi, and the shoulder and hip lines counter-rotate about the vertical
 axis. Not biomechanically faithful; sufficient to exercise every pipeline
 stage and reproduce the qualitative view asymmetries.
 
+Generation works on whole arrays: each marker is computed for every frame
+at once from the frame times, and projection turns an (N, 17, 3) array of
+world points into pixels, so a cohort costs a few numpy calls per marker
+rather than a loop over frames.
+
 Camera presets: frontal 3 m anterior of the walking path at 1.2 m height
 with a 10 degree downward tilt; lateral 2.5 m to the side at 0.9 m height
 with no tilt. Intrinsics default to a generic 1000 px focal length on a
@@ -14,7 +19,7 @@ with no tilt. Intrinsics default to a generic 1000 px focal length on a
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +76,9 @@ class GaitModelParams:
     def __post_init__(self):
         if self.n_frames < 2:
             raise ValueError("n_frames must be >= 2")
+        for f in fields(self):
+            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for name in (
             "sample_rate_hz", "cycle_hz", "walking_speed_mps", "hip_height_m",
             "shoulder_height_m", "head_height_m", "hip_width_m", "shoulder_width_m",
@@ -149,68 +157,50 @@ def preset_cameras(params: GaitModelParams) -> dict[ViewLabel, CameraModel]:
     return {ViewLabel.FRONTAL: frontal, ViewLabel.LATERAL: lateral}
 
 
-def _rot_z(angle_rad: float) -> np.ndarray:
-    c, s = np.cos(angle_rad), np.sin(angle_rad)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def generate_gait(params: GaitModelParams) -> MarkerSequence:
     """Deterministic sinusoidal walking trial as a 13-marker sequence (meters)."""
     p = params
-    rng = np.random.default_rng([p.seed, 0x6A17])
-    names = sorted(MARKER_ROLES)
-    times, rows = [], []
-    omega = 2.0 * np.pi * p.cycle_hz
-    for i in range(p.n_frames):
-        t = i / p.sample_rate_hz
-        phase = omega * t
-        pelvis = np.array([p.walking_speed_mps * t, 0.0, p.hip_height_m])
-        markers: dict[str, np.ndarray] = {}
+    t = np.arange(p.n_frames) / p.sample_rate_hz
+    phase = 2.0 * np.pi * p.cycle_hz * t
 
-        hip_rot = np.radians(p.hip_rot_amp_deg) * np.sin(phase)
-        trunk_rot = -np.radians(p.trunk_rot_amp_deg) * np.sin(phase)
-        rz_hip = _rot_z(hip_rot)
-        rz_sh = _rot_z(trunk_rot)
-        shoulder_mid = np.array([pelvis[0], 0.0, p.shoulder_height_m])
-        for side, sign in (("left", 1.0), ("right", -1.0)):
-            markers[f"{side}_hip"] = pelvis + rz_hip @ np.array([0.0, sign * p.hip_width_m / 2, 0.0])
-            markers[f"{side}_shoulder"] = shoulder_mid + rz_sh @ np.array(
-                [0.0, sign * p.shoulder_width_m / 2, 0.0]
-            )
-        markers["head"] = np.array([pelvis[0], 0.0, p.head_height_m])
+    def xyz(x, y, z):
+        return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
 
-        for side, side_phase in (("left", 0.0), ("right", np.pi)):
-            leg = np.radians(p.leg_swing_amp_deg) * np.sin(phase + side_phase)
-            # knee flexes most during the swing phase of the same leg
-            flex = np.radians(p.knee_flex_amp_deg) * 0.5 * (1.0 - np.cos(phase + side_phase))
-            hip = markers[f"{side}_hip"]
-            knee = hip + p.thigh_len_m * np.array([np.sin(leg), 0.0, -np.cos(leg)])
-            shank_angle = leg - flex
-            ankle = knee + p.shank_len_m * np.array(
-                [np.sin(shank_angle), 0.0, -np.cos(shank_angle)]
-            )
-            markers[f"{side}_knee"] = knee
-            markers[f"{side}_ankle"] = ankle
+    def turned(base, angle, half_width):
+        # base plus (0, half_width, 0) rotated about the vertical axis by angle
+        return base + xyz(-np.sin(angle) * half_width, np.cos(angle) * half_width, 0.0)
 
-            arm = np.radians(p.arm_swing_amp_deg) * np.sin(phase + side_phase + np.pi)
-            shoulder = markers[f"{side}_shoulder"]
-            elbow = shoulder + p.upper_arm_len_m * np.array([np.sin(arm), 0.0, -np.cos(arm)])
-            fore_angle = arm + np.radians(p.elbow_flex_deg)
-            wrist = elbow + p.forearm_len_m * np.array(
-                [np.sin(fore_angle), 0.0, -np.cos(fore_angle)]
-            )
-            markers[f"{side}_elbow"] = elbow
-            markers[f"{side}_wrist"] = wrist
+    def limb(start, length, angle):
+        return start + length * xyz(np.sin(angle), 0.0, -np.cos(angle))
 
-        if p.marker_noise_sd_mm > 0:
-            for name in markers:
-                markers[name] = markers[name] + rng.normal(
-                    0.0, p.marker_noise_sd_mm / 1000.0, size=3
-                )
-        times.append(t)
-        rows.append([markers[name] for name in names])
-    return MarkerSequence(frame_index=np.arange(p.n_frames), times=times, names=names,
-                          values=rows)
+    pelvis = xyz(p.walking_speed_mps * t, 0.0, p.hip_height_m)
+    shoulder_mid = xyz(pelvis[:, 0], 0.0, p.shoulder_height_m)
+    hip_rot = np.radians(p.hip_rot_amp_deg) * np.sin(phase)
+    trunk_rot = -np.radians(p.trunk_rot_amp_deg) * np.sin(phase)
+    # insertion order is the order the marker noise is drawn in
+    markers: dict[str, np.ndarray] = {}
+    for side, sign in (("left", 1.0), ("right", -1.0)):
+        markers[f"{side}_hip"] = turned(pelvis, hip_rot, sign * p.hip_width_m / 2)
+        markers[f"{side}_shoulder"] = turned(shoulder_mid, trunk_rot,
+                                             sign * p.shoulder_width_m / 2)
+    markers["head"] = xyz(pelvis[:, 0], 0.0, p.head_height_m)
+    for side, side_phase in (("left", 0.0), ("right", np.pi)):
+        leg = np.radians(p.leg_swing_amp_deg) * np.sin(phase + side_phase)
+        # knee flexes most during the swing phase of the same leg
+        flex = np.radians(p.knee_flex_amp_deg) * 0.5 * (1.0 - np.cos(phase + side_phase))
+        markers[f"{side}_knee"] = limb(markers[f"{side}_hip"], p.thigh_len_m, leg)
+        markers[f"{side}_ankle"] = limb(markers[f"{side}_knee"], p.shank_len_m, leg - flex)
+        arm = np.radians(p.arm_swing_amp_deg) * np.sin(phase + side_phase + np.pi)
+        markers[f"{side}_elbow"] = limb(markers[f"{side}_shoulder"], p.upper_arm_len_m, arm)
+        markers[f"{side}_wrist"] = limb(markers[f"{side}_elbow"], p.forearm_len_m,
+                                        arm + np.radians(p.elbow_flex_deg))
+    values = np.stack(list(markers.values()), axis=1)
+    if p.marker_noise_sd_mm > 0:
+        rng = np.random.default_rng([p.seed, 0x6A17])
+        values = values + rng.normal(0.0, p.marker_noise_sd_mm / 1000.0, size=values.shape)
+    names = sorted(markers)
+    return MarkerSequence(frame_index=np.arange(p.n_frames), times=t, names=names,
+                          values=values[:, [list(markers).index(name) for name in names]])
 
 
 _FACE_OFFSETS = {
@@ -221,15 +211,8 @@ _FACE_OFFSETS = {
     "left_ear": (0.0, 0.07, -0.03),
     "right_ear": (0.0, -0.07, -0.03),
 }
-
-
-def _keypoint_world(markers: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    head = markers["head"]
-    points = {name: head + np.asarray(off) for name, off in _FACE_OFFSETS.items()}
-    for role in MARKER_ROLES:
-        if role != "head":
-            points[role] = markers[role]
-    return points
+_BODY_ROLES = tuple(role for role in MARKER_ROLES if role != "head")
+_WORLD_NAMES = (*_FACE_OFFSETS, *_BODY_ROLES)  # the order project checks keypoints in
 
 
 def project(
@@ -241,26 +224,28 @@ def project(
     """Pinhole-project a marker sequence to the 17-keypoint pose schema.
 
     Face keypoints are synthesized from the head marker. Raises BehindCamera
-    if any point reaches the camera plane.
+    naming the first frame with a point on or behind the camera plane, and
+    in it the first such keypoint: face points first, then MARKER_ROLES.
     """
-    rot = cam.rotation_matrix
-    pos = np.asarray(cam.position)
+    column = {name: k for k, name in enumerate(seq.names)}
+    world = np.concatenate([
+        seq.values[:, [column["head"]]] + np.array(list(_FACE_OFFSETS.values())),
+        seq.values[:, [column[name] for name in _BODY_ROLES]],
+    ], axis=1)
+    # one matrix-vector product per point, as numpy rounds rot @ v; a single
+    # (N, 17, 3) @ rot.T product goes through gemm and rounds differently
+    pc = (cam.rotation_matrix @ (world - np.asarray(cam.position))[..., None])[..., 0]
+    behind = pc[..., 2] <= 1e-9
+    if behind.any():
+        i, k = divmod(int(np.argmax(behind)), len(_WORLD_NAMES))
+        raise BehindCamera(int(seq.frame_index[i]), _WORLD_NAMES[k])
     fx = cam.focal_px
     cx, cy = cam.principal_point
+    uvc = np.stack(np.broadcast_arrays(cx + fx * pc[..., 0] / pc[..., 2],
+                                       cy + fx * pc[..., 1] / pc[..., 2], conf), axis=-1)
     names = sorted(KEYPOINT_NAMES)
-    rows = []
-    for index, points in zip(seq.frame_index.tolist(), seq.values):
-        keypoints: dict[str, tuple[float, float, float]] = {}
-        for name, world in _keypoint_world(dict(zip(seq.names, points))).items():
-            pc = rot @ (world - pos)
-            if pc[2] <= 1e-9:
-                raise BehindCamera(index, name)
-            u = cx + fx * pc[0] / pc[2]
-            v = cy + fx * pc[1] / pc[2]
-            keypoints[name] = (u, v, conf)
-        rows.append([keypoints[name] for name in names])
     return PoseSequence(view, frame_index=seq.frame_index, times=seq.times, names=names,
-                        values=np.reshape(rows, (len(seq), len(names), 3)))
+                        values=uvc[:, [_WORLD_NAMES.index(name) for name in names]])
 
 
 def add_pixel_noise(seq: PoseSequence, sd: float, rng: np.random.Generator) -> PoseSequence:
@@ -294,8 +279,9 @@ def make_paired_dataset(
     """Write per-subject 3D marker CSVs plus projected frontal/lateral pose
     CSVs and a manifest; returns the manifest path.
 
-    Deterministic for a fixed params.seed: per-subject random streams are
-    seed-derived, so parallel and serial generation match byte for byte.
+    Deterministic for a fixed params.seed: each subject's random streams
+    derive from the seed and the subject number alone, so subject k's files
+    do not depend on how many subjects come before it.
     """
     if subjects < 1:
         raise ValueError("subjects must be >= 1")

@@ -1,11 +1,14 @@
 """Independent brute-force references used only by the test suite.
 
 These deliberately share no logic with the main implementations (the
-parser reference takes only their error classes and schema names): DTW is
+parser reference takes only their error classes and schema names, the
+gait loops only synth's marker roles and face offsets): DTW is
 checked by explicit enumeration of every monotone warping path, the
 Wilcoxon exact p by enumeration of all 2^n sign assignments, the CSV
 parser by a reader that checks one row at a time and keeps a dict of
-points per frame, and gap repair by a loop over every keypoint's runs.
+points per frame, gap repair by a loop over every keypoint's runs, the
+CSV writer by csv.writer, and the synthetic gait model and its camera
+projection by loops that compute one frame, marker and keypoint at a time.
 """
 from __future__ import annotations
 
@@ -16,8 +19,16 @@ import math
 
 import numpy as np
 
-from gaitview.errors import DuplicateError, GapTooLarge, ParseError, SchemaError
-from gaitview.ingest import KEYPOINT_NAMES, MARKER_HEADER, POSE_HEADER
+from gaitview.errors import BehindCamera, DuplicateError, GapTooLarge, ParseError, SchemaError
+from gaitview.ingest import (
+    KEYPOINT_NAMES,
+    MARKER_HEADER,
+    POSE_HEADER,
+    MarkerSequence,
+    PoseSequence,
+)
+from gaitview.signal_core import ViewLabel
+from gaitview.synth import _FACE_OFFSETS, MARKER_ROLES
 
 DTW_MAX_LEN = 8
 WILCOXON_MAX_N = 25
@@ -184,3 +195,117 @@ def fill_gaps_loop(frames, conf_threshold: float, max_gap: int):
                 t = (frames[j][0] - f0) / (f1 - f0)
                 out[j][2][name] = (x0 + t * (x1 - x0), y0 + t * (y1 - y0), conf_threshold)
     return out
+
+
+def write_csv_rows(seq) -> str:
+    """The CSV text of a pose or marker sequence, every present point
+    written by csv.writer with its floats as repr."""
+    rows = (
+        (index, time_s, name, repr(x), repr(y), repr(third))
+        for index, time_s, points in zip(
+            seq.frame_index.tolist(), map(repr, seq.times.tolist()), seq.values.tolist()
+        )
+        for name, (x, y, third) in zip(seq.names, points)
+        if x == x  # NaN: an absent point
+    )
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(seq.header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _rot_z(angle_rad: float) -> np.ndarray:
+    c, s = np.cos(angle_rad), np.sin(angle_rad)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def generate_gait_loop(params) -> MarkerSequence:
+    """synth.generate_gait one frame at a time, each marker from 3-vectors
+    and the hip and shoulder lines turned by a z-rotation matrix."""
+    p = params
+    rng = np.random.default_rng([p.seed, 0x6A17])
+    names = sorted(MARKER_ROLES)
+    times, rows = [], []
+    omega = 2.0 * np.pi * p.cycle_hz
+    for i in range(p.n_frames):
+        t = i / p.sample_rate_hz
+        phase = omega * t
+        pelvis = np.array([p.walking_speed_mps * t, 0.0, p.hip_height_m])
+        markers: dict[str, np.ndarray] = {}
+
+        hip_rot = np.radians(p.hip_rot_amp_deg) * np.sin(phase)
+        trunk_rot = -np.radians(p.trunk_rot_amp_deg) * np.sin(phase)
+        rz_hip = _rot_z(hip_rot)
+        rz_sh = _rot_z(trunk_rot)
+        shoulder_mid = np.array([pelvis[0], 0.0, p.shoulder_height_m])
+        for side, sign in (("left", 1.0), ("right", -1.0)):
+            markers[f"{side}_hip"] = pelvis + rz_hip @ np.array([0.0, sign * p.hip_width_m / 2, 0.0])
+            markers[f"{side}_shoulder"] = shoulder_mid + rz_sh @ np.array(
+                [0.0, sign * p.shoulder_width_m / 2, 0.0]
+            )
+        markers["head"] = np.array([pelvis[0], 0.0, p.head_height_m])
+
+        for side, side_phase in (("left", 0.0), ("right", np.pi)):
+            leg = np.radians(p.leg_swing_amp_deg) * np.sin(phase + side_phase)
+            flex = np.radians(p.knee_flex_amp_deg) * 0.5 * (1.0 - np.cos(phase + side_phase))
+            hip = markers[f"{side}_hip"]
+            knee = hip + p.thigh_len_m * np.array([np.sin(leg), 0.0, -np.cos(leg)])
+            shank_angle = leg - flex
+            ankle = knee + p.shank_len_m * np.array(
+                [np.sin(shank_angle), 0.0, -np.cos(shank_angle)]
+            )
+            markers[f"{side}_knee"] = knee
+            markers[f"{side}_ankle"] = ankle
+
+            arm = np.radians(p.arm_swing_amp_deg) * np.sin(phase + side_phase + np.pi)
+            shoulder = markers[f"{side}_shoulder"]
+            elbow = shoulder + p.upper_arm_len_m * np.array([np.sin(arm), 0.0, -np.cos(arm)])
+            fore_angle = arm + np.radians(p.elbow_flex_deg)
+            wrist = elbow + p.forearm_len_m * np.array(
+                [np.sin(fore_angle), 0.0, -np.cos(fore_angle)]
+            )
+            markers[f"{side}_elbow"] = elbow
+            markers[f"{side}_wrist"] = wrist
+
+        if p.marker_noise_sd_mm > 0:
+            for name in markers:
+                markers[name] = markers[name] + rng.normal(
+                    0.0, p.marker_noise_sd_mm / 1000.0, size=3
+                )
+        times.append(t)
+        rows.append([markers[name] for name in names])
+    return MarkerSequence(frame_index=np.arange(p.n_frames), times=times, names=names,
+                          values=rows)
+
+
+def _keypoint_world(markers: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    head = markers["head"]
+    points = {name: head + np.asarray(off) for name, off in _FACE_OFFSETS.items()}
+    for role in MARKER_ROLES:
+        if role != "head":
+            points[role] = markers[role]
+    return points
+
+
+def project_loop(seq, cam, conf: float = 1.0, view: ViewLabel = ViewLabel.FRONTAL):
+    """synth.project one frame and one keypoint at a time, each point
+    turned into the camera frame by its own rot @ v."""
+    rot = cam.rotation_matrix
+    pos = np.asarray(cam.position)
+    fx = cam.focal_px
+    cx, cy = cam.principal_point
+    names = sorted(KEYPOINT_NAMES)
+    rows = []
+    for index, points in zip(seq.frame_index.tolist(), seq.values):
+        keypoints: dict[str, tuple[float, float, float]] = {}
+        for name, world in _keypoint_world(dict(zip(seq.names, points))).items():
+            pc = rot @ (world - pos)
+            if pc[2] <= 1e-9:
+                raise BehindCamera(index, name)
+            u = cx + fx * pc[0] / pc[2]
+            v = cy + fx * pc[1] / pc[2]
+            keypoints[name] = (u, v, conf)
+        rows.append([keypoints[name] for name in names])
+    return PoseSequence(view, frame_index=seq.frame_index, times=seq.times, names=names,
+                        values=np.reshape(rows, (len(seq), len(names), 3)))

@@ -128,6 +128,16 @@ class TestSynthCommand:
         assert main(["synth", "--subjects", "1", "--seed", "3"]) == 0
         assert (tmp_path / "env_out" / "manifest.csv").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--cycle-hz", "nan", "cycle_hz must be finite, got nan"),
+        ("--noise-sd", "inf", "noise_sd must be finite, got inf"),
+    ])
+    def test_non_finite_parameter_exit_1(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "data"
+        assert main(["synth", "--subjects", "1", flag, value, "--out", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyzeCommand:
     def test_output_files(self, analyzed):
@@ -366,6 +376,36 @@ class TestSettings:
         assert exit_info.value.code == 2
         assert f"argument --alpha: {message}" in capsys.readouterr().err
         assert not (copy / "recommendations.csv").exists()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("pca-threshold", "1.5", "must be in (0, 1], got 1.5"),
+        ("pca-threshold", "0", "must be in (0, 1], got 0"),
+        ("conf-threshold", "2", "must be in [0, 1], got 2"),
+        ("conf-threshold", "nan", "must be in [0, 1], got nan"),
+        ("max-gap", "-1", "must be >= 0, got -1"),
+    ])
+    def test_setting_out_of_range_rejected_before_reading_input(
+            self, dataset, tmp_path, capsys, monkeypatch, key, value, message):
+        def unread(*args, **kwargs):
+            raise AssertionError("an input file was read")
+
+        monkeypatch.setattr("gaitview.cli.parse_marker_csv", unread)
+        monkeypatch.setattr("gaitview.cli.parse_pose_csv", unread)
+        with pytest.raises(SystemExit) as exit_info:
+            run_analyze(dataset, tmp_path / "o", f"--{key}", value)
+        assert exit_info.value.code == 2
+        assert f"argument --{key}: {message}" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert run_analyze(dataset, tmp_path / "o", "--config", str(cfg)) == 1
+        assert f"error: {cfg}: {key}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_settings_at_their_bounds_accepted(self, dataset, tmp_path):
+        assert run_analyze(dataset, tmp_path / "o", "--pca-threshold", "1",
+                           "--conf-threshold", "0", "--max-gap", "0") == 0
+        assert json.loads((tmp_path / "o" / "run_metadata.json").read_text())[
+            "pca_threshold"] == 1.0
 
 
 class TestReportSet:

@@ -5,7 +5,7 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaitview.errors import DuplicateError, GaitViewError, GapTooLarge, ParseError, SchemaError
@@ -23,7 +23,7 @@ from gaitview.ingest import (
     write_pose_csv,
 )
 from gaitview.signal_core import ViewLabel
-from oracles import fill_gaps_loop, parse_rows
+from oracles import fill_gaps_loop, parse_rows, write_csv_rows
 
 POSE_HEADER = "frame,time_s,keypoint,x,y,conf\n"
 MARKER_HEADER = "frame,time_s,marker,x,y,z\n"
@@ -250,6 +250,42 @@ class TestRoundTripProperty:
         buf = io.StringIO()
         write_marker_csv(seq, buf)
         assert parse_marker_csv(io.StringIO(buf.getvalue())) == seq
+
+
+@st.composite
+def written_sequences(draw):
+    """Pose or marker sequences with names csv must quote (and the empty
+    name), absent points, signed zeros and any float, as the writer takes them."""
+    names = draw(st.lists(st.text("ab ,'\"\n\r", max_size=4), min_size=1, max_size=4,
+                          unique=True))
+    n = draw(st.integers(0, 4))
+    number = st.one_of(st.floats(allow_nan=False), st.sampled_from([0.0, -0.0]))
+    point = st.one_of(st.tuples(number, number, number), st.just((np.nan,) * 3))
+    arrays = {
+        "frame_index": draw(st.lists(st.integers(-10, 10_000), min_size=n, max_size=n)),
+        "times": draw(st.lists(number, min_size=n, max_size=n)),
+        "names": names,
+        "values": draw(st.lists(point, min_size=n * len(names), max_size=n * len(names))),
+    }
+    if draw(st.booleans()):
+        return PoseSequence(draw(st.sampled_from(ViewLabel)), **arrays)
+    return MarkerSequence(**arrays)
+
+
+class TestWriterOracle:
+    """The writer against csv.writer in tests/oracles.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(written_sequences())
+    @example(MarkerSequence(
+        frame_index=[0, 1], times=[-0.0, 0.01], names=["", "a,b", 'say "hi"', "x\ny"],
+        values=[[(-0.0, 0.0, 1e300), (np.nan,) * 3, (1.5, -2.0, 0.1), (3.0, -0.0, -0.0)],
+                [(np.nan,) * 3, (0.1, 0.2, 0.3), (np.nan,) * 3, (-1e-310, 2.0, 5.0)]],
+    ))
+    def test_equals_csv_writer(self, seq):
+        buf = io.StringIO()
+        (write_pose_csv if isinstance(seq, PoseSequence) else write_marker_csv)(seq, buf)
+        assert buf.getvalue() == write_csv_rows(seq)
 
 
 def render(header: str, rows) -> str:

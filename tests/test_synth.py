@@ -1,8 +1,11 @@
 import hashlib
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitview.errors import BehindCamera
 from gaitview.features import trunk_rotation_signal
@@ -12,6 +15,7 @@ from gaitview.synth import (
     MARKER_ROLES,
     CameraModel,
     GaitModelParams,
+    _randomized_params,
     add_pixel_noise,
     generate_gait,
     make_camera,
@@ -19,6 +23,7 @@ from gaitview.synth import (
     preset_cameras,
     project,
 )
+from oracles import generate_gait_loop, project_loop
 
 IDENTITY_LOOKING_PLUS_X = make_camera((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
 
@@ -84,6 +89,14 @@ class TestGenerateGait:
             GaitModelParams(cycle_hz=0.0)
         with pytest.raises(ValueError):
             GaitModelParams(noise_sd=-1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        *((f.name, np.nan) for f in fields(GaitModelParams) if f.type == "float"),
+        ("noise_sd", np.inf), ("cycle_hz", -np.inf),
+    ])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            GaitModelParams(**{name: value})
 
 
 class TestCamera:
@@ -250,3 +263,76 @@ class TestPairedDataset:
         for i in (1, 2):
             seq = parse_marker_csv(tmp_path / f"s{i:02d}_mocap3d.csv")
             assert len(seq.frames) > 400
+
+
+def bits(seq) -> tuple:
+    """Everything a sequence holds, floats as their bytes."""
+    return (type(seq), seq.view, seq.names, seq.frame_index.dtype, seq.times.dtype,
+            seq.values.shape, seq.frame_index.tobytes(), seq.times.tobytes(),
+            seq.values.tobytes())
+
+
+def outcome(make):
+    """The sequence make returns as bits, or the (frame, keypoint) BehindCamera names."""
+    try:
+        return bits(make())
+    except BehindCamera as exc:
+        return exc.frame, exc.marker
+
+
+@st.composite
+def subject_params(draw):
+    """A subject's parameters as make_paired_dataset varies them, at any trial length."""
+    base = GaitModelParams(seed=draw(st.integers(0, 10_000)),
+                           marker_noise_sd_mm=draw(st.sampled_from([0.0, 5.0])))
+    params = _randomized_params(base, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return replace(params, n_frames=draw(st.integers(2, 700)))
+
+
+@st.composite
+def cameras(draw, params):
+    """A preset camera, or one 1.5 to 6 m from a point on the walking path,
+    facing it from any direction; the walker may pass behind it."""
+    views = [ViewLabel.FRONTAL, ViewLabel.LATERAL]
+    choice = draw(st.sampled_from(views + ["random"]))
+    if choice != "random":
+        return preset_cameras(params)[choice]
+    path_len = params.walking_speed_mps * (params.n_frames - 1) / params.sample_rate_hz
+    target = draw(st.floats(0.0, 1.0)) * path_len
+    heading = draw(st.floats(0.0, 2 * np.pi))
+    distance = draw(st.floats(1.5, 6.0))
+    look = (np.cos(heading), np.sin(heading), 0.0)
+    position = (target - distance * look[0], -distance * look[1], draw(st.floats(0.2, 2.5)))
+    return make_camera(position, look, tilt_down_deg=draw(st.floats(-20.0, 30.0)),
+                       focal_px=draw(st.floats(200.0, 3000.0)))
+
+
+class TestLoopOracles:
+    """generate_gait and project against the frame-by-frame loops in tests/oracles.py."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(subject_params())
+    def test_gait_bit_for_bit(self, params):
+        assert bits(generate_gait(params)) == bits(generate_gait_loop(params))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), subject_params(), st.floats(0.0, 1.0))
+    def test_projection_bit_for_bit(self, data, params, conf):
+        seq = generate_gait(params)
+        cam = data.draw(cameras(params))
+        view = data.draw(st.sampled_from(ViewLabel))
+        assert outcome(lambda: project(seq, cam, conf, view)) == outcome(
+            lambda: project_loop(seq, cam, conf, view))
+
+    @settings(max_examples=60, deadline=None)
+    @given(subject_params(), st.floats(0.05, 0.95), st.sampled_from([1.0, -1.0]),
+           st.floats(0.0, 1.7))
+    def test_camera_in_walking_path_names_same_point(self, params, where, facing, height):
+        # a level camera on the path: its plane is x = its own x, which the
+        # ears cross in the first frame (facing +x) or the nose by the last (facing -x)
+        path_len = params.walking_speed_mps * (params.n_frames - 1) / params.sample_rate_hz
+        cam = make_camera((where * path_len, 0.0, height), (facing, 0.0, 0.0))
+        seq = generate_gait(params)
+        got = outcome(lambda: project(seq, cam))
+        assert got == outcome(lambda: project_loop(seq, cam))
+        assert isinstance(got[0], int) and got[1] in KEYPOINT_NAMES
