@@ -1,19 +1,21 @@
 """Gait-parameter time series extracted from 2D pose or 3D marker data.
 
-Four features: step length (signed inter-ankle progression along the
-walking axis), knee rotation (interior joint angle), trunk rotation
-(shoulder line vs hip line), and wrist-to-hipmid distance.
+Four features, seven signals: step length (signed inter-ankle progression
+along the walking axis, left and right), knee rotation (interior joint
+angle, left and right), trunk rotation (shoulder line vs hip line) and
+wrist-to-hipmid distance (left and right). Each kernel's docstring gives
+its definition, sign convention and units.
 
 2D angles are computed in raw image coordinates without perspective
 correction: the projection distortion is exactly what the metrics
 downstream are meant to measure. For 3D data the vertical axis is z and
 the ground plane is x-y.
 
-extract_all gathers the ten body points the features read once per
-sequence, with the marker map resolved once, and computes the sample
-rate, hip midpoint and walking axis once for all seven signals. Each
-public *_signal function and walking_axis runs the same private kernel on
-a gather of its own sequence, so every algorithm has one implementation.
+There are two entry points, running the same private kernels.
+extract_all gathers the ten body points once per sequence, with the
+marker map resolved once, and computes the hip midpoint and walking axis
+once for all seven signals. signal computes one signal and needs only the
+points its feature reads.
 """
 from __future__ import annotations
 
@@ -63,10 +65,6 @@ class GaitFeatureSet:
     signals: dict[tuple[FeatureName, SideLabel], TimeSeries] = field(default_factory=dict)
 
 
-def _is_pose(seq) -> bool:
-    return isinstance(seq, PoseSequence)
-
-
 # every anatomical role a feature reads
 _ROLES = tuple(f"{side}_{part}" for part in ("hip", "knee", "ankle", "shoulder", "wrist")
               for side in ("left", "right"))
@@ -75,15 +73,16 @@ _ROLE_INDEX = {role: k for k, role in enumerate(_ROLES)}
 
 class _Body:
     """The roles of one sequence, gathered in one indexing call, and what
-    several features share: sample rate, hip midpoint and walking axis,
-    each computed when first read.
+    several features share: hip midpoint and walking axis, each computed
+    when first read.
 
     body[role] is the role's per-frame positions, (N, 2) px or (N, 3) mm;
     a role absent from a frame raises MissingLandmark when it is read.
     """
 
     def __init__(self, seq, marker_map: dict[str, str] | None = None):
-        names = _ROLES if _is_pose(seq) else [(marker_map or {}).get(r, r) for r in _ROLES]
+        names = (_ROLES if isinstance(seq, PoseSequence)
+                 else [(marker_map or {}).get(r, r) for r in _ROLES])
         self._seq, self._names = seq, names
         self._points = seq.points(names, None)
         self._absent = np.isnan(self._points[..., 0]).any(axis=0).tolist()
@@ -95,19 +94,14 @@ class _Body:
         return self._points[:, k]
 
     @functools.cached_property
-    def rate(self) -> float:
-        if len(self._seq) < 2:
-            return 100.0
-        dts = np.diff(self._seq.times)
-        dt = float(np.median(dts))
-        return 1.0 / dt if dt > 0 else 100.0
-
-    @functools.cached_property
     def hip_mid(self) -> np.ndarray:
         return 0.5 * (self["left_hip"] + self["right_hip"])
 
     @functools.cached_property
     def axis(self) -> np.ndarray:
+        """Unit walking direction: the principal direction of hip-midpoint
+        displacement (image plane for 2D, ground plane for 3D), oriented
+        along the net displacement."""
         plane = _ground(self.hip_mid)
         centered = plane - plane.mean(axis=0)
         net = plane[-1] - plane[0]
@@ -125,38 +119,14 @@ def _ground(points: np.ndarray) -> np.ndarray:
     return points[:, :2]
 
 
-def _check_side(side: SideLabel, what: str) -> None:
-    if side not in (SideLabel.LEFT, SideLabel.RIGHT):
-        raise ValueError(f"{what} is side-specific")
-
-
-def walking_axis(seq, marker_map: dict[str, str] | None = None) -> np.ndarray:
-    """Unit walking-direction axis from the hip midpoint track.
-
-    Principal direction of hip-midpoint displacement (image plane for 2D,
-    ground plane for 3D), oriented along the net displacement.
-    """
-    return _Body(seq, marker_map).axis
-
-
 def _step_length(body: _Body, side: SideLabel) -> TimeSeries:
-    _check_side(side, "step length")
+    """Signed projection of (ankle_side - ankle_other) onto the walking axis,
+    px or mm; positive when the named side leads."""
     other = SideLabel.RIGHT if side is SideLabel.LEFT else SideLabel.LEFT
     a = _ground(body[f"{side.value}_ankle"])
     b = _ground(body[f"{other.value}_ankle"])
     values = (a - b) @ body.axis
-    return TimeSeries(values, sample_rate_hz=body.rate,
-                      label=signal_key_name(FeatureName.STEP_LENGTH, side))
-
-
-def step_length_signal(
-    seq, side: SideLabel, marker_map: dict[str, str] | None = None
-) -> TimeSeries:
-    """Signed projection of (ankle_side - ankle_other) onto the walking axis.
-
-    Positive when the named side leads.
-    """
-    return _step_length(_Body(seq, marker_map), side)
+    return TimeSeries(values, label=signal_key_name(FeatureName.STEP_LENGTH, side))
 
 
 def _interior_angle_deg(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -170,23 +140,22 @@ def _interior_angle_deg(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _knee_rotation(body: _Body, side: SideLabel) -> TimeSeries:
-    _check_side(side, "knee rotation")
+    """Interior angle at the knee between knee->hip and knee->ankle,
+    degrees [0, 180]."""
     hip = body[f"{side.value}_hip"]
     knee = body[f"{side.value}_knee"]
     ankle = body[f"{side.value}_ankle"]
     values = _interior_angle_deg(hip - knee, ankle - knee)
-    return TimeSeries(values, sample_rate_hz=body.rate,
-                      label=signal_key_name(FeatureName.KNEE_ROTATION, side))
+    return TimeSeries(values, label=signal_key_name(FeatureName.KNEE_ROTATION, side))
 
 
-def knee_rotation_signal(
-    seq, side: SideLabel, marker_map: dict[str, str] | None = None
-) -> TimeSeries:
-    """Interior angle at the knee between knee->hip and knee->ankle, degrees [0, 180]."""
-    return _knee_rotation(_Body(seq, marker_map), side)
+def _trunk_rotation(body: _Body, side: SideLabel) -> TimeSeries:
+    """Signed angle between the shoulder line and the hip line, degrees
+    (-180, 180].
 
-
-def _trunk_rotation(body: _Body, side: SideLabel = SideLabel.BILATERAL) -> TimeSeries:
+    Lines run left -> right; in 3D both are projected onto the ground plane
+    first, so the angle is the rotation about the vertical axis.
+    """
     ls = body["left_shoulder"]
     rs = body["right_shoulder"]
     lh = body["left_hip"]
@@ -204,32 +173,14 @@ def _trunk_rotation(body: _Body, side: SideLabel = SideLabel.BILATERAL) -> TimeS
     dot = np.einsum("ij,ij->i", h, s)
     values = np.degrees(np.arctan2(cross, dot))
     values[values <= -180.0] = 180.0
-    return TimeSeries(values, sample_rate_hz=body.rate,
-                      label=signal_key_name(FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL))
-
-
-def trunk_rotation_signal(seq, marker_map: dict[str, str] | None = None) -> TimeSeries:
-    """Signed angle between the shoulder line and the hip line, degrees (-180, 180].
-
-    Lines run left -> right; in 3D both are projected onto the ground plane
-    first, so the angle is the rotation about the vertical axis.
-    """
-    return _trunk_rotation(_Body(seq, marker_map))
+    return TimeSeries(values, label=signal_key_name(FeatureName.TRUNK_ROTATION, side))
 
 
 def _wrist_hipmid(body: _Body, side: SideLabel) -> TimeSeries:
-    _check_side(side, "wrist-to-hipmid")
+    """Euclidean distance from the side's wrist to the hip midpoint, px or mm."""
     wrist = body[f"{side.value}_wrist"]
     values = np.linalg.norm(wrist - body.hip_mid, axis=1)
-    return TimeSeries(values, sample_rate_hz=body.rate,
-                      label=signal_key_name(FeatureName.WRIST_HIPMID, side))
-
-
-def wrist_hipmid_signal(
-    seq, side: SideLabel, marker_map: dict[str, str] | None = None
-) -> TimeSeries:
-    """Euclidean distance from the side's wrist to the hip midpoint (px or mm)."""
-    return _wrist_hipmid(_Body(seq, marker_map), side)
+    return TimeSeries(values, label=signal_key_name(FeatureName.WRIST_HIPMID, side))
 
 
 _KERNELS = {
@@ -240,6 +191,18 @@ _KERNELS = {
 }
 
 
+def signal(
+    seq, feature: FeatureName, side: SideLabel, marker_map: dict[str, str] | None = None
+) -> TimeSeries:
+    """One signal of one sequence. Only the roles the feature reads must be
+    present, so a partial body still yields the features it has; errors
+    are raised unwrapped.
+    """
+    if side not in FEATURE_SIDES[feature]:
+        raise ValueError(f"{feature.value} has no {side.value} side")
+    return _KERNELS[feature](_Body(seq, marker_map), side)
+
+
 def extract_all(
     seq,
     marker_map: dict[str, str] | None = None,
@@ -248,9 +211,9 @@ def extract_all(
 ) -> GaitFeatureSet:
     """Extract the complete 7-signal feature set from one sequence.
 
-    The roles are gathered once, and the sample rate, hip midpoint and
-    walking axis computed once, for all seven signals. The first signal
-    that fails, in FEATURE_SIDES order, raises FeatureError.
+    The roles are gathered once, and the hip midpoint and walking axis
+    computed once, for all seven signals. The first signal that fails, in
+    FEATURE_SIDES order, raises FeatureError.
     """
     if source is None:
         source = seq.view

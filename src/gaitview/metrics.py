@@ -34,6 +34,9 @@ class MetricConfig:
     smoothing_epsilon: float = DEFAULT_SMOOTHING_EPSILON
 
     def __post_init__(self):
+        for name in ("log_base", "smoothing_epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.histogram_bins < 2:
             raise ValueError("histogram_bins must be >= 2")
         if self.smoothing_epsilon <= 0:

@@ -20,6 +20,7 @@ filtering its sequence alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,9 @@ class FilterSpec:
     order: int = DEFAULT_ORDER  # net order; design order is order // 2
 
     def __post_init__(self):
+        for name in ("cutoff_hz", "sample_rate_hz"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidFilterSpec(f"{name} must be finite, got {getattr(self, name)}")
         if self.cutoff_hz <= 0 or self.sample_rate_hz <= 0:
             raise InvalidFilterSpec("cutoff and sample rate must be positive")
         if self.cutoff_hz >= self.sample_rate_hz / 2:
@@ -99,16 +103,13 @@ def _poly(roots: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def filtfilt(ts: TimeSeries, spec: FilterSpec | None = None) -> TimeSeries:
+def filtfilt(ts: TimeSeries, spec: FilterSpec) -> TimeSeries:
     """Apply the filter forward and backward (zero phase distortion).
 
     Edges are handled by odd reflection about the endpoints with padding
     length 3 * (order + 1); padding is stripped from the output.
     """
-    if spec is None:
-        spec = FilterSpec(sample_rate_hz=ts.sample_rate_hz)
-    out = filtfilt_array(ts.samples, spec)
-    return TimeSeries(out, sample_rate_hz=ts.sample_rate_hz, label=ts.label)
+    return TimeSeries(filtfilt_array(ts.samples, spec), label=ts.label)
 
 
 def filtfilt_array(values: np.ndarray, spec: FilterSpec) -> np.ndarray:
@@ -162,7 +163,7 @@ def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.
     return sums[:, 0]
 
 
-def smooth(seqs, spec: FilterSpec | None = None) -> list:
+def smooth(seqs, spec: FilterSpec) -> list:
     """Zero-phase filter the coordinate tracks of every sequence: x/y of each
     keypoint (confidences untouched), x/y/z of each marker.
 
@@ -177,8 +178,6 @@ def smooth(seqs, spec: FilterSpec | None = None) -> list:
     SignalTooShort raised is that of the first sequence with tracks no
     longer than spec.pad_len.
     """
-    if spec is None:
-        spec = FilterSpec()
     where = [(slice(None), seq.complete, slice(seq.dims)) for seq in seqs]
     tracks = [seq.values[at] for seq, at in zip(seqs, where)]  # (frames, points, dims)
     by_length: dict[int, list[int]] = {}

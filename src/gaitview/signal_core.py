@@ -1,7 +1,6 @@
 """Core signal and trial types shared by every other module.
 
-All types are immutable after construction and safe to share across
-concurrent workers.
+All types are immutable after construction.
 """
 from __future__ import annotations
 
@@ -42,20 +41,17 @@ class TimeSeries:
     TimeSeries reaching a metric is guaranteed finite.
     """
 
-    __slots__ = ("samples", "sample_rate_hz", "label")
+    __slots__ = ("samples", "label")
 
-    def __init__(self, samples, sample_rate_hz: float = 100.0, label: str = ""):
+    def __init__(self, samples, label: str = ""):
         arr = np.asarray(samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples contain non-finite values")
-        if sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "sample_rate_hz", float(sample_rate_hz))
         object.__setattr__(self, "label", label)
 
     def __setattr__(self, name, value):
@@ -65,19 +61,12 @@ class TimeSeries:
         return self.samples.size
 
     def __repr__(self) -> str:
-        return (
-            f"TimeSeries(label={self.label!r}, n={len(self)}, "
-            f"rate={self.sample_rate_hz} Hz)"
-        )
+        return f"TimeSeries(label={self.label!r}, n={len(self)})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TimeSeries):
             return NotImplemented
-        return (
-            self.sample_rate_hz == other.sample_rate_hz
-            and self.label == other.label
-            and np.array_equal(self.samples, other.samples)
-        )
+        return self.label == other.label and np.array_equal(self.samples, other.samples)
 
 
 def resample_linear(ts: TimeSeries, target_len: int) -> TimeSeries:
@@ -94,8 +83,7 @@ def resample_linear(ts: TimeSeries, target_len: int) -> TimeSeries:
     out = np.interp(new_t, old_t, ts.samples)
     out[0] = ts.samples[0]
     out[-1] = ts.samples[-1]
-    rate = ts.sample_rate_hz * (target_len - 1) / (n - 1)
-    return TimeSeries(out, sample_rate_hz=rate, label=ts.label)
+    return TimeSeries(out, label=ts.label)
 
 
 def znormalize(ts: TimeSeries) -> TimeSeries:
@@ -106,4 +94,4 @@ def znormalize(ts: TimeSeries) -> TimeSeries:
     sd = float(np.std(ts.samples))
     if sd == 0.0:
         raise ConstantSignal(f"signal {ts.label!r} has zero variance")
-    return TimeSeries((ts.samples - mu) / sd, sample_rate_hz=ts.sample_rate_hz, label=ts.label)
+    return TimeSeries((ts.samples - mu) / sd, label=ts.label)

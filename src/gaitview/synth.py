@@ -88,6 +88,9 @@ class GaitModelParams:
                 raise ValueError(f"{name} must be positive")
         if self.marker_noise_sd_mm < 0 or self.noise_sd < 0:
             raise ValueError("noise standard deviations must be >= 0")
+        if self.cycle_hz >= self.sample_rate_hz / 2:
+            raise ValueError(f"cycle_hz must be below the Nyquist frequency "
+                             f"({self.sample_rate_hz / 2} Hz), got {self.cycle_hz}")
 
 
 @dataclass(frozen=True)
@@ -157,8 +160,12 @@ def preset_cameras(params: GaitModelParams) -> dict[ViewLabel, CameraModel]:
     return {ViewLabel.FRONTAL: frontal, ViewLabel.LATERAL: lateral}
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate_gait(params: GaitModelParams) -> MarkerSequence:
-    """Deterministic sinusoidal walking trial as a 13-marker sequence (meters)."""
+    """Deterministic sinusoidal walking trial as a 13-marker sequence (meters).
+
+    Raises ValueError when the parameters overflow to a non-finite coordinate.
+    """
     p = params
     t = np.arange(p.n_frames) / p.sample_rate_hz
     phase = 2.0 * np.pi * p.cycle_hz * t
@@ -198,6 +205,8 @@ def generate_gait(params: GaitModelParams) -> MarkerSequence:
     if p.marker_noise_sd_mm > 0:
         rng = np.random.default_rng([p.seed, 0x6A17])
         values = values + rng.normal(0.0, p.marker_noise_sd_mm / 1000.0, size=values.shape)
+    if not np.isfinite(values).all():
+        raise ValueError("parameters overflow: a generated coordinate is not finite")
     names = sorted(markers)
     return MarkerSequence(frame_index=np.arange(p.n_frames), times=t, names=names,
                           values=values[:, [list(markers).index(name) for name in names]])

@@ -138,6 +138,13 @@ class TestSynthCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cycle_above_nyquist_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["synth", "--subjects", "1", "--cycle-hz", "1e308", "--out", str(out)]) == 1
+        assert "error: cycle_hz must be below the Nyquist frequency (50.0 Hz), got 1e+308" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyzeCommand:
     def test_output_files(self, analyzed):
@@ -399,6 +406,24 @@ class TestSettings:
         cfg.write_text(f"{key} = {value}\n")
         assert run_analyze(dataset, tmp_path / "o", "--config", str(cfg)) == 1
         assert f"error: {cfg}: {key}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--log-base", "inf", "log_base must be finite, got inf"),
+        ("--log-base", "nan", "log_base must be finite, got nan"),
+        ("--smoothing-epsilon", "inf", "smoothing_epsilon must be finite, got inf"),
+        ("--cutoff-hz", "nan", "cutoff_hz must be finite, got nan"),
+        ("--sample-rate-hz", "inf", "sample_rate_hz must be finite, got inf"),
+    ])
+    def test_non_finite_setting_rejected_before_reading_input(
+            self, dataset, tmp_path, capsys, monkeypatch, flag, value, message):
+        def unread(*args, **kwargs):
+            raise AssertionError("an input file was read")
+
+        monkeypatch.setattr("gaitview.cli.parse_marker_csv", unread)
+        monkeypatch.setattr("gaitview.cli.parse_pose_csv", unread)
+        assert run_analyze(dataset, tmp_path / "o", flag, value) == 1
+        assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_settings_at_their_bounds_accepted(self, dataset, tmp_path):

@@ -4,17 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitview.errors import FeatureError, MissingLandmark, NoWalkingDirection
-from gaitview.features import (
-    FEATURE_SIDES,
-    FeatureName,
-    extract_all,
-    knee_rotation_signal,
-    signal_key_name,
-    step_length_signal,
-    trunk_rotation_signal,
-    walking_axis,
-    wrist_hipmid_signal,
-)
+from gaitview.features import FEATURE_SIDES, FeatureName, extract_all, signal, signal_key_name
 from gaitview.ingest import KEYPOINT_NAMES, MarkerSequence, PoseFrame, PoseSequence
 from gaitview.metrics import max_cross_correlation
 from gaitview.signal_core import SideLabel, ViewLabel
@@ -55,30 +45,38 @@ class TestSignalNames:
         assert sum(len(v) for v in FEATURE_SIDES.values()) == 7
 
 
+STEP, KNEE, TRUNK, WRIST = FeatureName
+LEFT, RIGHT, BILATERAL = SideLabel
+
+
 class TestWalkingAxis:
+    @staticmethod
+    def frames():
+        # the left ankle is 2 ahead of the right along +x and 10 across it,
+        # so the left step length is 2 * axis[0] + 10 * axis[1]
+        return walking_frames(kp_extra=lambda i: {"left_ankle": (i + 1.0, 5.0),
+                                                  "right_ankle": (i - 1.0, -5.0)})
+
     def test_straight_walk_plus_x(self):
-        seq = pose_seq(walking_frames())
-        axis = walking_axis(seq)
-        assert np.allclose(axis, [1.0, 0.0], atol=1e-12)
+        seq = pose_seq(self.frames())
+        assert np.allclose(signal(seq, STEP, LEFT).samples, 2.0, rtol=0, atol=1e-12)
 
     def test_oriented_by_net_displacement(self):
-        frames = walking_frames()[::-1]
-        seq = pose_seq([dict(kp) for kp in frames])
-        axis = walking_axis(seq)
-        assert np.allclose(axis, [-1.0, 0.0], atol=1e-12)
+        seq = pose_seq(self.frames()[::-1])
+        assert np.allclose(signal(seq, STEP, LEFT).samples, -2.0, rtol=0, atol=1e-12)
 
     def test_stationary_rejected(self):
         kp = walking_frames(1)[0]
         seq = pose_seq([dict(kp) for _ in range(10)])
         with pytest.raises(NoWalkingDirection):
-            walking_axis(seq)
+            signal(seq, STEP, LEFT)
 
 
 class TestStepLength:
     def test_signed_and_antisymmetric(self):
         seq = pose_seq(walking_frames())
-        left = step_length_signal(seq, SideLabel.LEFT)
-        right = step_length_signal(seq, SideLabel.RIGHT)
+        left = signal(seq, STEP, LEFT)
+        right = signal(seq, STEP, RIGHT)
         assert np.allclose(left.samples, 2.0, atol=1e-12)
         assert np.allclose(right.samples, -left.samples, atol=1e-12)
 
@@ -91,7 +89,7 @@ class TestStepLength:
             }
 
         seq = pose_seq(walking_frames(kp_extra=extra))
-        left = step_length_signal(seq, SideLabel.LEFT)
+        left = signal(seq, STEP, LEFT)
         assert np.allclose(left.samples, 3.0, atol=1e-12)
 
 
@@ -108,7 +106,7 @@ class TestKneeRotation:
         for hip, knee, ankle, expected in self.cases():
             kp = {"left_hip": hip, "left_knee": knee, "left_ankle": ankle}
             seq = pose_seq([kp, kp])
-            ts = knee_rotation_signal(seq, SideLabel.LEFT)
+            ts = signal(seq, KNEE, LEFT)
             assert abs(ts.samples[0] - expected) < 1e-9
 
     def test_similarity_invariance(self):
@@ -116,7 +114,7 @@ class TestKneeRotation:
         for _ in range(25):
             pts = rng.normal(size=(3, 2)) * 5
             kp = {"left_hip": tuple(pts[0]), "left_knee": tuple(pts[1]), "left_ankle": tuple(pts[2])}
-            base = knee_rotation_signal(pose_seq([kp]), SideLabel.LEFT).samples[0]
+            base = signal(pose_seq([kp]), KNEE, LEFT).samples[0]
             ang = rng.uniform(0, 2 * np.pi)
             rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
             s = rng.uniform(0.1, 10)
@@ -127,7 +125,7 @@ class TestKneeRotation:
                 "left_knee": tuple(pts2[1]),
                 "left_ankle": tuple(pts2[2]),
             }
-            moved = knee_rotation_signal(pose_seq([kp2]), SideLabel.LEFT).samples[0]
+            moved = signal(pose_seq([kp2]), KNEE, LEFT).samples[0]
             assert abs(base - moved) < 1e-9
 
 
@@ -143,16 +141,16 @@ class TestTrunkRotation:
 
     def test_aligned_is_zero(self):
         seq = pose_seq([self.frame(0.0)])
-        assert abs(trunk_rotation_signal(seq).samples[0]) < 1e-12
+        assert abs(signal(seq, TRUNK, BILATERAL).samples[0]) < 1e-12
 
     def test_signed_angle(self):
         for ang in (30.0, -30.0, 90.0, 179.0):
             seq = pose_seq([self.frame(ang)])
-            assert abs(trunk_rotation_signal(seq).samples[0] - ang) < 1e-9
+            assert abs(signal(seq, TRUNK, BILATERAL).samples[0] - ang) < 1e-9
 
     def test_half_turn_maps_to_positive(self):
         seq = pose_seq([self.frame(180.0)])
-        assert abs(trunk_rotation_signal(seq).samples[0] - 180.0) < 1e-9
+        assert abs(signal(seq, TRUNK, BILATERAL).samples[0] - 180.0) < 1e-9
 
 
 class TestWristHipmid:
@@ -163,7 +161,7 @@ class TestWristHipmid:
             "left_wrist": (3.0, 4.0),
         }
         seq = pose_seq([kp])
-        assert abs(wrist_hipmid_signal(seq, SideLabel.LEFT).samples[0] - 5.0) < 1e-12
+        assert abs(signal(seq, WRIST, LEFT).samples[0] - 5.0) < 1e-12
 
     def test_midpoint_used(self):
         kp = {
@@ -172,7 +170,7 @@ class TestWristHipmid:
             "right_wrist": (0.0, 7.0),
         }
         seq = pose_seq([kp])
-        assert abs(wrist_hipmid_signal(seq, SideLabel.RIGHT).samples[0] - 7.0) < 1e-12
+        assert abs(signal(seq, WRIST, RIGHT).samples[0] - 7.0) < 1e-12
 
 
 class TestExtractAll:
@@ -212,33 +210,51 @@ class TestExtractAll:
         assert fs.source is ViewLabel.FRONTAL
 
 
+class TestSignal:
+    def test_partial_marker_set(self):
+        # hips, knees and ankles only: enough for step length and knee
+        # rotation, which signal() scores alone, but not for a full set
+        full = generate_gait(GaitModelParams(n_frames=60))
+        keep = [k for k, name in enumerate(full.names)
+                if name.split("_")[-1] in ("hip", "knee", "ankle")]
+        seq = MarkerSequence(frame_index=full.frame_index, times=full.times,
+                             names=[full.names[k] for k in keep], values=full.values[:, keep])
+        assert len(seq.names) == 6
+        for feature in (STEP, KNEE):
+            for side in (LEFT, RIGHT):
+                assert signal(seq, feature, side).samples.tobytes() == \
+                    signal(full, feature, side).samples.tobytes()
+        with pytest.raises(FeatureError) as info:
+            extract_all(seq)
+        assert info.value.feature == "trunk_rotation"
+        assert isinstance(info.value.cause, MissingLandmark)
+
+    @pytest.mark.parametrize("feature, side", [(STEP, BILATERAL), (TRUNK, LEFT)])
+    def test_side_the_feature_lacks_rejected(self, feature, side):
+        seq = generate_gait(GaitModelParams(n_frames=20))
+        with pytest.raises(ValueError, match=f"^{feature.value} has no {side.value} side$"):
+            signal(seq, feature, side)
+
+
 class TestOnSynthetic:
     def test_step_length_sides_are_half_cycle_apart(self):
         # left and right step signals of a 1 Hz gait at 100 Hz are shifted
         # by ~50 frames; long signal keeps the correlation peak unbiased
         params = GaitModelParams(n_frames=1000)
         seq = generate_gait(params)
-        left = step_length_signal(seq, SideLabel.LEFT)
-        right = step_length_signal(seq, SideLabel.RIGHT)
+        left = signal(seq, STEP, LEFT)
+        right = signal(seq, STEP, RIGHT)
         _, lag = max_cross_correlation(left, right)
         assert abs(lag) in (49, 50, 51)
 
     def test_knee_angle_range_plausible(self):
         seq = generate_gait(GaitModelParams())
-        ts = knee_rotation_signal(seq, SideLabel.LEFT)
+        ts = signal(seq, KNEE, LEFT)
         assert np.all(ts.samples <= 180.0)
         assert ts.samples.min() > 90.0
         assert ts.samples.max() - ts.samples.min() > 20.0
 
 
-# the public entry point of each feature, called as (seq, side, marker_map)
-PUBLIC = {
-    FeatureName.STEP_LENGTH: step_length_signal,
-    FeatureName.KNEE_ROTATION: knee_rotation_signal,
-    FeatureName.TRUNK_ROTATION: lambda seq, side, marker_map: trunk_rotation_signal(
-        seq, marker_map),
-    FeatureName.WRIST_HIPMID: wrist_hipmid_signal,
-}
 ROLES = [f"{side}_{part}" for part in ("hip", "knee", "ankle", "shoulder", "wrist")
          for side in ("left", "right")]
 
@@ -272,12 +288,12 @@ def gait_sequences(draw):
 
 
 def first_failure(seq, marker_map):
-    """The FeatureError of the first public signal function that fails, in
+    """The FeatureError of the first signal() call that fails, in
     FEATURE_SIDES order, or None."""
     for feature, sides in FEATURE_SIDES.items():
         for side in sides:
             try:
-                PUBLIC[feature](seq, side, marker_map)
+                signal(seq, feature, side, marker_map)
             except Exception as exc:
                 return FeatureError(feature.value, side.value, exc)
     return None
@@ -298,9 +314,9 @@ class TestExtractAllEqualsPublicFunctions:
         fs = extract_all(seq, marker_map)
         assert list(fs.signals) == [(f, s) for f, sides in FEATURE_SIDES.items() for s in sides]
         for (feature, side), ts in fs.signals.items():
-            alone = PUBLIC[feature](seq, side, marker_map)
+            alone = signal(seq, feature, side, marker_map)
             assert ts.samples.tobytes() == alone.samples.tobytes()
-            assert (ts.sample_rate_hz, ts.label) == (alone.sample_rate_hz, alone.label)
+            assert ts.label == alone.label
 
     @pytest.mark.parametrize("role", ROLES)
     def test_role_absent_from_one_frame(self, role):

@@ -236,6 +236,16 @@ class TestEntropy:
         assert h > 7.9
 
 
+class TestMetricConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("log_base", math.inf), ("log_base", math.nan),
+        ("smoothing_epsilon", math.inf), ("smoothing_epsilon", math.nan),
+    ])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            MetricConfig(**{name: value})
+
+
 class TestComputeRecord:
     def test_record_fields_and_resampling(self):
         t3 = np.linspace(0, 4 * np.pi, 200)

@@ -21,7 +21,7 @@ from gaitview.signal_core import TimeSeries, ViewLabel
 
 def sine(freq_hz, fs=100.0, seconds=3.0, amp=1.0):
     t = np.arange(int(seconds * fs)) / fs
-    return TimeSeries(amp * np.sin(2 * np.pi * freq_hz * t), sample_rate_hz=fs)
+    return TimeSeries(amp * np.sin(2 * np.pi * freq_hz * t))
 
 
 def peak_lag(a, b):
@@ -51,6 +51,14 @@ class TestCoeffs:
     def test_odd_order_rejected(self):
         with pytest.raises(InvalidFilterSpec):
             FilterSpec(order=3)
+
+    @pytest.mark.parametrize("name, value", [
+        ("cutoff_hz", np.nan), ("cutoff_hz", np.inf),
+        ("sample_rate_hz", np.nan), ("sample_rate_hz", np.inf),
+    ])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(InvalidFilterSpec, match=f"^{name} must be finite, got {value}$"):
+            FilterSpec(**{name: value})
 
 
 class TestFiltfilt:

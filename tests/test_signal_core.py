@@ -14,10 +14,6 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries([0.0, np.inf])
 
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            TimeSeries([0.0, 1.0], sample_rate_hz=0.0)
-
     def test_immutable(self):
         ts = TimeSeries([1.0, 2.0])
         with pytest.raises(AttributeError):
@@ -58,11 +54,6 @@ class TestResampleLinear:
         out = resample_linear(ts, 101)
         assert out.samples[0] == ts.samples[0]
         assert out.samples[-1] == ts.samples[-1]
-
-    def test_rate_rescaled(self):
-        ts = TimeSeries(np.arange(11.0), sample_rate_hz=100.0)
-        out = resample_linear(ts, 21)
-        assert out.sample_rate_hz == pytest.approx(200.0)
 
     def test_idempotent_at_fixed_length(self):
         rng = np.random.default_rng(11)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitview.errors import BehindCamera
-from gaitview.features import trunk_rotation_signal
+from gaitview.features import FeatureName, signal
 from gaitview.ingest import KEYPOINT_NAMES, MarkerFrame, MarkerSequence, parse_marker_csv
-from gaitview.signal_core import ViewLabel
+from gaitview.signal_core import SideLabel, ViewLabel
 from gaitview.synth import (
     MARKER_ROLES,
     CameraModel,
@@ -78,7 +79,7 @@ class TestGenerateGait:
     def test_trunk_rotation_amplitude(self):
         params = GaitModelParams()
         seq = generate_gait(params)
-        ts = trunk_rotation_signal(seq)
+        ts = signal(seq, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL)
         assert abs(np.max(np.abs(ts.samples)) - params.trunk_rot_amp_deg
                    - params.hip_rot_amp_deg) < 0.5
 
@@ -97,6 +98,19 @@ class TestGenerateGait:
     def test_non_finite_float_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
             GaitModelParams(**{name: value})
+
+    @pytest.mark.parametrize("cycle_hz", [50.0, 1e308])
+    def test_cycle_at_or_above_nyquist_rejected(self, cycle_hz):
+        message = f"cycle_hz must be below the Nyquist frequency (50.0 Hz), got {cycle_hz}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GaitModelParams(cycle_hz=cycle_hz)
+
+    def test_overflowing_coordinates_rejected(self):
+        # 1e308 m/s carries the pelvis past the largest float after 1.8 s
+        params = GaitModelParams(n_frames=300, walking_speed_mps=1e308)
+        with pytest.raises(ValueError, match="^parameters overflow: a generated coordinate "
+                                             "is not finite$"):
+            generate_gait(params)
 
 
 class TestCamera:
@@ -179,8 +193,8 @@ class TestFrontalTrunkAngle:
         seq = generate_gait(params)
         cam = preset_cameras(params)[ViewLabel.FRONTAL]
         pose = project(seq, cam, view=ViewLabel.FRONTAL)
-        ang2d = trunk_rotation_signal(pose).samples
-        ang3d = trunk_rotation_signal(seq).samples
+        ang2d = signal(pose, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL).samples
+        ang3d = signal(seq, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL).samples
         assert np.max(np.abs(np.abs(ang2d) - np.abs(ang3d))) < 1.5
 
     def test_frontal_image_angle_proportional_to_3d(self):
@@ -189,8 +203,8 @@ class TestFrontalTrunkAngle:
         seq = generate_gait(params)
         cam = preset_cameras(params)[ViewLabel.FRONTAL]
         pose = project(seq, cam, view=ViewLabel.FRONTAL)
-        ang2d = trunk_rotation_signal(pose).samples
-        ang3d = trunk_rotation_signal(seq).samples
+        ang2d = signal(pose, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL).samples
+        ang3d = signal(seq, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL).samples
         r = np.corrcoef(ang2d, ang3d)[0, 1]
         assert abs(r) > 0.97
         assert np.max(np.abs(ang2d)) < 0.5 * np.max(np.abs(ang3d))
