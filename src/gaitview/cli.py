@@ -59,7 +59,7 @@ RECORDS_HEADER = [
 ]
 PCA_HEADER = ["group", "initial_dim", "k", "explained_ratio"]
 RECOMMENDATIONS = "recommendations.csv"
-ALL_METRICS = ("dtw", "mcc", "kld", "ie")
+ALL_METRICS = tuple(METRIC_DIRECTION)
 PCA_SCOPES = ("pooled", "per-subject")
 _TRIAL_VIEWS = (ViewLabel.MOCAP3D, ViewLabel.FRONTAL, ViewLabel.LATERAL)  # files of a trial
 OUT_DIR_ENV = "GAITVIEW_OUT"
@@ -169,7 +169,7 @@ def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
     feats = {}
     for view, seq in seqs.items():
         with _naming(trial, view, files[view]):
-            feats[view] = extract_all(seq, cfg.marker_map, trial=trial, source=view)
+            feats[view] = extract_all(seq, cfg.marker_map)
     return seqs, feats
 
 
@@ -194,16 +194,14 @@ def run_analysis(cfg: RunConfig) -> None:
         seqs, feats = _process_trial(cfg, trial, manifest[trial])
         sequences += [(trial.subject_index, view, seq) for view, seq in seqs.items()]
         signals3d = feats.pop(ViewLabel.MOCAP3D).signals
-        scored = []
         for feature in cfg.features:
             for side in FEATURE_SIDES[feature]:
                 key = (feature, side)
-                scored += compute_records(
+                records += compute_records(
                     trial, feature, side, signals3d[key],
                     {view: feats2d.signals[key] for view, feats2d in feats.items()},
                     cfg.metric_cfg,
                 )
-        records += sorted(scored, key=lambda rec: rec.view.value)  # stable: view, feature, side
 
     stat_results: list[StatResult] = []
     for feature in cfg.features:
@@ -243,26 +241,20 @@ def _radar_metric_value(rec: MetricRecord, metric: str) -> float:
 
 def _radar_data(records, cfg) -> dict:
     """Per (feature, side) and metric: view means min-max normalized so the
-    better-direction extreme is exactly 1 and the worse exactly 0."""
+    better-direction extreme is exactly 1 and the worse exactly 0. Every
+    view is present: compare_views has raised UnpairedSubject otherwise."""
+    groups: dict[tuple, list[MetricRecord]] = {}  # (feature, side, view) -> records in order
+    for rec in records:
+        groups.setdefault((rec.feature, rec.side, rec.view), []).append(rec)
     radar: dict[str, dict[str, dict[str, float]]] = {}
     for feature in cfg.features:
         for side in FEATURE_SIDES[feature]:
-            key = signal_key_name(feature, side)
-            axes: dict[str, dict[str, float]] = {}
+            axes = radar[signal_key_name(feature, side)] = {}
             for metric in cfg.metrics:
-                means = {}
-                for view in (ViewLabel.FRONTAL, ViewLabel.LATERAL):
-                    vals = [
-                        _radar_metric_value(r, metric)
-                        for r in records
-                        if r.feature == feature and r.side == side and r.view == view
-                    ]
-                    if vals:
-                        means[view.value] = float(np.mean(vals))
-                if len(means) != 2:
-                    continue
+                f, l = (float(np.mean([_radar_metric_value(r, metric)
+                                       for r in groups[feature, side, view]]))
+                        for view in (ViewLabel.FRONTAL, ViewLabel.LATERAL))
                 lower_is_better = (METRIC_DIRECTION[metric] or "lower") == "lower"
-                f, l = means["frontal"], means["lateral"]
                 if f == l:
                     axes[metric] = {"frontal": 0.5, "lateral": 0.5}
                 else:
@@ -271,8 +263,6 @@ def _radar_data(records, cfg) -> dict:
                         "frontal": 1.0 if better_frontal else 0.0,
                         "lateral": 0.0 if better_frontal else 1.0,
                     }
-            if axes:
-                radar[key] = axes
     return radar
 
 
@@ -410,24 +400,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="run the full comparison pipeline")
     p_an.add_argument("--manifest", required=True)
-    p_an.add_argument("--out", default=os.environ.get(OUT_DIR_ENV))
     p_an.add_argument("--config", help="key=value config file; flags override it")
-    p_an.add_argument("--alpha", type=_alpha, default=None)
-    p_an.add_argument("--pca-threshold", type=_pca_threshold, default=None)
-    p_an.add_argument("--pca-scope", choices=PCA_SCOPES, default=None)
-    p_an.add_argument("--cutoff-hz", type=float, default=None)
-    p_an.add_argument("--filter-order", type=int, default=None)
-    p_an.add_argument("--sample-rate-hz", type=float, default=None)
-    p_an.add_argument("--no-filter", action="store_true")
-    p_an.add_argument("--no-normalize", action="store_true")
-    p_an.add_argument("--histogram-bins", type=int, default=None)
-    p_an.add_argument("--log-base", type=float, default=None)
-    p_an.add_argument("--smoothing-epsilon", type=float, default=None)
-    p_an.add_argument("--conf-threshold", type=_conf_threshold, default=None)
-    p_an.add_argument("--max-gap", type=_max_gap, default=None)
-    p_an.add_argument("--features", default=None, help="comma-separated feature names")
-    p_an.add_argument("--metrics", default=None, help="comma-separated metric names")
-    p_an.add_argument("--marker-map", default=None, help="role = marker config file")
+    for key, parse in CONFIG_KEYS.items():
+        if key in _NEGATED_FLAGS:  # None unless given, so an unset flag leaves the file's value
+            p_an.add_argument(_NEGATED_FLAGS[key], dest=key, action="store_false", default=None)
+        else:
+            p_an.add_argument("--" + key.replace("_", "-"), type=parse, help=_HELP.get(key))
+    p_an.set_defaults(out=os.environ.get(OUT_DIR_ENV))
 
     p_rec = sub.add_parser("recommend", help="per-parameter view recommendation")
     p_rec.add_argument("--analyzed", required=True, help="directory written by analyze")
@@ -449,7 +428,7 @@ def _boolean(raw: str) -> bool:
 
 def _pca_scope(raw: str) -> str:
     if raw not in PCA_SCOPES:
-        raise ValueError(f"expected one of {'/'.join(PCA_SCOPES)}, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"expected one of {'/'.join(PCA_SCOPES)}, got {raw!r}")
     return raw
 
 
@@ -469,7 +448,8 @@ _pca_threshold = _bounded(float, lambda v: 0 < v <= 1, "in (0, 1]")
 _conf_threshold = _bounded(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 _max_gap = _bounded(int, lambda v: v >= 0, ">= 0")
 
-# --config keys (a dash reads as an underscore) and the parser of each value
+# --config keys (a dash reads as an underscore) and the parser of each value;
+# each key is also the analyze flag --<key>, but for the negated booleans
 CONFIG_KEYS = {
     "out": str, "alpha": _alpha, "pca_threshold": _pca_threshold, "pca_scope": _pca_scope,
     "cutoff_hz": float, "sample_rate_hz": float, "filter_order": int,
@@ -477,6 +457,9 @@ CONFIG_KEYS = {
     "log_base": float, "smoothing_epsilon": float, "conf_threshold": _conf_threshold,
     "max_gap": _max_gap, "features": str, "metrics": str, "marker_map": str,
 }
+_NEGATED_FLAGS = {"apply_filter": "--no-filter", "normalize": "--no-normalize"}
+_HELP = {"features": "comma-separated feature names", "metrics": "comma-separated metric names",
+         "marker_map": "role = marker config file"}
 
 
 def _config_key(key: str) -> str:
@@ -530,10 +513,6 @@ def _run_config_from_args(args) -> RunConfig:
     out = settings.pop("out", None)
     if not out:
         raise GaitViewError("no output directory: pass --out or set " + OUT_DIR_ENV)
-    if args.no_filter:
-        settings["apply_filter"] = False
-    if args.no_normalize:
-        settings["normalize"] = False
     if "filter_order" in settings:
         settings["order"] = settings.pop("filter_order")
     filter_spec = FilterSpec(**_take(settings, FilterSpec))

@@ -37,10 +37,6 @@ class FeatureMatrix:
             raise ValueError("column label count does not match column count")
 
     @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_cols(self) -> int:
         return self.values.shape[1]
 

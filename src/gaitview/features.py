@@ -32,7 +32,7 @@ from .errors import (
     NoWalkingDirection,
 )
 from .ingest import PoseSequence
-from .signal_core import SideLabel, TimeSeries, TrialId, ViewLabel
+from .signal_core import SideLabel, TimeSeries
 
 
 class FeatureName(str, Enum):
@@ -60,8 +60,6 @@ def signal_key_name(feature: FeatureName, side: SideLabel) -> str:
 
 @dataclass
 class GaitFeatureSet:
-    trial: TrialId
-    source: ViewLabel
     signals: dict[tuple[FeatureName, SideLabel], TimeSeries] = field(default_factory=dict)
 
 
@@ -203,23 +201,14 @@ def signal(
     return _KERNELS[feature](_Body(seq, marker_map), side)
 
 
-def extract_all(
-    seq,
-    marker_map: dict[str, str] | None = None,
-    trial: TrialId | None = None,
-    source: ViewLabel | None = None,
-) -> GaitFeatureSet:
+def extract_all(seq, marker_map: dict[str, str] | None = None) -> GaitFeatureSet:
     """Extract the complete 7-signal feature set from one sequence.
 
     The roles are gathered once, and the hip midpoint and walking axis
     computed once, for all seven signals. The first signal that fails, in
     FEATURE_SIDES order, raises FeatureError.
     """
-    if source is None:
-        source = seq.view
-    if trial is None:
-        trial = TrialId(1, 1)
-    out = GaitFeatureSet(trial=trial, source=source)
+    out = GaitFeatureSet()
     body = _Body(seq, marker_map)
     for feature, sides in FEATURE_SIDES.items():
         for side in sides:

@@ -224,6 +224,7 @@ _BODY_ROLES = tuple(role for role in MARKER_ROLES if role != "head")
 _WORLD_NAMES = (*_FACE_OFFSETS, *_BODY_ROLES)  # the order project checks keypoints in
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def project(
     seq: MarkerSequence,
     cam: CameraModel,
@@ -235,6 +236,8 @@ def project(
     Face keypoints are synthesized from the head marker. Raises BehindCamera
     naming the first frame with a point on or behind the camera plane, and
     in it the first such keypoint: face points first, then MARKER_ROLES.
+    A point whose pixel overflows to a non-finite value raises ValueError
+    naming the first such frame and keypoint, in the same order.
     """
     column = {name: k for k, name in enumerate(seq.names)}
     world = np.concatenate([
@@ -252,6 +255,11 @@ def project(
     cx, cy = cam.principal_point
     uvc = np.stack(np.broadcast_arrays(cx + fx * pc[..., 0] / pc[..., 2],
                                        cy + fx * pc[..., 1] / pc[..., 2], conf), axis=-1)
+    unprojectable = ~np.isfinite(uvc[..., :2]).all(axis=-1)
+    if unprojectable.any():
+        i, k = divmod(int(np.argmax(unprojectable)), len(_WORLD_NAMES))
+        raise ValueError(f"frame {int(seq.frame_index[i])}: keypoint {_WORLD_NAMES[k]} "
+                         "projects to a non-finite pixel")
     names = sorted(KEYPOINT_NAMES)
     return PoseSequence(view, frame_index=seq.frame_index, times=seq.times, names=names,
                         values=uvc[:, [_WORLD_NAMES.index(name) for name in names]])

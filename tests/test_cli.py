@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -390,6 +391,7 @@ class TestSettings:
         ("conf-threshold", "2", "must be in [0, 1], got 2"),
         ("conf-threshold", "nan", "must be in [0, 1], got nan"),
         ("max-gap", "-1", "must be >= 0, got -1"),
+        ("pca-scope", "bogus", "expected one of pooled/per-subject, got 'bogus'"),
     ])
     def test_setting_out_of_range_rejected_before_reading_input(
             self, dataset, tmp_path, capsys, monkeypatch, key, value, message):
@@ -425,6 +427,36 @@ class TestSettings:
         assert run_analyze(dataset, tmp_path / "o", flag, value) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_analyze_options_unchanged(self, capsys):
+        # the flags are built from the --config key table; none may drop out or be renamed
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--help"])
+        assert exit_info.value.code == 0
+        options = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
+        assert sorted(options) == sorted([
+            "-h", "--help", "--manifest", "--out", "--config", "--alpha", "--pca-threshold",
+            "--pca-scope", "--cutoff-hz", "--filter-order", "--sample-rate-hz", "--no-filter",
+            "--no-normalize", "--histogram-bins", "--log-base", "--smoothing-epsilon",
+            "--conf-threshold", "--max-gap", "--features", "--metrics", "--marker-map",
+        ])
+
+    def test_negated_flags_override_config(self, dataset, tmp_path, monkeypatch):
+        designs = []
+        design = preprocess.butterworth_coeffs
+        monkeypatch.setattr(preprocess, "butterworth_coeffs",
+                            lambda spec: designs.append(spec) or design(spec))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("apply-filter = yes\nnormalize = on\n")
+        assert run_analyze(dataset, tmp_path / "file", "--config", str(cfg)) == 0
+        assert len(designs) == 2  # the file's settings apply: one design per trial
+        assert json.loads((tmp_path / "file" / "run_metadata.json").read_text())["normalize"]
+        designs.clear()
+        assert run_analyze(dataset, tmp_path / "flags", "--config", str(cfg),
+                           "--no-filter", "--no-normalize") == 0
+        assert designs == []
+        meta = json.loads((tmp_path / "flags" / "run_metadata.json").read_text())
+        assert meta["normalize"] is False
 
     def test_settings_at_their_bounds_accepted(self, dataset, tmp_path):
         assert run_analyze(dataset, tmp_path / "o", "--pca-threshold", "1",

@@ -205,10 +205,6 @@ class TestExtractAll:
         assert info.value.side == "left"
         assert isinstance(info.value.cause, MissingLandmark)
 
-    def test_source_defaults_from_sequence(self):
-        fs = extract_all(pose_seq(self.full_frames(), view=ViewLabel.FRONTAL))
-        assert fs.source is ViewLabel.FRONTAL
-
 
 class TestSignal:
     def test_partial_marker_set(self):

@@ -160,6 +160,27 @@ class TestCamera:
         with pytest.raises(BehindCamera):
             project(seq, cam)
 
+    @pytest.mark.filterwarnings("error")
+    def test_camera_at_infinity_rejected(self):
+        # 1e307 m/s keeps the markers finite but puts both preset cameras at x = inf
+        params = GaitModelParams(walking_speed_mps=1e307)
+        seq = generate_gait(params)
+        for view, cam in preset_cameras(params).items():
+            with pytest.raises(ValueError, match="^frame 0: keypoint nose projects to a "
+                                                 "non-finite pixel$"):
+                project(seq, cam, view=view)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_pixel_names_frame_and_keypoint(self):
+        params = GaitModelParams(n_frames=5)
+        seq = generate_gait(params)
+        values = seq.values.copy()
+        values[3, list(seq.names).index("left_knee"), 1] = 1e307  # 1e307 m to the side
+        cam = preset_cameras(params)[ViewLabel.FRONTAL]
+        with pytest.raises(ValueError, match="^frame 3: keypoint left_knee projects to a "
+                                             "non-finite pixel$"):
+            project(seq.with_values(values), cam)
+
     def test_presets_see_whole_trial(self):
         params = GaitModelParams()
         seq = generate_gait(params)
