@@ -231,14 +231,6 @@ def _pca_rows(cfg, sequences) -> list[tuple[str, int, int, float]]:
     return rows
 
 
-def _radar_metric_value(rec: MetricRecord, metric: str) -> float:
-    # IE has no better direction in reports; for the radar we use closeness
-    # of the 2D entropy to the 3D entropy as the fidelity axis, lower is better
-    if metric == "ie":
-        return abs(rec.ie_2d - rec.ie_3d)
-    return getattr(rec, metric)
-
-
 def _radar_data(records, cfg) -> dict:
     """Per (feature, side) and metric: view means min-max normalized so the
     better-direction extreme is exactly 1 and the worse exactly 0. Every
@@ -251,18 +243,15 @@ def _radar_data(records, cfg) -> dict:
         for side in FEATURE_SIDES[feature]:
             axes = radar[signal_key_name(feature, side)] = {}
             for metric in cfg.metrics:
-                f, l = (float(np.mean([_radar_metric_value(r, metric)
+                # IE has no better direction in reports; for the radar we use closeness
+                # of the 2D entropy to the 3D entropy as the fidelity axis, lower is better
+                f, l = (float(np.mean([abs(r.ie_2d - r.ie_3d) if metric == "ie"
+                                       else getattr(r, metric)
                                        for r in groups[feature, side, view]]))
                         for view in (ViewLabel.FRONTAL, ViewLabel.LATERAL))
-                lower_is_better = (METRIC_DIRECTION[metric] or "lower") == "lower"
-                if f == l:
-                    axes[metric] = {"frontal": 0.5, "lateral": 0.5}
-                else:
-                    better_frontal = (f < l) == lower_is_better
-                    axes[metric] = {
-                        "frontal": 1.0 if better_frontal else 0.0,
-                        "lateral": 0.0 if better_frontal else 1.0,
-                    }
+                sign = -1.0 if METRIC_DIRECTION[metric] == "higher" else 1.0
+                frontal = 0.5 if f == l else float(sign * f < sign * l)
+                axes[metric] = {"frontal": frontal, "lateral": 1.0 - frontal}
     return radar
 
 
@@ -352,24 +341,16 @@ def recommend(analyzed_dir, alpha: float = 0.05) -> list[dict]:
             if reader.fieldnames != STATS_HEADER:
                 raise NotAnalyzed(f"{path} does not match the stats schema")
             for row in reader:
-                name = row["metric"]
-                metric, _, side = name.partition("_")
-                side = side or "bilateral"
+                metric, _, side = row["metric"].partition("_")
                 if METRIC_DIRECTION.get(metric) is None:
                     continue
-                votes.setdefault(side, [])
+                side_votes = votes.setdefault(side or "bilateral", [])
                 if float(row["p_value"]) < alpha and row["winner"] in ("frontal", "lateral"):
-                    votes[side].append((metric, row["winner"]))
+                    side_votes.append((metric, row["winner"]))
         for side in sorted(votes):
             contributing = votes[side]
-            n_front = sum(1 for _, w in contributing if w == "frontal")
-            n_lat = sum(1 for _, w in contributing if w == "lateral")
-            if n_front > n_lat:
-                choice = "frontal"
-            elif n_lat > n_front:
-                choice = "lateral"
-            else:
-                choice = "tie"
+            lead = sum(1 if w == "frontal" else -1 for _, w in contributing)
+            choice = "frontal" if lead > 0 else "lateral" if lead < 0 else "tie"
             rationale = ";".join(f"{m}:{w}" for m, w in sorted(contributing))
             rows.append({
                 "feature": feature, "side": side,
@@ -406,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p_an.add_argument(_NEGATED_FLAGS[key], dest=key, action="store_false", default=None)
         else:
             p_an.add_argument("--" + key.replace("_", "-"), type=parse, help=_HELP.get(key))
-    p_an.set_defaults(out=os.environ.get(OUT_DIR_ENV))
+    p_an.set_defaults(out=os.environ.get(OUT_DIR_ENV) or None)  # an empty GAITVIEW_OUT is unset
 
     p_rec = sub.add_parser("recommend", help="per-parameter view recommendation")
     p_rec.add_argument("--analyzed", required=True, help="directory written by analyze")
@@ -483,10 +464,12 @@ def _read_config(path) -> dict:
 
 
 def _names(key: str, raw: str, parse) -> tuple:
-    """A comma-separated features/metrics value -> its parsed names; a name
-    listed twice raises GaitViewError naming it."""
+    """A comma-separated features/metrics value -> its parsed names; an empty
+    name, or a name listed twice, raises GaitViewError naming the key."""
     names = [name.strip() for name in raw.split(",")]
     for name in names:
+        if not name:
+            raise GaitViewError(f"{key}: empty name in {raw!r}")
         if names.count(name) > 1:
             raise GaitViewError(f"{key}: {name!r} is listed twice")
     return tuple(parse(name) for name in names)
@@ -509,7 +492,7 @@ def _run_config_from_args(args) -> RunConfig:
     settings = _read_config(args.config) if args.config else {}
     # flags win; the --out default reads GAITVIEW_OUT, so it wins over the file's out
     settings.update((key, value) for key, value in vars(args).items()
-                    if key in CONFIG_KEYS and value not in (None, ""))
+                    if key in CONFIG_KEYS and value is not None)
     out = settings.pop("out", None)
     if not out:
         raise GaitViewError("no output directory: pass --out or set " + OUT_DIR_ENV)

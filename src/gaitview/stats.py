@@ -34,10 +34,6 @@ class PairedSample:
         if len(self.values_a) < 1:
             raise EmptySample("need at least one pair")
 
-    @property
-    def n(self) -> int:
-        return len(self.values_a)
-
 
 @dataclass(frozen=True)
 class StatResult:
@@ -93,11 +89,15 @@ def wilcoxon_signed_rank(
 
 
 def _exact_p(ranks: np.ndarray, w: float) -> float:
-    # doubled midranks are exact integers, so the W+ null distribution is a
-    # polynomial product over {0, 2r} per rank
+    """Exact two-sided p of W = min(W+, W-).
+
+    Doubled midranks are exact integers, so the W+ null distribution is a
+    polynomial product over {0, 2r} per rank. It is symmetric about half the
+    rank sum, so p = 2 P(W+ <= w), capped at 1 for the balanced w = total / 2.
+    The counts are exact integers (at most 2^25), so p is exact.
+    """
     doubled = np.rint(2.0 * ranks).astype(np.int64)
-    total = int(doubled.sum())
-    dist = np.zeros(total + 1, dtype=np.float64)
+    dist = np.zeros(int(doubled.sum()) + 1, dtype=np.float64)
     dist[0] = 1.0
     top = 0
     for r in doubled:
@@ -106,14 +106,7 @@ def _exact_p(ranks: np.ndarray, w: float) -> float:
         dist = nxt
         top += int(r)
     w2 = int(round(2.0 * w))
-    low = dist[: w2 + 1].sum()  # W+ <= w
-    hi_start = total - w2  # W- <= w  <=>  W+ >= total - w
-    high = dist[hi_start:].sum() if hi_start <= total else 0.0
-    overlap = 0.0
-    if hi_start <= w2:  # the two tails intersect
-        overlap = dist[hi_start : w2 + 1].sum()
-    p = (low + high - overlap) / dist.sum()
-    return min(1.0, float(p))
+    return min(1.0, float(2 * dist[: w2 + 1].sum() / dist.sum()))
 
 
 def _approx_p(ranks: np.ndarray, w: float, n: int) -> float:
@@ -124,7 +117,7 @@ def _approx_p(ranks: np.ndarray, w: float, n: int) -> float:
     if var <= 0:
         return 1.0
     z = (w - mean + 0.5) / math.sqrt(var)  # continuity correction; W <= mean
-    p = 2.0 * 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    p = 1.0 + math.erf(z / math.sqrt(2.0))
     return min(1.0, float(p))
 
 
@@ -141,19 +134,11 @@ def cliffs_delta(s: PairedSample) -> tuple[float, str]:
     """Cliff's delta over all cross pairs, with its effect-size label."""
     a = np.asarray(s.values_a, dtype=float)
     b = np.asarray(s.values_b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise EmptySample("both samples must be non-empty")
     diff = a[:, None] - b[None, :]
     wins = int(np.count_nonzero(diff > 0))
     losses = int(np.count_nonzero(diff < 0))
     delta = (wins - losses) / (a.size * b.size)
     return float(delta), effect_label(delta)
-
-
-def _metric_value(record, metric: str) -> float:
-    if metric == "ie":
-        return record.ie_2d
-    return getattr(record, metric)
 
 
 def compare_views(
@@ -171,11 +156,10 @@ def compare_views(
     if metric not in METRIC_DIRECTION:
         raise ValueError(f"unknown metric {metric!r}")
     per_view: dict[ViewLabel, dict[int, float]] = {ViewLabel.FRONTAL: {}, ViewLabel.LATERAL: {}}
+    attr = "ie_2d" if metric == "ie" else metric
     for rec in records:
-        if rec.feature != feature or rec.side != side:
-            continue
-        if rec.view in per_view:
-            per_view[rec.view][rec.trial.subject_index] = _metric_value(rec, metric)
+        if rec.feature == feature and rec.side == side and rec.view in per_view:
+            per_view[rec.view][rec.trial.subject_index] = getattr(rec, attr)
     frontal, lateral = per_view[ViewLabel.FRONTAL], per_view[ViewLabel.LATERAL]
     subjects = sorted(set(frontal) | set(lateral))
     if not subjects:

@@ -99,7 +99,6 @@ class CameraModel:
     rotation: tuple  # 3x3 row-major: rows are camera right / down / forward in world
     focal_px: float = DEFAULT_FOCAL_PX
     principal_point: tuple[float, float] = (DEFAULT_IMAGE_SIZE[0] / 2, DEFAULT_IMAGE_SIZE[1] / 2)
-    image_size: tuple[int, int] = DEFAULT_IMAGE_SIZE
 
     def __post_init__(self):
         if self.focal_px <= 0:
@@ -118,7 +117,6 @@ def make_camera(
     look_dir_ground,
     tilt_down_deg: float = 0.0,
     focal_px: float = DEFAULT_FOCAL_PX,
-    image_size: tuple[int, int] = DEFAULT_IMAGE_SIZE,
 ) -> CameraModel:
     """Camera at `position` facing along a ground-plane direction, pitched
     down by tilt_down_deg."""
@@ -139,8 +137,6 @@ def make_camera(
         position=tuple(float(v) for v in np.asarray(position, dtype=float)),
         rotation=tuple(tuple(float(v) for v in row) for row in rot),
         focal_px=focal_px,
-        principal_point=(image_size[0] / 2, image_size[1] / 2),
-        image_size=image_size,
     )
 
 

@@ -4,7 +4,8 @@ These deliberately share no logic with the main implementations (the
 parser reference takes only their error classes and schema names, the
 gait loops only synth's marker roles and face offsets): DTW is
 checked by explicit enumeration of every monotone warping path, the
-Wilcoxon exact p by enumeration of all 2^n sign assignments, the CSV
+Wilcoxon exact p by enumeration of all 2^n sign assignments and by a
+count that sums both tails of the W+ distribution, the CSV
 parser by a reader that checks one row at a time and keeps a dict of
 points per frame, gap repair by a loop over every keypoint's runs, the
 CSV writer by csv.writer, and the synthetic gait model and its camera
@@ -101,6 +102,31 @@ def wilcoxon_enumerate(differences) -> float:
         if min_w(assignment) <= observed:
             count += 1
     return count / 2**n
+
+
+def wilcoxon_two_tail_p(ranks, w: float) -> float:
+    """Exact two-sided p from the W+ null distribution, counting the lower
+    tail W+ <= w and the upper tail W+ >= total - w separately and
+    subtracting their overlap once, so it assumes no symmetry."""
+    doubled = np.rint(2.0 * np.asarray(ranks)).astype(np.int64)
+    total = int(doubled.sum())
+    dist = np.zeros(total + 1, dtype=np.float64)
+    dist[0] = 1.0
+    top = 0
+    for r in doubled:
+        nxt = dist.copy()
+        nxt[r : top + r + 1] += dist[: top + 1]
+        dist = nxt
+        top += int(r)
+    w2 = int(round(2.0 * w))
+    low = dist[: w2 + 1].sum()  # W+ <= w
+    hi_start = total - w2  # W- <= w  <=>  W+ >= total - w
+    high = dist[hi_start:].sum() if hi_start <= total else 0.0
+    overlap = 0.0
+    if hi_start <= w2:  # the two tails intersect
+        overlap = dist[hi_start : w2 + 1].sum()
+    p = (low + high - overlap) / dist.sum()
+    return min(1.0, float(p))
 
 
 def _number(convert, value: str, line: int, column: int, what: str):

@@ -15,12 +15,15 @@ from gaitview.cli import (
     RECORDS_HEADER,
     STATS_HEADER,
     RunConfig,
+    _radar_data,
     main,
     recommend,
 )
 from gaitview import preprocess
 from gaitview.features import FeatureName
 from gaitview.errors import NotAnalyzed
+from gaitview.metrics import MetricRecord
+from gaitview.signal_core import SideLabel, TrialId, ViewLabel
 
 
 def digest(path):
@@ -336,6 +339,30 @@ class TestAnalyzeCommand:
         assert len(groups) == 6
 
 
+class TestRadarData:
+    def test_one_comparison_per_metric(self):
+        # two subjects per view; ie_3d is 3.0 throughout
+        values = {  # view -> (dtw, mcc, kld, ie_2d) of subjects 1 and 2
+            ViewLabel.FRONTAL: [(1.0, 0.2, 0.5, 3.3), (3.0, 0.2, 0.7, 3.5)],
+            ViewLabel.LATERAL: [(4.0, 0.8, 0.6, 2.0), (4.0, 1.0, 0.6, 2.0)],
+        }
+        records = [
+            MetricRecord(trial=TrialId(subject, 1), feature=FeatureName.TRUNK_ROTATION,
+                         side=SideLabel.BILATERAL, view=view, dtw=dtw, mcc=mcc, mcc_lag=0,
+                         kld=kld, ie_2d=ie_2d, ie_3d=3.0)
+            for view, rows in values.items()
+            for subject, (dtw, mcc, kld, ie_2d) in enumerate(rows, start=1)
+        ]
+        cfg = RunConfig(Path("m.csv"), Path("out"), features=(FeatureName.TRUNK_ROTATION,))
+        assert _radar_data(records, cfg) == {"trunk_rotation": {
+            "dtw": {"frontal": 1.0, "lateral": 0.0},  # lower wins: 2.0 < 4.0
+            "mcc": {"frontal": 0.0, "lateral": 1.0},  # higher wins: 0.9 > 0.2
+            "kld": {"frontal": 0.5, "lateral": 0.5},  # equal means: 0.6 = 0.6
+            # |ie_2d - ie_3d| 0.4 < 1.0: frontal, though its ie_2d is the higher
+            "ie": {"frontal": 1.0, "lateral": 0.0},
+        }}
+
+
 class TestSettings:
     def test_config_hash_is_pinned(self):
         # run_metadata.json's config_hash; a refactor of RunConfig must not move it
@@ -355,6 +382,9 @@ class TestSettings:
         ([], "features = step_length,trunk_rotation,step_length",
          "features: 'step_length' is listed twice"),
         ([], "metrics = mcc,mcc", "metrics: 'mcc' is listed twice"),
+        (["--features", ""], None, "features: empty name in ''"),
+        (["--metrics", ""], None, "metrics: empty name in ''"),
+        ([], "metrics = dtw,,kld", "metrics: empty name in 'dtw,,kld'"),
     ])
     def test_repeated_name_exit_1(self, dataset, tmp_path, capsys, flags, config, message):
         if config is not None:
@@ -363,6 +393,19 @@ class TestSettings:
         assert run_analyze(dataset, tmp_path / "o", *flags) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_empty_out_flag_rejected_and_empty_env_unset(self, dataset, tmp_path, capsys,
+                                                         monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out = {tmp_path / 'from_file'}\n")
+        analyze = ["analyze", "--manifest", str(dataset), "--config", str(cfg)]
+        monkeypatch.setenv("GAITVIEW_OUT", str(tmp_path / "from_env"))
+        assert main([*analyze, "--out", ""]) == 1
+        assert "error: no output directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+        monkeypatch.setenv("GAITVIEW_OUT", "")  # counts as unset: the file's out applies
+        assert main(analyze) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["from_file", "run.cfg"]
 
     @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.05"])
     def test_alpha_outside_unit_interval_rejected(self, dataset, analyzed, tmp_path, capsys,
@@ -545,6 +588,30 @@ class TestRecommendCommand:
         for row in rows[1:]:
             assert row[2] in ("frontal", "lateral", "tie")
         assert len(out.splitlines()) == 7
+
+    def test_significant_direction_votes_only(self, tmp_path):
+        rows = [  # metric, p_value, winner
+            ("dtw_left", "0.01", "frontal"), ("mcc_left", "0.02", "frontal"),
+            ("kld_left", "0.03", "lateral"), ("ie_left", "0.001", "lateral"),
+            ("dtw_right", "0.01", "frontal"), ("mcc_right", "0.05", "lateral"),
+            ("kld_right", "0.04", "lateral"), ("ie_right", "0.001", "lateral"),
+        ]
+        with open(tmp_path / "stats_step_length.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(STATS_HEADER)
+            writer.writerows([metric, "1", "0", "2", "0", p, "0.5", "medium", winner]
+                             for metric, p, winner in rows)
+        expected = [
+            # 2 frontal votes against 1; the IE row casts none
+            {"feature": "step_length", "side": "left", "recommended_view": "frontal",
+             "rationale": "dtw:frontal;kld:lateral;mcc:frontal"},
+            # mcc_right's p = alpha casts no vote, leaving 1 against 1
+            {"feature": "step_length", "side": "right", "recommended_view": "tie",
+             "rationale": "dtw:frontal;kld:lateral"},
+        ]
+        assert recommend(tmp_path, alpha=0.05) == expected
+        with open(tmp_path / "recommendations.csv", newline="") as fh:
+            assert list(csv.DictReader(fh)) == expected
 
     def test_not_analyzed_dir(self, tmp_path):
         with pytest.raises(NotAnalyzed):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
@@ -10,6 +10,7 @@ from gaitview.metrics import MetricRecord
 from gaitview.signal_core import SideLabel, TrialId, ViewLabel
 from gaitview.stats import (
     PairedSample,
+    _exact_p,
     _midranks,
     cliffs_delta,
     compare_views,
@@ -17,7 +18,7 @@ from gaitview.stats import (
     wilcoxon_signed_rank,
 )
 
-from oracles import wilcoxon_enumerate
+from oracles import wilcoxon_enumerate, wilcoxon_two_tail_p
 
 
 class TestWilcoxonExamples:
@@ -89,6 +90,35 @@ class TestWilcoxonAgainstEnumeration:
         _, p_auto = wilcoxon_signed_rank(s, method="auto")
         _, p_approx = wilcoxon_signed_rank(s, method="approx")
         assert p_auto == p_approx
+
+
+@st.composite
+def signed_differences(draw):
+    """Nonzero paired differences, n = 1..25: distinct magnitudes, magnitudes
+    drawn from {1, 2, 3} (ties), or mirrored pairs (W+ = W-)."""
+    kind = draw(st.sampled_from(["untied", "tied", "balanced"]))
+    if kind == "balanced":
+        half = draw(st.lists(st.integers(1, 5), min_size=1, max_size=12))
+        return [float(m) for m in half] + [-float(m) for m in half]
+    n = draw(st.integers(1, 25))
+    mags = st.integers(1, 1000) if kind == "untied" else st.integers(1, 3)
+    magnitudes = draw(st.lists(mags, min_size=n, max_size=n, unique=kind == "untied"))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n))
+    return [m * sign for m, sign in zip(magnitudes, signs)]
+
+
+class TestExactTail:
+    @settings(max_examples=300)
+    @given(signed_differences())
+    def test_doubled_lower_tail_equals_two_tail_count(self, differences):
+        d = np.asarray(differences)
+        ranks = _midranks(np.abs(d))
+        w_plus, w_minus = float(ranks[d > 0].sum()), float(ranks[d < 0].sum())
+        w = min(w_plus, w_minus)
+        p = _exact_p(ranks, w)
+        assert p == wilcoxon_two_tail_p(ranks, w)  # bit for bit
+        if w_plus == w_minus:
+            assert p == 1.0
 
 
 class TestMidranks:
