@@ -142,8 +142,10 @@ def load_manifest(path: Path) -> dict[TrialId, dict[str, Path]]:
 def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
     """Parse and repair each file of one subject's trial, filter the trial's
     sequences in one call, then extract features; returns the sequences and
-    the features, each keyed by view in _TRIAL_VIEWS order. A failure names
-    the subject, trial, view and file."""
+    the features, each keyed by view in _TRIAL_VIEWS order. A file with no
+    frames, or a pose file whose first or last time is more than the mocap3d
+    file's median sample spacing from the mocap3d file's, is rejected. A
+    failure names the subject, trial, view and file."""
     if "mocap3d" not in paths:
         raise GaitViewError(f"subject {trial.subject_index}: manifest lists no mocap3d file")
     files = {view: paths[view.value] for view in _TRIAL_VIEWS if view.value in paths}
@@ -153,10 +155,22 @@ def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
             if not path.exists():
                 raise GaitViewError("missing file")
             if view is ViewLabel.MOCAP3D:
-                seqs[view] = parse_marker_csv(path)
+                seq = parse_marker_csv(path)
             else:
-                seqs[view] = fill_gaps(parse_pose_csv(path, view=view),
-                                       cfg.conf_threshold, cfg.max_gap)
+                seq = fill_gaps(parse_pose_csv(path, view=view),
+                                cfg.conf_threshold, cfg.max_gap)
+            if not len(seq):
+                raise GaitViewError("no frames")
+            times, times3d = seq.times, seqs.get(ViewLabel.MOCAP3D, seq).times
+            # the median step, by hand: np.median imports numpy.ma, 1 MB more peak memory
+            steps = np.sort(np.diff(times3d)) if len(times3d) > 1 else np.zeros(1)
+            spacing = float(steps[(len(steps) - 1) // 2] + steps[len(steps) // 2]) / 2
+            if max(abs(times[0] - times3d[0]), abs(times[-1] - times3d[-1])) > spacing:
+                raise GaitViewError(
+                    f"time span {times[0]:g}..{times[-1]:g} s differs from the mocap3d "
+                    f"file's {times3d[0]:g}..{times3d[-1]:g} s by more than its sample "
+                    f"spacing ({spacing:g} s)")
+            seqs[view] = seq
     if cfg.apply_filter:
         spec = cfg.filter_spec
         try:
@@ -463,22 +477,28 @@ def _read_config(path) -> dict:
     return settings
 
 
-def _names(key: str, raw: str, parse) -> tuple:
-    """A comma-separated features/metrics value -> its parsed names; an empty
-    name, or a name listed twice, raises GaitViewError naming the key."""
+def _names(raw: str, noun: str, valid: tuple[str, ...]) -> tuple[str, ...]:
+    """A comma-separated features/metrics value -> its names; an empty,
+    unknown or repeated name raises ValueError."""
     names = [name.strip() for name in raw.split(",")]
     for name in names:
         if not name:
-            raise GaitViewError(f"{key}: empty name in {raw!r}")
+            raise ValueError(f"empty name in {raw!r}")
+        if name not in valid:
+            raise ValueError(f"unknown {noun} {name!r}, expected one of {'/'.join(valid)}")
         if names.count(name) > 1:
-            raise GaitViewError(f"{key}: {name!r} is listed twice")
-    return tuple(parse(name) for name in names)
+            raise ValueError(f"{name!r} is listed twice")
+    return tuple(names)
 
 
-def _metric(name: str) -> str:
-    if name not in METRIC_DIRECTION:
-        raise GaitViewError(f"unknown metric {name!r}")
-    return name
+# values parsed once flags and --config are merged; an error names the key, and the
+# --config file when the value came from it
+_RESOLVED = {
+    "features": lambda raw: tuple(map(FeatureName, _names(
+        raw, "feature", tuple(feature.value for feature in FeatureName)))),
+    "metrics": lambda raw: _names(raw, "metric", ALL_METRICS),
+    "marker_map": load_marker_map,
+}
 
 
 def _take(settings: dict, cls) -> dict:
@@ -491,8 +511,9 @@ def _run_config_from_args(args) -> RunConfig:
     gives keeps the default of the dataclass that holds it."""
     settings = _read_config(args.config) if args.config else {}
     # flags win; the --out default reads GAITVIEW_OUT, so it wins over the file's out
-    settings.update((key, value) for key, value in vars(args).items()
-                    if key in CONFIG_KEYS and value is not None)
+    flags = {key: value for key, value in vars(args).items()
+             if key in CONFIG_KEYS and value is not None}
+    settings.update(flags)
     out = settings.pop("out", None)
     if not out:
         raise GaitViewError("no output directory: pass --out or set " + OUT_DIR_ENV)
@@ -500,11 +521,13 @@ def _run_config_from_args(args) -> RunConfig:
         settings["order"] = settings.pop("filter_order")
     filter_spec = FilterSpec(**_take(settings, FilterSpec))
     metric_cfg = MetricConfig(**_take(settings, MetricConfig))
-    for key, parse in (("features", FeatureName), ("metrics", _metric)):
+    for key, resolve in _RESOLVED.items():
         if key in settings:
-            settings[key] = _names(key, settings[key], parse)
-    if "marker_map" in settings:
-        settings["marker_map"] = load_marker_map(settings["marker_map"])
+            try:
+                settings[key] = resolve(settings[key])
+            except (GaitViewError, ValueError, OSError) as exc:
+                source = "" if key in flags else f"{args.config}: "
+                raise GaitViewError(f"{source}{key}: {exc}") from None
     return RunConfig(manifest=Path(args.manifest), out_dir=Path(out),
                      filter_spec=filter_spec, metric_cfg=metric_cfg, **settings)
 

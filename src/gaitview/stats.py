@@ -59,19 +59,14 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def wilcoxon_signed_rank(
-    s: PairedSample, method: str = "auto"
-) -> tuple[float, float]:
-    """Two-sided Wilcoxon signed-rank test; returns (W, p).
+def wilcoxon_signed_rank(s: PairedSample) -> tuple[float, float, float]:
+    """Two-sided Wilcoxon signed-rank test; returns (W+, W-, p).
 
-    W = min(W+, W-) over midranked |differences| after dropping zero
-    differences. Exact p enumerates all 2^n sign assignments (n <= 25);
-    larger n uses the normal approximation with tie correction and a
-    continuity correction. The exact p is the fraction of assignments
-    whose min(W+, W-) is <= the observed W.
+    W+ and W- sum the midranks of the positive and negative |differences|
+    after dropping zero differences. n alone selects the p: exact over all
+    2^n sign assignments for n <= EXACT_N_MAX, else the normal approximation
+    with tie and continuity corrections, both of W = min(W+, W-).
     """
-    if method not in ("auto", "exact", "approx"):
-        raise ValueError(f"unknown method {method!r}")
     d = np.asarray(s.values_a, dtype=float) - np.asarray(s.values_b, dtype=float)
     d = d[d != 0.0]
     n = d.size
@@ -81,11 +76,8 @@ def wilcoxon_signed_rank(
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
     w = min(w_plus, w_minus)
-    if method == "exact" or (method == "auto" and n <= EXACT_N_MAX):
-        p = _exact_p(ranks, w)
-    else:
-        p = _approx_p(ranks, w, n)
-    return w, p
+    p = _exact_p(ranks, w) if n <= EXACT_N_MAX else _approx_p(ranks, w, n)
+    return w_plus, w_minus, p
 
 
 def _exact_p(ranks: np.ndarray, w: float) -> float:
@@ -150,8 +142,8 @@ def compare_views(
 ) -> StatResult:
     """Paired frontal-vs-lateral comparison of one metric for one feature/side.
 
-    A winner is declared only at p < alpha and in the metric's better
-    direction; IE rows carry no winner.
+    A winner is declared only at p < alpha, by the sign of W+ - W- of the
+    frontal - lateral differences and the metric's direction; IE has none.
     """
     if metric not in METRIC_DIRECTION:
         raise ValueError(f"unknown metric {metric!r}")
@@ -173,9 +165,9 @@ def compare_views(
     b = tuple(lateral[s] for s in subjects)
     sample = PairedSample(a, b)
     try:
-        _, p = wilcoxon_signed_rank(sample)
+        w_plus, w_minus, p = wilcoxon_signed_rank(sample)
     except AllZeroDifferences:
-        p = 1.0
+        w_plus, w_minus, p = 0.0, 0.0, 1.0
     delta, label = cliffs_delta(sample)
     mean_a, mean_b = float(np.mean(a)), float(np.mean(b))
     sd_a = float(np.std(a, ddof=1)) if len(a) > 1 else 0.0
@@ -183,9 +175,9 @@ def compare_views(
     direction = METRIC_DIRECTION[metric]
     if direction is None:
         winner = ""
-    elif p >= alpha or mean_a == mean_b:
+    elif p >= alpha:
         winner = "tie"
-    elif (mean_a < mean_b) == (direction == "lower"):
+    elif (w_plus < w_minus) == (direction == "lower"):
         winner = "frontal"
     else:
         winner = "lateral"

@@ -22,7 +22,9 @@ from gaitview.metrics import (
 )
 from gaitview.preprocess import FilterSpec, filtfilt
 from gaitview.signal_core import TimeSeries, znormalize
-from gaitview.stats import PairedSample, cliffs_delta, effect_label, wilcoxon_signed_rank
+from gaitview.stats import (
+    PairedSample, _approx_p, _midranks, cliffs_delta, effect_label, wilcoxon_signed_rank,
+)
 
 from oracles import dtw_bruteforce, wilcoxon_enumerate
 
@@ -165,19 +167,19 @@ def test_criterion_07_wilcoxon_exactness(capsys):
         if np.all(d == 0.0):
             continue
         s = PairedSample(tuple(d), tuple(np.zeros(n)))
-        _, p = wilcoxon_signed_rank(s, method="exact")
+        _, _, p = wilcoxon_signed_rank(s)
         if p != wilcoxon_enumerate(d.tolist()):
             ok = False
             break
     s5 = PairedSample((1.0, 2.0, 3.0, 4.0, 5.0), (0.0,) * 5)
-    _, p5 = wilcoxon_signed_rank(s5, method="exact")
+    _, _, p5 = wilcoxon_signed_rank(s5)
     ok = ok and p5 == 0.0625
     worst = 0.0
     for _ in range(100):
         a = rng.normal(rng.uniform(0, 0.6), 1.0, size=18)
         s = PairedSample(tuple(a), tuple(np.zeros(18)))
-        _, p_exact = wilcoxon_signed_rank(s, method="exact")
-        _, p_approx = wilcoxon_signed_rank(s, method="approx")
+        w_plus, w_minus, p_exact = wilcoxon_signed_rank(s)
+        p_approx = _approx_p(_midranks(np.abs(a)), min(w_plus, w_minus), 18)
         worst = max(worst, abs(p_exact - p_approx))
     ok = ok and worst < 0.02
     report(capsys, 7, "Wilcoxon exact == enumeration (50 samples), n=5 p = 0.0625, "

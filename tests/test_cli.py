@@ -244,12 +244,33 @@ class TestAnalyzeCommand:
         manifest = run_synth(tmp_path / "d", subjects=2)
         short = tmp_path / "d" / "s02_lateral.csv"
         lines = short.read_text().splitlines(keepends=True)
-        short.write_text("".join(line for line in lines
-                                 if line[0].isalpha() or int(line.split(",")[0]) < 12))
+        last = int(lines[-1].split(",")[0])  # keep the first and last 6 frames: the span holds
+        short.write_text("".join(line for line in lines if line[0].isalpha()
+                                 or not 6 <= int(line.split(",")[0]) <= last - 6))
         assert run_analyze(manifest, tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert f"(subject 2, trial 1, lateral, {short}): " in err
         assert "signal length 12 must exceed padding length 15" in err
+
+    @pytest.mark.parametrize("kept, message", [
+        (lambda f: f < 100, "time span 0..0.99 s differs from the mocap3d file's 0..{end} s "
+                            "by more than its sample spacing (0.01 s)"),
+        (lambda f: f >= 2, "time span 0.02..{end} s differs from the mocap3d file's 0..{end} s"),
+        (lambda f: False, "no frames"),
+    ], ids=["frames_0_to_99", "frames_0_1_dropped", "no_frames"])
+    def test_pose_span_must_match_mocap3d(self, tmp_path, capsys, kept, message):
+        # such a pose file was stretched over the 3D span by index, silently
+        manifest = run_synth(tmp_path / "d", subjects=2)
+        end = float((tmp_path / "d" / "s01_mocap3d.csv").read_text().splitlines()[-1]
+                    .split(",")[1])
+        cut = tmp_path / "d" / "s01_frontal.csv"
+        lines = cut.read_text().splitlines(keepends=True)
+        cut.write_text(lines[0] + "".join(line for line in lines[1:]
+                                          if kept(int(line.split(",")[0]))))
+        assert run_analyze(manifest, tmp_path / "out") == 1
+        message = message.format(end=f"{end:g}")
+        assert f"error: (subject 1, trial 1, frontal, {cut}): {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_narrower_run_removes_stale_reports(self, dataset, tmp_path):
         out = tmp_path / "out"
@@ -385,11 +406,23 @@ class TestSettings:
         (["--features", ""], None, "features: empty name in ''"),
         (["--metrics", ""], None, "metrics: empty name in ''"),
         ([], "metrics = dtw,,kld", "metrics: empty name in 'dtw,,kld'"),
+        (["--features", "step_length,bogus"], None,
+         "features: unknown feature 'bogus', expected one of step_length/knee_rotation/"
+         "trunk_rotation/wrist_hipmid"),
+        ([], "features = bogus", "features: unknown feature 'bogus', expected one of"),
+        (["--metrics", "dtw,rmse"], None,
+         "metrics: unknown metric 'rmse', expected one of dtw/mcc/kld/ie"),
+        ([], "metrics = rmse", "metrics: unknown metric 'rmse', expected one of dtw/mcc/kld/ie"),
+        (["--marker-map", "missing.map"], None,
+         "marker_map: [Errno 2] No such file or directory: 'missing.map'"),
+        ([], "marker-map = missing.map",
+         "marker_map: [Errno 2] No such file or directory: 'missing.map'"),
     ])
     def test_repeated_name_exit_1(self, dataset, tmp_path, capsys, flags, config, message):
-        if config is not None:
+        if config is not None:  # a value from the file also names the file
             (tmp_path / "run.cfg").write_text(config + "\n")
             flags = ["--config", str(tmp_path / "run.cfg")]
+            message = f"{tmp_path / 'run.cfg'}: {message}"
         assert run_analyze(dataset, tmp_path / "o", *flags) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
+from gaitview.cli import RunConfig, _write_outputs, recommend
 from gaitview.errors import AllZeroDifferences, UnpairedSubject
 from gaitview.features import FeatureName
 from gaitview.metrics import MetricRecord
 from gaitview.signal_core import SideLabel, TrialId, ViewLabel
 from gaitview.stats import (
+    EXACT_N_MAX,
     PairedSample,
+    _approx_p,
     _exact_p,
     _midranks,
     cliffs_delta,
@@ -24,28 +27,23 @@ from oracles import wilcoxon_enumerate, wilcoxon_two_tail_p
 class TestWilcoxonExamples:
     def test_all_positive_n5(self):
         s = PairedSample((1.0, 2.0, 3.0, 4.0, 5.0), (0.0, 0.0, 0.0, 0.0, 0.0))
-        w, p = wilcoxon_signed_rank(s, method="exact")
-        assert w == 0.0
+        w_plus, w_minus, p = wilcoxon_signed_rank(s)
+        assert min(w_plus, w_minus) == 0.0
         assert p == 2 / 32  # two one-sided extremes out of 2^5
 
     def test_balanced_differences_p_one(self):
         s = PairedSample((1.0, -1.0, 2.0, -2.0), (0.0, 0.0, 0.0, 0.0))
-        _, p = wilcoxon_signed_rank(s, method="exact")
+        _, _, p = wilcoxon_signed_rank(s)
         assert p == 1.0
 
     def test_zero_differences_dropped(self):
         s = PairedSample((1.0, 2.0, 5.0, 5.0), (0.0, 0.0, 5.0, 5.0))
-        w, p = wilcoxon_signed_rank(s, method="exact")
         s2 = PairedSample((1.0, 2.0), (0.0, 0.0))
-        assert (w, p) == wilcoxon_signed_rank(s2, method="exact")
+        assert wilcoxon_signed_rank(s) == wilcoxon_signed_rank(s2)
 
     def test_all_zero_rejected(self):
         with pytest.raises(AllZeroDifferences):
             wilcoxon_signed_rank(PairedSample((3.0, 3.0), (3.0, 3.0)))
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            wilcoxon_signed_rank(PairedSample((1.0,), (0.0,)), method="bogus")
 
 
 class TestWilcoxonAgainstEnumeration:
@@ -58,7 +56,7 @@ class TestWilcoxonAgainstEnumeration:
             if np.all(a == b):
                 continue
             s = PairedSample(tuple(a), tuple(b))
-            _, p = wilcoxon_signed_rank(s, method="exact")
+            _, _, p = wilcoxon_signed_rank(s)
             p_ref = wilcoxon_enumerate((a - b).tolist())
             assert abs(p - p_ref) < 1e-12
 
@@ -66,7 +64,7 @@ class TestWilcoxonAgainstEnumeration:
         # repeated |d| values force midranks
         a = (1.0, 1.0, 2.0, 2.0, 3.0, -1.0)
         b = tuple(0.0 for _ in a)
-        _, p = wilcoxon_signed_rank(PairedSample(a, b), method="exact")
+        _, _, p = wilcoxon_signed_rank(PairedSample(a, b))
         p_ref = wilcoxon_enumerate([x - y for x, y in zip(a, b)])
         assert abs(p - p_ref) < 1e-12
 
@@ -77,19 +75,21 @@ class TestWilcoxonAgainstEnumeration:
             a = rng.normal(0.3, 1.0, size=18)
             b = rng.normal(0.0, 1.0, size=18)
             s = PairedSample(tuple(a), tuple(b))
-            _, p_exact = wilcoxon_signed_rank(s, method="exact")
-            _, p_approx = wilcoxon_signed_rank(s, method="approx")
+            w_plus, w_minus, p_exact = wilcoxon_signed_rank(s)
+            p_approx = _approx_p(_midranks(np.abs(a - b)), min(w_plus, w_minus), 18)
             worst = max(worst, abs(p_exact - p_approx))
         assert worst < 0.02
 
     def test_auto_switches_on_sample_size(self):
+        # exact through n = 25, normal from n = 26, on samples where the two differ
         rng = np.random.default_rng(23)
-        a = tuple(rng.normal(size=26))
-        b = tuple(rng.normal(size=26))
-        s = PairedSample(a, b)
-        _, p_auto = wilcoxon_signed_rank(s, method="auto")
-        _, p_approx = wilcoxon_signed_rank(s, method="approx")
-        assert p_auto == p_approx
+        for n in (EXACT_N_MAX, EXACT_N_MAX + 1):
+            d = rng.normal(size=n)
+            w_plus, w_minus, p = wilcoxon_signed_rank(PairedSample(tuple(d), (0.0,) * n))
+            ranks, w = _midranks(np.abs(d)), min(w_plus, w_minus)
+            exact, approx = _exact_p(ranks, w), _approx_p(ranks, w, n)
+            assert exact != approx
+            assert p == (exact if n == EXACT_N_MAX else approx)
 
 
 @st.composite
@@ -186,6 +186,21 @@ class TestCompareViews:
         assert abs(res.cliffs_delta) == 1.0
         assert res.effect_label == "large"
         assert res.mean_sd_a[0] > res.mean_sd_b[0]
+
+    def test_winner_follows_signed_ranks_not_means(self, tmp_path):
+        # frontal is lower (better) in 17 of 18 subjects; one outlier makes its mean higher
+        frontal, lateral = [10.0] * 17 + [200.0], [11.0] * 17 + [100.0]
+        sample = PairedSample(tuple(frontal), tuple(lateral))
+        assert wilcoxon_signed_rank(sample)[:2] == (18.0, 153.0)  # W+, W- of frontal - lateral
+        res = compare_views(make_records(frontal, lateral),
+                            FeatureName.STEP_LENGTH, SideLabel.LEFT, "dtw")
+        assert res.mean_sd_a[0] > res.mean_sd_b[0]
+        assert res.p_value == 310 / 2**18 and res.cliffs_delta < -0.88
+        assert res.winner == "frontal"
+        _write_outputs(RunConfig(tmp_path / "manifest.csv", tmp_path), [], [res], [], {})
+        assert recommend(tmp_path) == [{"feature": "step_length", "side": "left",
+                                        "recommended_view": "frontal",
+                                        "rationale": "dtw:frontal"}]
 
     def test_higher_is_better_for_mcc(self):
         n = 12
