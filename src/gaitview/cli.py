@@ -62,6 +62,9 @@ RECOMMENDATIONS = "recommendations.csv"
 ALL_METRICS = tuple(METRIC_DIRECTION)
 PCA_SCOPES = ("pooled", "per-subject")
 _TRIAL_VIEWS = (ViewLabel.MOCAP3D, ViewLabel.FRONTAL, ViewLabel.LATERAL)  # files of a trial
+# relative: every sample step vs. its file's median step, and the file's rate
+# vs. the filter's; passes 33/34 ms steps of 30 fps, rejects one dropped frame
+TIME_TOLERANCE = 0.1
 OUT_DIR_ENV = "GAITVIEW_OUT"
 
 
@@ -142,10 +145,13 @@ def load_manifest(path: Path) -> dict[TrialId, dict[str, Path]]:
 def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
     """Parse and repair each file of one subject's trial, filter the trial's
     sequences in one call, then extract features; returns the sequences and
-    the features, each keyed by view in _TRIAL_VIEWS order. A file with no
-    frames, or a pose file whose first or last time is more than the mocap3d
-    file's median sample spacing from the mocap3d file's, is rejected. A
-    failure names the subject, trial, view and file."""
+    the features, each keyed by view in _TRIAL_VIEWS order. A file is
+    rejected if it has no frames, if a sample step is not within
+    TIME_TOLERANCE of its median step, if the filter runs and the rate
+    1 / median step is not within TIME_TOLERANCE of the filter's, or, for a
+    pose file, if its first or last time is more than the mocap3d file's
+    median step from the mocap3d file's. A failure names the subject,
+    trial, view and file."""
     if "mocap3d" not in paths:
         raise GaitViewError(f"subject {trial.subject_index}: manifest lists no mocap3d file")
     files = {view: paths[view.value] for view in _TRIAL_VIEWS if view.value in paths}
@@ -161,10 +167,18 @@ def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
                                 cfg.conf_threshold, cfg.max_gap)
             if not len(seq):
                 raise GaitViewError("no frames")
-            times, times3d = seq.times, seqs.get(ViewLabel.MOCAP3D, seq).times
-            # the median step, by hand: np.median imports numpy.ma, 1 MB more peak memory
-            steps = np.sort(np.diff(times3d)) if len(times3d) > 1 else np.zeros(1)
-            spacing = float(steps[(len(steps) - 1) // 2] + steps[len(steps) // 2]) / 2
+            times, steps = seq.times, np.diff(seq.times)
+            step, rate = _median(steps), cfg.filter_spec.sample_rate_hz
+            if np.any(np.abs(steps - step) > TIME_TOLERANCE * step):
+                raise GaitViewError(
+                    f"sample steps range over {steps.min():g}..{steps.max():g} s, not within "
+                    f"{TIME_TOLERANCE:.0%} of their median {step:g} s")
+            if cfg.apply_filter and len(steps) and abs(1 / step - rate) > TIME_TOLERANCE * rate:
+                raise GaitViewError(
+                    f"sample rate {1 / step:g} Hz (median step {step:g} s) is not within "
+                    f"{TIME_TOLERANCE:.0%} of the filter's sample-rate-hz, {rate:g} Hz")
+            if view is ViewLabel.MOCAP3D:
+                times3d, spacing = times, step  # the first file of every trial
             if max(abs(times[0] - times3d[0]), abs(times[-1] - times3d[-1])) > spacing:
                 raise GaitViewError(
                     f"time span {times[0]:g}..{times[-1]:g} s differs from the mocap3d "
@@ -185,6 +199,13 @@ def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
         with _naming(trial, view, files[view]):
             feats[view] = extract_all(seq, cfg.marker_map)
     return seqs, feats
+
+
+def _median(values: np.ndarray) -> float:
+    """Median by sorting, 0 for no values: np.median imports numpy.ma, 1 MB
+    more peak memory."""
+    values = np.sort(values) if len(values) else np.zeros(1)
+    return float(values[(len(values) - 1) // 2] + values[len(values) // 2]) / 2
 
 
 @contextlib.contextmanager

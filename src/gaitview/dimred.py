@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateMatrix, DimensionMismatch
+from .errors import DegenerateMatrix
 from .ingest import KEYPOINT_NAMES
 
 DEFAULT_VARIANCE_THRESHOLD = 0.95
@@ -47,7 +47,6 @@ class PcaResult:
     explained_ratio: float
     component_basis: np.ndarray  # (k, n_cols), orthonormal rows
     singular_values: np.ndarray  # full nonincreasing spectrum
-    column_means: np.ndarray
 
 
 def pca_fit(m: FeatureMatrix, threshold: float = DEFAULT_VARIANCE_THRESHOLD) -> PcaResult:
@@ -55,8 +54,7 @@ def pca_fit(m: FeatureMatrix, threshold: float = DEFAULT_VARIANCE_THRESHOLD) -> 
     reaches the threshold."""
     if not (0.0 < threshold <= 1.0):
         raise ValueError("threshold must be in (0, 1]")
-    means = m.values.mean(axis=0)
-    centered = m.values - means
+    centered = m.values - m.values.mean(axis=0)
     _, s, vt = np.linalg.svd(centered, full_matrices=False)
     total = float(np.sum(s**2))
     if total == 0.0:
@@ -74,29 +72,7 @@ def pca_fit(m: FeatureMatrix, threshold: float = DEFAULT_VARIANCE_THRESHOLD) -> 
         explained_ratio=float(cumulative[k - 1]),
         component_basis=basis,
         singular_values=s.copy(),
-        column_means=means.copy(),
     )
-
-
-def pca_project(m: FeatureMatrix, result: PcaResult) -> FeatureMatrix:
-    """Project centered data onto the retained components (pc1..pck columns)."""
-    if m.n_cols != result.column_means.size:
-        raise DimensionMismatch(
-            f"matrix has {m.n_cols} columns, basis expects {result.column_means.size}"
-        )
-    projected = (m.values - result.column_means) @ result.component_basis.T
-    labels = [f"pc{i + 1}" for i in range(result.k)]
-    return FeatureMatrix(projected, labels)
-
-
-def pca_reconstruct(projected: FeatureMatrix, result: PcaResult) -> FeatureMatrix:
-    """Map component scores back to the original feature space."""
-    if projected.n_cols != result.k:
-        raise DimensionMismatch(
-            f"projected matrix has {projected.n_cols} columns, expected k = {result.k}"
-        )
-    back = projected.values @ result.component_basis + result.column_means
-    return FeatureMatrix(back)
 
 
 def pose_matrix(sequences) -> FeatureMatrix:

@@ -119,10 +119,6 @@ class DegenerateMatrix(GaitViewError):
     """All-constant matrix: no variance to decompose."""
 
 
-class DimensionMismatch(GaitViewError):
-    """Matrix column count does not match the fitted basis."""
-
-
 # --- synthesis errors ---
 
 class BehindCamera(GaitViewError):

@@ -32,7 +32,7 @@ from .errors import (
     NoWalkingDirection,
 )
 from .ingest import PoseSequence
-from .signal_core import SideLabel, TimeSeries
+from .signal_core import SideLabel, _finite
 
 
 class FeatureName(str, Enum):
@@ -60,7 +60,7 @@ def signal_key_name(feature: FeatureName, side: SideLabel) -> str:
 
 @dataclass
 class GaitFeatureSet:
-    signals: dict[tuple[FeatureName, SideLabel], TimeSeries] = field(default_factory=dict)
+    signals: dict[tuple[FeatureName, SideLabel], np.ndarray] = field(default_factory=dict)
 
 
 # every anatomical role a feature reads
@@ -117,14 +117,13 @@ def _ground(points: np.ndarray) -> np.ndarray:
     return points[:, :2]
 
 
-def _step_length(body: _Body, side: SideLabel) -> TimeSeries:
+def _step_length(body: _Body, side: SideLabel) -> np.ndarray:
     """Signed projection of (ankle_side - ankle_other) onto the walking axis,
     px or mm; positive when the named side leads."""
     other = SideLabel.RIGHT if side is SideLabel.LEFT else SideLabel.LEFT
     a = _ground(body[f"{side.value}_ankle"])
     b = _ground(body[f"{other.value}_ankle"])
-    values = (a - b) @ body.axis
-    return TimeSeries(values, label=signal_key_name(FeatureName.STEP_LENGTH, side))
+    return (a - b) @ body.axis
 
 
 def _interior_angle_deg(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -137,17 +136,16 @@ def _interior_angle_deg(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
 
 
-def _knee_rotation(body: _Body, side: SideLabel) -> TimeSeries:
+def _knee_rotation(body: _Body, side: SideLabel) -> np.ndarray:
     """Interior angle at the knee between knee->hip and knee->ankle,
     degrees [0, 180]."""
     hip = body[f"{side.value}_hip"]
     knee = body[f"{side.value}_knee"]
     ankle = body[f"{side.value}_ankle"]
-    values = _interior_angle_deg(hip - knee, ankle - knee)
-    return TimeSeries(values, label=signal_key_name(FeatureName.KNEE_ROTATION, side))
+    return _interior_angle_deg(hip - knee, ankle - knee)
 
 
-def _trunk_rotation(body: _Body, side: SideLabel) -> TimeSeries:
+def _trunk_rotation(body: _Body, side: SideLabel) -> np.ndarray:
     """Signed angle between the shoulder line and the hip line, degrees
     (-180, 180].
 
@@ -171,14 +169,13 @@ def _trunk_rotation(body: _Body, side: SideLabel) -> TimeSeries:
     dot = np.einsum("ij,ij->i", h, s)
     values = np.degrees(np.arctan2(cross, dot))
     values[values <= -180.0] = 180.0
-    return TimeSeries(values, label=signal_key_name(FeatureName.TRUNK_ROTATION, side))
+    return values
 
 
-def _wrist_hipmid(body: _Body, side: SideLabel) -> TimeSeries:
+def _wrist_hipmid(body: _Body, side: SideLabel) -> np.ndarray:
     """Euclidean distance from the side's wrist to the hip midpoint, px or mm."""
     wrist = body[f"{side.value}_wrist"]
-    values = np.linalg.norm(wrist - body.hip_mid, axis=1)
-    return TimeSeries(values, label=signal_key_name(FeatureName.WRIST_HIPMID, side))
+    return np.linalg.norm(wrist - body.hip_mid, axis=1)
 
 
 _KERNELS = {
@@ -191,14 +188,14 @@ _KERNELS = {
 
 def signal(
     seq, feature: FeatureName, side: SideLabel, marker_map: dict[str, str] | None = None
-) -> TimeSeries:
+) -> np.ndarray:
     """One signal of one sequence. Only the roles the feature reads must be
     present, so a partial body still yields the features it has; errors
     are raised unwrapped.
     """
     if side not in FEATURE_SIDES[feature]:
         raise ValueError(f"{feature.value} has no {side.value} side")
-    return _KERNELS[feature](_Body(seq, marker_map), side)
+    return _finite(_KERNELS[feature](_Body(seq, marker_map), side))
 
 
 def extract_all(seq, marker_map: dict[str, str] | None = None) -> GaitFeatureSet:
@@ -213,7 +210,7 @@ def extract_all(seq, marker_map: dict[str, str] | None = None) -> GaitFeatureSet
     for feature, sides in FEATURE_SIDES.items():
         for side in sides:
             try:
-                out.signals[(feature, side)] = _KERNELS[feature](body, side)
+                out.signals[(feature, side)] = _finite(_KERNELS[feature](body, side))
             except Exception as exc:
                 raise FeatureError(feature.value, side.value, exc) from exc
     return out

@@ -1,6 +1,6 @@
 """The four agreement metrics: DTW, max cross-correlation, KL divergence,
 and information entropy, comparing a 2D feature signal against its 3D
-counterpart.
+counterpart. A signal is a 1-D float64 array, finite where it was made.
 
 All functions are pure and reentrant, and the metric functions score the
 signals they are given: only compute_records applies cfg.normalize (on by
@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConstantSignal, DegenerateSignal, LengthMismatch, MetricError
 from .features import FeatureName
-from .signal_core import SideLabel, TimeSeries, TrialId, ViewLabel, resample_linear, znormalize
+from .signal_core import SideLabel, TrialId, ViewLabel, resample_linear, znormalize
 
 DEFAULT_HISTOGRAM_BINS = 256
 DEFAULT_LOG_BASE = 2.0
@@ -59,13 +59,12 @@ class MetricRecord:
     ie_3d: float
 
 
-def _prepared(ts: TimeSeries) -> np.ndarray:
-    if len(ts) == 0:
+def _nonempty(*signals: np.ndarray) -> None:
+    if any(len(values) == 0 for values in signals):
         raise DegenerateSignal("empty signal")
-    return ts.samples
 
 
-def dtw_distance(x: TimeSeries, y: TimeSeries) -> float:
+def dtw_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Dynamic-time-warping distance with |a - b| point cost.
 
     Full n x m recurrence D(i,j) = d(i,j) + min(D(i-1,j), D(i,j-1),
@@ -86,20 +85,20 @@ def dtw_distance(x: TimeSeries, y: TimeSeries) -> float:
     exact minimum of its predecessors, so the result equals the
     cell-by-cell recurrence bit for bit.
     """
-    xs, ys = _prepared(x), _prepared(y)
-    n, m = xs.size, ys.size
+    _nonempty(x, y)
+    n, m = x.size, y.size
     pad = np.full(n - 1, np.inf)
-    windows = sliding_window_view(np.concatenate((pad, ys[::-1], pad)), n)
+    windows = sliding_window_view(np.concatenate((pad, y[::-1], pad)), n)
     top = n + m - 2  # windows[top - k, i] is y[k - i]
     bufs = tuple(np.full((3, n + 1), np.inf))  # diagonals k - 2, k - 1, k
-    bufs[1][1] = abs(xs[0] - ys[0])
+    bufs[1][1] = abs(x[0] - y[0])
     cost = np.empty((min(_DTW_BLOCK, top), n))
     for k0 in range(1, top + 1, _DTW_BLOCK):
         k1 = min(k0 + _DTW_BLOCK, top + 1)
         lo = max(0, k0 - m + 1)  # rows lo..hi-1 of the table lie on diagonals k0..k1-1
         hi = min(n, k1)
         c = cost[:k1 - k0, :hi - lo]
-        np.subtract(xs[lo:hi], windows[top - k1 + 1:top - k0 + 1, lo:hi][::-1], out=c)
+        np.subtract(x[lo:hi], windows[top - k1 + 1:top - k0 + 1, lo:hi][::-1], out=c)
         np.abs(c, out=c)
         before, last, cur = ((b[lo:hi], b[lo + 1:hi + 1]) for b in bufs)
         for row in c:
@@ -113,7 +112,7 @@ def dtw_distance(x: TimeSeries, y: TimeSeries) -> float:
     return float(bufs[1][n])
 
 
-def max_cross_correlation(x: TimeSeries, y: TimeSeries) -> tuple[float, int]:
+def max_cross_correlation(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
     """Maximum of the lagged inner product R(tau) = sum_t x_t * y_{t+tau}.
 
     Lags span -(N-1)..N-1 (negative lags shift x). Ties break toward the
@@ -123,9 +122,8 @@ def max_cross_correlation(x: TimeSeries, y: TimeSeries) -> tuple[float, int]:
         raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
     if len(x) < 2:
         raise DegenerateSignal("need >= 2 samples")
-    xs, ys = x.samples, y.samples
-    n = xs.size
-    r = np.correlate(ys, xs, mode="full")  # r[k] = sum_t x[t] y[t + (k - (n-1))]
+    n = x.size
+    r = np.correlate(y, x, mode="full")  # r[k] = sum_t x[t] y[t + (k - (n-1))]
     lags = np.arange(-(n - 1), n)
     order = np.lexsort((lags, np.abs(lags), -r))
     best = order[0]
@@ -138,7 +136,7 @@ def _histogram_mass(values: np.ndarray, edges: np.ndarray, eps: float) -> np.nda
     return mass / mass.sum()
 
 
-def kl_divergence(x: TimeSeries, y: TimeSeries, cfg: MetricConfig | None = None) -> float:
+def kl_divergence(x: np.ndarray, y: np.ndarray, cfg: MetricConfig | None = None) -> float:
     """KL divergence D(P || Q): P from the 3D signal x, Q from the 2D signal y.
 
     Histograms share equal-width bins spanning the pooled range of both
@@ -146,32 +144,32 @@ def kl_divergence(x: TimeSeries, y: TimeSeries, cfg: MetricConfig | None = None)
     divergence is finite even when Q has empty bins.
     """
     cfg = cfg or MetricConfig()
-    xs, ys = _prepared(x), _prepared(y)
-    lo = min(xs.min(), ys.min())
-    hi = max(xs.max(), ys.max())
+    _nonempty(x, y)
+    lo = min(x.min(), y.min())
+    hi = max(x.max(), y.max())
     if hi - lo == 0.0:
         raise ConstantSignal("pooled range of width zero")
     edges = np.linspace(lo, hi, cfg.histogram_bins + 1)
-    p = _histogram_mass(xs, edges, cfg.smoothing_epsilon)
-    q = _histogram_mass(ys, edges, cfg.smoothing_epsilon)
+    p = _histogram_mass(x, edges, cfg.smoothing_epsilon)
+    q = _histogram_mass(y, edges, cfg.smoothing_epsilon)
     val = float(np.sum(p * (np.log(p) - np.log(q)))) / math.log(cfg.log_base)
     return max(val, 0.0)
 
 
-def information_entropy(x: TimeSeries, cfg: MetricConfig | None = None) -> float:
+def information_entropy(x: np.ndarray, cfg: MetricConfig | None = None) -> float:
     """Shannon entropy of the signal's value histogram, in cfg.log_base units.
 
     A constant signal occupies a single bin and has entropy 0. Invariant
     to affine transforms of the samples (bins span the signal's own range).
     """
     cfg = cfg or MetricConfig()
-    xs = _prepared(x)
-    lo, hi = float(xs.min()), float(xs.max())
+    _nonempty(x)
+    lo, hi = float(x.min()), float(x.max())
     if hi - lo == 0.0:
         return 0.0
     edges = np.linspace(lo, hi, cfg.histogram_bins + 1)
-    counts, _ = np.histogram(xs, bins=edges)
-    p = counts[counts > 0] / xs.size
+    counts, _ = np.histogram(x, bins=edges)
+    p = counts[counts > 0] / x.size
     return float(-np.sum(p * np.log(p))) / math.log(cfg.log_base)
 
 
@@ -179,8 +177,8 @@ def compute_records(
     trial: TrialId,
     feature: FeatureName,
     side: SideLabel,
-    signal_3d: TimeSeries,
-    signals_2d: dict[ViewLabel, TimeSeries],
+    signal_3d: np.ndarray,
+    signals_2d: dict[ViewLabel, np.ndarray],
     cfg: MetricConfig | None = None,
 ) -> list[MetricRecord]:
     """One record per view of signals_2d, in its order, against one 3D signal.

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidFilterSpec, SignalTooShort
-from .signal_core import TimeSeries
 
 DEFAULT_CUTOFF_HZ = 7.0
 DEFAULT_SAMPLE_RATE_HZ = 100.0
@@ -103,21 +102,14 @@ def _poly(roots: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def filtfilt(ts: TimeSeries, spec: FilterSpec) -> TimeSeries:
-    """Apply the filter forward and backward (zero phase distortion).
-
-    Edges are handled by odd reflection about the endpoints with padding
-    length 3 * (order + 1); padding is stripped from the output.
-    """
-    return TimeSeries(filtfilt_array(ts.samples, spec), label=ts.label)
-
-
 def filtfilt_array(values: np.ndarray, spec: FilterSpec) -> np.ndarray:
-    """filtfilt over a raw array (axis 0); used on coordinate tracks.
+    """Apply the filter forward and backward along axis 0 (zero phase
+    distortion); used on coordinate tracks.
 
     Every track along axis 0 is filtered in the same pass. The edges are
-    odd extensions of pad_len samples, and each pass starts from the
-    steady-state response to its first sample (lfilter_zi), as in
+    odd extensions of pad_len = 3 * (order + 1) samples, stripped from the
+    output, and each pass starts from the steady-state response to its
+    first sample (lfilter_zi), as in
     scipy.signal.filtfilt(b, a, values, axis=0, padtype="odd", padlen=pad_len).
     """
     values = np.asarray(values, dtype=np.float64)

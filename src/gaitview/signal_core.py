@@ -1,6 +1,9 @@
-"""Core signal and trial types shared by every other module.
+"""Trial and label types shared by every other module, and the two
+operations that prepare a signal for the metrics.
 
-All types are immutable after construction.
+A signal is a 1-D float64 array of samples. It is checked for non-finite
+values where it is made: by a feature kernel, resample_linear or
+znormalize.
 """
 from __future__ import annotations
 
@@ -34,64 +37,36 @@ class TrialId:
             raise ValueError("subject_index and trial_index must be >= 1")
 
 
-class TimeSeries:
-    """Uniformly sampled scalar signal; immutable after construction.
-
-    Ingestion rejects non-finite values rather than repairing them, so any
-    TimeSeries reaching a metric is guaranteed finite.
-    """
-
-    __slots__ = ("samples", "label")
-
-    def __init__(self, samples, label: str = ""):
-        arr = np.asarray(samples, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("samples contain non-finite values")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "label", label)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TimeSeries is immutable")
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    def __repr__(self) -> str:
-        return f"TimeSeries(label={self.label!r}, n={len(self)})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TimeSeries):
-            return NotImplemented
-        return self.label == other.label and np.array_equal(self.samples, other.samples)
+def _finite(values: np.ndarray) -> np.ndarray:
+    """values, if every one is finite: each signal is checked where it is made."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("samples contain non-finite values")
+    return values
 
 
-def resample_linear(ts: TimeSeries, target_len: int) -> TimeSeries:
+def resample_linear(values: np.ndarray, target_len: int) -> np.ndarray:
     """Resample to target_len points by endpoint-preserving linear interpolation."""
-    n = len(ts)
+    n = len(values)
     if n < 2:
         raise DegenerateSignal(f"need >= 2 samples to resample, got {n}")
     if target_len < 2:
         raise DegenerateSignal(f"target_len must be >= 2, got {target_len}")
     if target_len == n:
-        return ts
+        return _finite(values)
     old_t = np.linspace(0.0, 1.0, n)
     new_t = np.linspace(0.0, 1.0, target_len)
-    out = np.interp(new_t, old_t, ts.samples)
-    out[0] = ts.samples[0]
-    out[-1] = ts.samples[-1]
-    return TimeSeries(out, label=ts.label)
+    out = np.interp(new_t, old_t, values)
+    out[0] = values[0]
+    out[-1] = values[-1]
+    return _finite(out)
 
 
-def znormalize(ts: TimeSeries) -> TimeSeries:
+def znormalize(values: np.ndarray) -> np.ndarray:
     """Shift/scale to zero mean and unit population standard deviation."""
-    if len(ts) < 2:
-        raise DegenerateSignal(f"need >= 2 samples to z-normalize, got {len(ts)}")
-    mu = float(np.mean(ts.samples))
-    sd = float(np.std(ts.samples))
+    if len(values) < 2:
+        raise DegenerateSignal(f"need >= 2 samples to z-normalize, got {len(values)}")
+    mu = float(np.mean(values))
+    sd = float(np.std(values))
     if sd == 0.0:
-        raise ConstantSignal(f"signal {ts.label!r} has zero variance")
-    return TimeSeries((ts.samples - mu) / sd, label=ts.label)
+        raise ConstantSignal("signal has zero variance")
+    return _finite((values - mu) / sd)

@@ -241,16 +241,24 @@ class TestAnalyzeCommand:
         assert not (tmp_path / "out" / "metric_records.csv").exists()
 
     def test_file_error_names_subject_trial_view_and_path(self, tmp_path, capsys):
+        # subject 2's files keep frames 0..15 (0..0.15 s), and its lateral file 15 frames
+        # spread evenly over that span (93 Hz): every time check holds, and only the
+        # lateral file is too short to filter
         manifest = run_synth(tmp_path / "d", subjects=2)
+        for view in ("mocap3d", "frontal", "lateral"):
+            path = tmp_path / "d" / f"s02_{view}.csv"
+            header, *rows = path.read_text().splitlines(keepends=True)
+            rows = [row.split(",") for row in rows if int(row.split(",")[0]) <= 15]
+            if view == "lateral":
+                end = float(next(row[1] for row in rows if row[0] == "15"))
+                rows = [[row[0], repr(int(row[0]) * end / 14), *row[2:]]
+                        for row in rows if int(row[0]) <= 14]
+            path.write_text(header + "".join(",".join(row) for row in rows))
         short = tmp_path / "d" / "s02_lateral.csv"
-        lines = short.read_text().splitlines(keepends=True)
-        last = int(lines[-1].split(",")[0])  # keep the first and last 6 frames: the span holds
-        short.write_text("".join(line for line in lines if line[0].isalpha()
-                                 or not 6 <= int(line.split(",")[0]) <= last - 6))
         assert run_analyze(manifest, tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert f"(subject 2, trial 1, lateral, {short}): " in err
-        assert "signal length 12 must exceed padding length 15" in err
+        assert "signal length 15 must exceed padding length 15" in err
 
     @pytest.mark.parametrize("kept, message", [
         (lambda f: f < 100, "time span 0..0.99 s differs from the mocap3d file's 0..{end} s "
@@ -271,6 +279,42 @@ class TestAnalyzeCommand:
         message = message.format(end=f"{end:g}")
         assert f"error: (subject 1, trial 1, frontal, {cut}): {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_uneven_sample_steps_rejected(self, tmp_path, capsys):
+        # the first and last six frames keep the span, so the span check passes them, and
+        # with --no-filter they were stretched over the 3D samples by index
+        manifest = run_synth(tmp_path / "d", subjects=2)
+        short = tmp_path / "d" / "s02_lateral.csv"
+        lines = short.read_text().splitlines(keepends=True)
+        last = int(lines[-1].split(",")[0])
+        short.write_text("".join(line for line in lines if line[0].isalpha()
+                                 or not 6 <= int(line.split(",")[0]) <= last - 6))
+        times = {int(line.split(",")[0]): float(line.split(",")[1]) for line in lines[1:]}
+        assert run_analyze(manifest, tmp_path / "out", "--no-filter") == 1
+        gap = times[last - 5] - times[5]
+        assert (f"error: (subject 2, trial 1, lateral, {short}): sample steps range over "
+                f"0.01..{gap:g} s, not within 10% of their median 0.01 s"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_sample_rate_must_match_the_filter(self, tmp_path, capsys):
+        # every time doubled: 50 Hz files, filtered at the default 100 Hz they were
+        # smoothed at twice the intended cutoff
+        manifest = run_synth(tmp_path / "d", subjects=2)
+        for path in sorted((tmp_path / "d").glob("s*.csv")):
+            header, *rows = path.read_text().splitlines(keepends=True)
+            rows = (row.split(",", 2) for row in rows)
+            path.write_text(header + "".join(f"{f},{2 * float(t)!r},{rest}"
+                                             for f, t, rest in rows))
+        assert run_analyze(manifest, tmp_path / "out") == 1
+        mocap = tmp_path / "d" / "s01_mocap3d.csv"
+        assert (f"error: (subject 1, trial 1, mocap3d, {mocap}): sample rate 50 Hz (median step "
+                "0.02 s) is not within 10% of the filter's sample-rate-hz, 100 Hz"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+        # the rate is checked only when the filter runs, and at its configured rate
+        assert run_analyze(manifest, tmp_path / "unfiltered", "--no-filter") == 0
+        assert run_analyze(manifest, tmp_path / "at50", "--sample-rate-hz", "50") == 0
 
     def test_narrower_run_removes_stale_reports(self, dataset, tmp_path):
         out = tmp_path / "out"

@@ -59,11 +59,11 @@ class TestWalkingAxis:
 
     def test_straight_walk_plus_x(self):
         seq = pose_seq(self.frames())
-        assert np.allclose(signal(seq, STEP, LEFT).samples, 2.0, rtol=0, atol=1e-12)
+        assert np.allclose(signal(seq, STEP, LEFT), 2.0, rtol=0, atol=1e-12)
 
     def test_oriented_by_net_displacement(self):
         seq = pose_seq(self.frames()[::-1])
-        assert np.allclose(signal(seq, STEP, LEFT).samples, -2.0, rtol=0, atol=1e-12)
+        assert np.allclose(signal(seq, STEP, LEFT), -2.0, rtol=0, atol=1e-12)
 
     def test_stationary_rejected(self):
         kp = walking_frames(1)[0]
@@ -77,8 +77,8 @@ class TestStepLength:
         seq = pose_seq(walking_frames())
         left = signal(seq, STEP, LEFT)
         right = signal(seq, STEP, RIGHT)
-        assert np.allclose(left.samples, 2.0, atol=1e-12)
-        assert np.allclose(right.samples, -left.samples, atol=1e-12)
+        assert np.allclose(left, 2.0, atol=1e-12)
+        assert np.allclose(right, -left, atol=1e-12)
 
     def test_only_axis_component_counts(self):
         # lateral ankle offset is orthogonal to the walking axis
@@ -90,7 +90,7 @@ class TestStepLength:
 
         seq = pose_seq(walking_frames(kp_extra=extra))
         left = signal(seq, STEP, LEFT)
-        assert np.allclose(left.samples, 3.0, atol=1e-12)
+        assert np.allclose(left, 3.0, atol=1e-12)
 
 
 class TestKneeRotation:
@@ -107,14 +107,14 @@ class TestKneeRotation:
             kp = {"left_hip": hip, "left_knee": knee, "left_ankle": ankle}
             seq = pose_seq([kp, kp])
             ts = signal(seq, KNEE, LEFT)
-            assert abs(ts.samples[0] - expected) < 1e-9
+            assert abs(ts[0] - expected) < 1e-9
 
     def test_similarity_invariance(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             pts = rng.normal(size=(3, 2)) * 5
             kp = {"left_hip": tuple(pts[0]), "left_knee": tuple(pts[1]), "left_ankle": tuple(pts[2])}
-            base = signal(pose_seq([kp]), KNEE, LEFT).samples[0]
+            base = signal(pose_seq([kp]), KNEE, LEFT)[0]
             ang = rng.uniform(0, 2 * np.pi)
             rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
             s = rng.uniform(0.1, 10)
@@ -125,7 +125,7 @@ class TestKneeRotation:
                 "left_knee": tuple(pts2[1]),
                 "left_ankle": tuple(pts2[2]),
             }
-            moved = signal(pose_seq([kp2]), KNEE, LEFT).samples[0]
+            moved = signal(pose_seq([kp2]), KNEE, LEFT)[0]
             assert abs(base - moved) < 1e-9
 
 
@@ -141,16 +141,16 @@ class TestTrunkRotation:
 
     def test_aligned_is_zero(self):
         seq = pose_seq([self.frame(0.0)])
-        assert abs(signal(seq, TRUNK, BILATERAL).samples[0]) < 1e-12
+        assert abs(signal(seq, TRUNK, BILATERAL)[0]) < 1e-12
 
     def test_signed_angle(self):
         for ang in (30.0, -30.0, 90.0, 179.0):
             seq = pose_seq([self.frame(ang)])
-            assert abs(signal(seq, TRUNK, BILATERAL).samples[0] - ang) < 1e-9
+            assert abs(signal(seq, TRUNK, BILATERAL)[0] - ang) < 1e-9
 
     def test_half_turn_maps_to_positive(self):
         seq = pose_seq([self.frame(180.0)])
-        assert abs(signal(seq, TRUNK, BILATERAL).samples[0] - 180.0) < 1e-9
+        assert abs(signal(seq, TRUNK, BILATERAL)[0] - 180.0) < 1e-9
 
 
 class TestWristHipmid:
@@ -161,7 +161,7 @@ class TestWristHipmid:
             "left_wrist": (3.0, 4.0),
         }
         seq = pose_seq([kp])
-        assert abs(signal(seq, WRIST, LEFT).samples[0] - 5.0) < 1e-12
+        assert abs(signal(seq, WRIST, LEFT)[0] - 5.0) < 1e-12
 
     def test_midpoint_used(self):
         kp = {
@@ -170,7 +170,7 @@ class TestWristHipmid:
             "right_wrist": (0.0, 7.0),
         }
         seq = pose_seq([kp])
-        assert abs(signal(seq, WRIST, RIGHT).samples[0] - 7.0) < 1e-12
+        assert abs(signal(seq, WRIST, RIGHT)[0] - 7.0) < 1e-12
 
 
 class TestExtractAll:
@@ -205,6 +205,19 @@ class TestExtractAll:
         assert info.value.side == "left"
         assert isinstance(info.value.cause, MissingLandmark)
 
+    def test_non_finite_signal_rejected_where_made(self):
+        # a wrist at 1e307 mm overflows the distance to inf; no signal leaves non-finite
+        seq = generate_gait(GaitModelParams(n_frames=40))
+        values = seq.values.copy()
+        values[:, seq.names.index("left_wrist")] *= 1e307
+        seq = seq.with_values(values)
+        message = "samples contain non-finite values"
+        with np.errstate(over="ignore"):
+            with pytest.raises(FeatureError, match=rf"^\(wrist_hipmid, left\): {message}$"):
+                extract_all(seq)
+            with pytest.raises(ValueError, match=f"^{message}$"):  # signal raises unwrapped
+                signal(seq, WRIST, LEFT)
+
 
 class TestSignal:
     def test_partial_marker_set(self):
@@ -218,8 +231,8 @@ class TestSignal:
         assert len(seq.names) == 6
         for feature in (STEP, KNEE):
             for side in (LEFT, RIGHT):
-                assert signal(seq, feature, side).samples.tobytes() == \
-                    signal(full, feature, side).samples.tobytes()
+                assert signal(seq, feature, side).tobytes() == \
+                    signal(full, feature, side).tobytes()
         with pytest.raises(FeatureError) as info:
             extract_all(seq)
         assert info.value.feature == "trunk_rotation"
@@ -246,9 +259,9 @@ class TestOnSynthetic:
     def test_knee_angle_range_plausible(self):
         seq = generate_gait(GaitModelParams())
         ts = signal(seq, KNEE, LEFT)
-        assert np.all(ts.samples <= 180.0)
-        assert ts.samples.min() > 90.0
-        assert ts.samples.max() - ts.samples.min() > 20.0
+        assert np.all(ts <= 180.0)
+        assert ts.min() > 90.0
+        assert ts.max() - ts.min() > 20.0
 
 
 ROLES = [f"{side}_{part}" for part in ("hip", "knee", "ankle", "shoulder", "wrist")
@@ -311,8 +324,7 @@ class TestExtractAllEqualsPublicFunctions:
         assert list(fs.signals) == [(f, s) for f, sides in FEATURE_SIDES.items() for s in sides]
         for (feature, side), ts in fs.signals.items():
             alone = signal(seq, feature, side, marker_map)
-            assert ts.samples.tobytes() == alone.samples.tobytes()
-            assert ts.label == alone.label
+            assert ts.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("role", ROLES)
     def test_role_absent_from_one_frame(self, role):

@@ -17,13 +17,13 @@ from gaitview.metrics import (
     kl_divergence,
     max_cross_correlation,
 )
-from gaitview.signal_core import SideLabel, TimeSeries, TrialId, ViewLabel, znormalize
+from gaitview.signal_core import SideLabel, TrialId, ViewLabel, znormalize
 
 from oracles import DTW_MAX_LEN, dtw_bruteforce
 
 
 def ts(values):
-    return TimeSeries(np.asarray(values, dtype=float))
+    return np.asarray(values, dtype=float)
 
 
 def dtw_cell_loop(xs, ys):
@@ -153,7 +153,7 @@ class TestMcc:
         x = ts(np.sin(np.linspace(0, 12, 200)))
         val, lag = max_cross_correlation(x, x)
         assert lag == 0
-        assert abs(val - float(np.dot(x.samples, x.samples))) < 1e-9
+        assert abs(val - float(np.dot(x, x))) < 1e-9
 
     def test_tie_breaks_toward_small_then_negative_lag(self):
         # constant signals tie every lag; shorter overlaps score less, so
@@ -250,8 +250,8 @@ class TestComputeRecord:
     def test_record_fields_and_resampling(self):
         t3 = np.linspace(0, 4 * np.pi, 200)
         t2 = np.linspace(0, 4 * np.pi, 150)
-        sig3 = TimeSeries(np.sin(t3))
-        sig2 = TimeSeries(np.sin(t2) * 40.0 + 300.0)  # pixel-ish scale
+        sig3 = ts(np.sin(t3))
+        sig2 = ts(np.sin(t2) * 40.0 + 300.0)  # pixel-ish scale
         rec = compute_records(
             TrialId(1, 2), FeatureName.STEP_LENGTH, SideLabel.LEFT,
             sig3, {ViewLabel.LATERAL: sig2},
@@ -268,7 +268,7 @@ class TestComputeRecord:
         # offset and scale vanish under the default config, and only there
         args = (TrialId(1, 1), FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL)
         a = ts(np.sin(np.linspace(0, 6, 40)))
-        b = TimeSeries(a.samples * 13.0 + 5.0)
+        b = ts(a * 13.0 + 5.0)
         assert compute_records(*args, a, {ViewLabel.LATERAL: b})[0].dtw < 1e-10
         assert compute_records(*args, a, {ViewLabel.LATERAL: b},
                                MetricConfig(normalize=False))[0].dtw > 100.0

@@ -80,7 +80,7 @@ class TestGenerateGait:
         params = GaitModelParams()
         seq = generate_gait(params)
         ts = signal(seq, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL)
-        assert abs(np.max(np.abs(ts.samples)) - params.trunk_rot_amp_deg
+        assert abs(np.max(np.abs(ts)) - params.trunk_rot_amp_deg
                    - params.hip_rot_amp_deg) < 0.5
 
     def test_param_validation(self):
@@ -214,8 +214,8 @@ class TestFrontalTrunkAngle:
         seq = generate_gait(params)
         cam = preset_cameras(params)[ViewLabel.FRONTAL]
         pose = project(seq, cam, view=ViewLabel.FRONTAL)
-        ang2d = signal(pose, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL).samples
-        ang3d = signal(seq, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL).samples
+        ang2d = signal(pose, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL)
+        ang3d = signal(seq, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL)
         assert np.max(np.abs(np.abs(ang2d) - np.abs(ang3d))) < 1.5
 
     def test_frontal_image_angle_proportional_to_3d(self):
@@ -224,8 +224,8 @@ class TestFrontalTrunkAngle:
         seq = generate_gait(params)
         cam = preset_cameras(params)[ViewLabel.FRONTAL]
         pose = project(seq, cam, view=ViewLabel.FRONTAL)
-        ang2d = signal(pose, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL).samples
-        ang3d = signal(seq, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL).samples
+        ang2d = signal(pose, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL)
+        ang3d = signal(seq, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL)
         r = np.corrcoef(ang2d, ang3d)[0, 1]
         assert abs(r) > 0.97
         assert np.max(np.abs(ang2d)) < 0.5 * np.max(np.abs(ang3d))
