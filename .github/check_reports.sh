@@ -14,7 +14,8 @@
 # on every cohort, with per-subject PCA on cohort_gaps, and with a subset of
 # --metrics and --features on the seed-42 cohort, each followed by recommend
 # (--alpha 0.01 after the subset run). Each analyze runs a second time with
-# every CSV number written at full precision (`repr` in place of cli._fmt),
+# every CSV number written at full precision (`repr` in place of the report
+# writer's _fmt, in gaitview.pipeline or, before the pipeline module, gaitview.cli),
 # since a 6-digit report hides a change in the last bits of a value. The
 # names of the report files that differ in either run must equal the list on
 # the `Reports changed:` line this commit adds to CHANGES.md:
@@ -35,7 +36,10 @@ run() {  # <side> <command ...>: the side's gaitview, its own source first on th
   PYTHONPATH="$1/src" python3 "${@:2}" >/dev/null
 }
 
-full_precision='import sys; from gaitview import cli; cli._fmt = repr; sys.exit(cli.main(sys.argv[1:]))'
+full_precision='import sys; from gaitview import cli
+writer = next(m for m in (cli, getattr(cli, "pipeline", None)) if hasattr(m, "_fmt"))
+writer._fmt = repr
+sys.exit(cli.main(sys.argv[1:]))'
 
 analyze() {  # <side> <out> <analyze args ...>: the reports, then at full precision
   run "$1" -m gaitview.cli analyze --out "$2" "${@:3}"

@@ -1,0 +1,109 @@
+"""Report schema and `gaitview recommend`: stdlib only, so recommend starts
+without numpy.
+
+recommend reads the stats_<feature>.csv files of a finished analyze run and
+rejects any row it cannot vote with, naming the file, line and column.
+"""
+from __future__ import annotations
+
+import csv
+from pathlib import Path
+
+from .errors import NotAnalyzed, ParseError
+
+# direction of "better" per metric; IE has no direction in reports
+METRIC_DIRECTION = {"dtw": "lower", "mcc": "higher", "kld": "lower", "ie": None}
+ALL_METRICS = tuple(METRIC_DIRECTION)
+
+STATS_HEADER = [
+    "metric", "frontal_mean", "frontal_sd", "lateral_mean", "lateral_sd",
+    "p_value", "cliffs_delta", "effect_label", "winner",
+]
+RECORDS_HEADER = [
+    "subject", "trial", "feature", "side", "view",
+    "dtw", "mcc", "mcc_lag", "kld", "ie_2d", "ie_3d",
+]
+PCA_HEADER = ["group", "initial_dim", "k", "explained_ratio"]
+RECOMMENDATIONS = "recommendations.csv"
+WINNERS = ("frontal", "lateral", "tie", "")  # "": IE, which has no winner
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_stats(path: Path):
+    """(metric, side, p_value, winner) of each row of a stats_<feature>.csv;
+    side is "" for a bilateral row. A row whose cell count differs from the
+    header's, whose metric is not one of ALL_METRICS (with an optional
+    _left/_right), whose p_value is not a number in [0, 1] or whose winner
+    is not one of WINNERS raises ParseError."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != STATS_HEADER:
+            raise NotAnalyzed(f"{path} does not match the stats schema")
+
+        def error(column: str, reason: str) -> ParseError:
+            return ParseError(reader.line_num, STATS_HEADER.index(column) + 1, reason, path)
+
+        for row in reader:
+            if None in row:  # cells beyond the header
+                raise ParseError(reader.line_num, len(STATS_HEADER) + 1,
+                                 f"extra cell {row[None][0]!r} beyond the "
+                                 f"{len(STATS_HEADER)} header columns", path)
+            missing = next((column for column in STATS_HEADER if row[column] is None), None)
+            if missing:
+                raise error(missing, f"missing {missing} cell")
+            metric, _, side = row["metric"].partition("_")
+            if metric not in ALL_METRICS or side not in ("", "left", "right"):
+                raise error("metric", f"unknown metric {row['metric']!r}, expected one of "
+                                      f"{'/'.join(ALL_METRICS)}, with _left or _right or alone")
+            try:
+                p_value = float(row["p_value"])
+            except ValueError:
+                p_value = float("nan")
+            if not 0 <= p_value <= 1:  # nan too
+                raise error("p_value", f"p_value must be a number in [0, 1], "
+                                       f"got {row['p_value']!r}")
+            if row["winner"] not in WINNERS:
+                raise error("winner", f"unknown winner {row['winner']!r}, expected "
+                                      "frontal, lateral, tie or an empty cell")
+            yield metric, side, p_value, row["winner"]
+
+
+def recommend(analyzed_dir, alpha: float = 0.05) -> list[dict]:
+    """Per (feature, side) view recommendation from a completed analyze run.
+
+    Majority vote of significant winners of the metrics with a better
+    direction (not IE). Writes recommendations.csv into the analyzed dir
+    once every stats file has been read.
+    """
+    analyzed = Path(analyzed_dir)
+    stats_files = sorted(analyzed.glob("stats_*.csv"))
+    if not stats_files:
+        raise NotAnalyzed(f"no stats_*.csv files in {analyzed}")
+    rows: list[dict] = []
+    for path in stats_files:
+        feature = path.stem[len("stats_"):]
+        votes: dict[str, list[tuple[str, str]]] = {}
+        for metric, side, p_value, winner in _read_stats(path):
+            if METRIC_DIRECTION[metric] is None:
+                continue
+            side_votes = votes.setdefault(side or "bilateral", [])
+            if p_value < alpha and winner in ("frontal", "lateral"):
+                side_votes.append((metric, winner))
+        for side in sorted(votes):
+            contributing = votes[side]
+            lead = sum(1 if w == "frontal" else -1 for _, w in contributing)
+            choice = "frontal" if lead > 0 else "lateral" if lead < 0 else "tie"
+            rationale = ";".join(f"{m}:{w}" for m, w in sorted(contributing))
+            rows.append({
+                "feature": feature, "side": side,
+                "recommended_view": choice, "rationale": rationale,
+            })
+    _write_csv(analyzed / RECOMMENDATIONS, ["feature", "side", "recommended_view", "rationale"],
+               (row.values() for row in rows))
+    return rows

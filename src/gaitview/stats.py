@@ -13,14 +13,12 @@ import numpy as np
 
 from .errors import AllZeroDifferences, EmptySample, UnpairedSubject
 from .features import FeatureName
+from .report import METRIC_DIRECTION
 from .signal_core import SideLabel, ViewLabel
 
 EXACT_N_MAX = 25
 DELTA_MEDIUM = 0.33
 DELTA_LARGE = 0.474
-
-# direction of "better" per metric; IE has no direction in reports
-METRIC_DIRECTION = {"dtw": "lower", "mcc": "higher", "kld": "lower", "ie": None}
 
 
 @dataclass(frozen=True)

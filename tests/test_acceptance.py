@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from gaitview.cli import STATS_HEADER, main
+from gaitview.cli import main
 from gaitview.dimred import FeatureMatrix, pca_fit
 from gaitview.metrics import (
     MetricConfig,
@@ -21,6 +21,7 @@ from gaitview.metrics import (
     max_cross_correlation,
 )
 from gaitview.preprocess import FilterSpec, filtfilt_array
+from gaitview.report import STATS_HEADER
 from gaitview.signal_core import znormalize
 from gaitview.stats import (
     PairedSample, _approx_p, _midranks, cliffs_delta, effect_label, wilcoxon_signed_rank,

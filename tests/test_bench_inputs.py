@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gaitview.cli import load_manifest
+from gaitview.pipeline import load_manifest
 from gaitview.ingest import fill_gaps, parse_marker_csv, parse_pose_csv
 from gaitview.signal_core import ViewLabel
 from gaitview.synth import GaitModelParams

@@ -10,15 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from gaitview.cli import (
-    PCA_HEADER,
-    RECORDS_HEADER,
-    STATS_HEADER,
-    RunConfig,
-    _radar_data,
-    main,
-    recommend,
-)
+from gaitview.cli import main
+from gaitview.pipeline import RunConfig, _radar_data
+from gaitview.report import PCA_HEADER, RECORDS_HEADER, STATS_HEADER, recommend
 from gaitview import preprocess
 from gaitview.features import FeatureName
 from gaitview.errors import NotAnalyzed
@@ -67,43 +61,78 @@ class TestVersion:
         assert capsys.readouterr().out.startswith("gaitview ")
 
 
-SCIPY_PROBE = """
+STARTUP_PROBE = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy or a submodule now raises
 from gaitview.cli import main
 assert main(sys.argv[1:]) == 0
 print(sorted(k for k, m in sys.modules.items()
              if m is not None and (k == "scipy" or k.startswith("scipy."))))
+print("numpy" in sys.modules)
 """
 
 
-def scipy_modules_after(*argv):
-    """scipy modules a fresh interpreter holds after running `gaitview *argv`
-    with scipy made unimportable; a run that imports scipy fails."""
+def probe(script, *argv):
+    """Standard output lines of `python -c script *argv` in a fresh
+    interpreter that imports this checkout's gaitview; a failure raises."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           capture_output=True, text=True, check=True)
-    return done.stdout.splitlines()[-1]
+    return done.stdout.splitlines()
+
+
+def modules_after(*argv):
+    """(scipy modules, whether numpy is imported) in a fresh interpreter after
+    running `gaitview *argv` with scipy made unimportable; a run that imports
+    scipy fails."""
+    *_, scipy, numpy = probe(STARTUP_PROBE, *argv)
+    return scipy, numpy == "True"
 
 
 class TestStartupWithoutScipy:
     def test_version(self):
-        assert scipy_modules_after("version") == "[]"
+        assert modules_after("version") == ("[]", False)
 
     def test_recommend(self, analyzed, tmp_path):
         copy = tmp_path / "analysis"
         shutil.copytree(analyzed, copy)
-        assert scipy_modules_after("recommend", "--analyzed", str(copy)) == "[]"
+        assert modules_after("recommend", "--analyzed", str(copy)) == ("[]", False)
 
     def test_analyze(self, dataset, tmp_path):
         out = str(tmp_path / "analysis")
-        assert scipy_modules_after("analyze", "--manifest", str(dataset), "--out", out) == "[]"
+        assert modules_after("analyze", "--manifest", str(dataset), "--out", out) == ("[]", True)
 
     def test_synth(self, tmp_path):
         out = str(tmp_path / "data")
-        assert scipy_modules_after("synth", "--subjects", "1", "--out", out) == "[]"
+        assert modules_after("synth", "--subjects", "1", "--out", out) == ("[]", True)
+
+
+class TestModuleRegistration:
+    def test_every_module_registered_without_numpy(self):
+        lines = probe("""
+import sys
+from pathlib import Path
+import gaitview.cli
+package = Path(gaitview.cli.__file__).parent
+names = {"gaitview." + path.stem for path in package.glob("*.py") if path.stem != "__init__"}
+print(sorted(names - set(sys.modules)))
+print("numpy" in sys.modules)
+from gaitview.pipeline import RunConfig  # the first use executes pipeline
+print(RunConfig is gaitview.cli.pipeline.RunConfig is gaitview.pipeline.RunConfig)
+""")
+        assert lines == ["[]", "False", "True"]
+
+    def test_module_imported_first_is_kept(self):
+        lines = probe("""
+import sys
+import gaitview.signal_core as first
+import gaitview.cli
+print(sys.modules["gaitview.signal_core"] is gaitview.cli.signal_core is first)
+print(gaitview.cli.pipeline.ViewLabel is first.ViewLabel)
+""")
+        assert lines == ["True", "True"]
 
 
 class TestSynthCommand:
@@ -518,8 +547,8 @@ class TestSettings:
         def unread(*args, **kwargs):
             raise AssertionError("an input file was read")
 
-        monkeypatch.setattr("gaitview.cli.parse_marker_csv", unread)
-        monkeypatch.setattr("gaitview.cli.parse_pose_csv", unread)
+        monkeypatch.setattr("gaitview.pipeline.parse_marker_csv", unread)
+        monkeypatch.setattr("gaitview.pipeline.parse_pose_csv", unread)
         with pytest.raises(SystemExit) as exit_info:
             run_analyze(dataset, tmp_path / "o", f"--{key}", value)
         assert exit_info.value.code == 2
@@ -542,8 +571,8 @@ class TestSettings:
         def unread(*args, **kwargs):
             raise AssertionError("an input file was read")
 
-        monkeypatch.setattr("gaitview.cli.parse_marker_csv", unread)
-        monkeypatch.setattr("gaitview.cli.parse_pose_csv", unread)
+        monkeypatch.setattr("gaitview.pipeline.parse_marker_csv", unread)
+        monkeypatch.setattr("gaitview.pipeline.parse_pose_csv", unread)
         assert run_analyze(dataset, tmp_path / "o", flag, value) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -689,6 +718,28 @@ class TestRecommendCommand:
         assert recommend(tmp_path, alpha=0.05) == expected
         with open(tmp_path / "recommendations.csv", newline="") as fh:
             assert list(csv.DictReader(fh)) == expected
+
+    @pytest.mark.parametrize("row, column, message", [
+        ("dtw_left,1,2", 4, "missing lateral_mean cell"),
+        ("dtw_left,1,0,2,0,0.01,0.5,medium,frontal,extra", 10,
+         "extra cell 'extra' beyond the 9 header columns"),
+        ("dtw_left,1,0,2,0,abc,0.5,medium,frontal", 6,
+         "p_value must be a number in [0, 1], got 'abc'"),
+        ("dtw_left,1,0,2,0,nan,0.5,medium,frontal", 6,
+         "p_value must be a number in [0, 1], got 'nan'"),
+        ("dtw_left,1,0,2,0,-0.01,0.5,medium,frontal", 6,
+         "p_value must be a number in [0, 1], got '-0.01'"),
+        ("dtw_left,1,0,2,0,0.01,0.5,medium,sideways", 9, "unknown winner 'sideways'"),
+        ("dtx_left,1,0,2,0,0.01,0.5,medium,frontal", 1, "unknown metric 'dtx_left'"),
+        ("dtw_up,1,0,2,0,0.01,0.5,medium,frontal", 1, "unknown metric 'dtw_up'"),
+    ], ids=["short", "extra_cell", "p_abc", "p_nan", "p_negative", "winner", "metric", "side"])
+    def test_malformed_stats_row_exit_1(self, tmp_path, capsys, row, column, message):
+        path = tmp_path / "stats_step_length.csv"
+        path.write_text(",".join(STATS_HEADER) + "\n"
+                        "dtw_right,1,0,2,0,0.01,0.5,medium,frontal\n" + row + "\n")
+        assert main(["recommend", "--analyzed", str(tmp_path)]) == 1
+        assert f"{path}: line 3, column {column}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "recommendations.csv").exists()
 
     def test_not_analyzed_dir(self, tmp_path):
         with pytest.raises(NotAnalyzed):

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from gaitview.cli import RunConfig, _write_outputs, recommend
 from gaitview.errors import AllZeroDifferences, UnpairedSubject
 from gaitview.features import FeatureName
 from gaitview.metrics import MetricRecord
+from gaitview.pipeline import RunConfig, _write_outputs
+from gaitview.report import recommend
 from gaitview.signal_core import SideLabel, TrialId, ViewLabel
 from gaitview.stats import (
     EXACT_N_MAX,
