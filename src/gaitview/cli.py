@@ -54,10 +54,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a paired synthetic dataset")
     p_synth.add_argument("--subjects", type=int, required=True)
-    p_synth.add_argument("--frames", type=int, default=169)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--noise-sd", type=float, default=0.0, help="pixel noise sd on projected keypoints")
-    p_synth.add_argument("--cycle-hz", type=float, default=1.0)
+    # None unless given, so each default is GaitModelParams'
+    p_synth.add_argument("--frames", type=int, dest="n_frames")
+    p_synth.add_argument("--seed", type=int)
+    p_synth.add_argument("--noise-sd", type=float, help="pixel noise sd on projected keypoints")
+    p_synth.add_argument("--cycle-hz", type=float)
     p_synth.add_argument("--out", default=os.environ.get(OUT_DIR_ENV), help="output directory")
 
     p_an = sub.add_parser("analyze", help="run the full comparison pipeline")
@@ -72,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rec = sub.add_parser("recommend", help="per-parameter view recommendation")
     p_rec.add_argument("--analyzed", required=True, help="directory written by analyze")
-    p_rec.add_argument("--alpha", type=_alpha, default=0.05)
+    p_rec.add_argument("--alpha", type=_alpha, default=report.DEFAULT_ALPHA)
 
     sub.add_parser("version", help="print version and exit")
     return parser
@@ -133,7 +134,7 @@ def _read_config(path) -> dict:
     key cannot take, raises GaitViewError naming the file and the key; a key
     set twice (in either spelling) raises ParseError naming the second line."""
     settings = {}
-    for raw_key, raw in ingest._read_key_values(path, _config_key).items():
+    for raw_key, raw in ingest.read_key_values(path, _config_key).items():
         key = _config_key(raw_key)
         if key not in CONFIG_KEYS:
             raise GaitViewError(f"{path}: unknown key {raw_key!r}")
@@ -164,7 +165,7 @@ _RESOLVED = {
     "features": lambda raw: tuple(map(features.FeatureName, _names(
         raw, "feature", tuple(feature.value for feature in features.FeatureName)))),
     "metrics": lambda raw: _names(raw, "metric", ALL_METRICS),
-    "marker_map": lambda raw: ingest.load_marker_map(raw),
+    "marker_map": lambda raw: ingest.read_key_values(raw),
 }
 
 
@@ -210,12 +211,8 @@ def main(argv=None) -> int:
         if args.command == "synth":
             if not args.out:
                 parser.error("synth requires --out (or " + OUT_DIR_ENV + ")")
-            params = synth.GaitModelParams(
-                n_frames=args.frames,
-                cycle_hz=args.cycle_hz,
-                noise_sd=args.noise_sd,
-                seed=args.seed,
-            )
+            given = {key: value for key, value in vars(args).items() if value is not None}
+            params = synth.GaitModelParams(**_take(given, synth.GaitModelParams))
             manifest = synth.make_paired_dataset(params, args.subjects, args.out)
             print(f"wrote {manifest}")
             return 0

@@ -7,7 +7,7 @@ bit-deterministic across runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ DEFAULT_VARIANCE_THRESHOLD = 0.95
 @dataclass
 class FeatureMatrix:
     values: np.ndarray
-    column_labels: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -31,14 +30,6 @@ class FeatureMatrix:
         if not np.all(np.isfinite(arr)):
             raise ValueError("feature matrix contains non-finite entries")
         self.values = arr
-        if not self.column_labels:
-            self.column_labels = [f"c{i + 1}" for i in range(arr.shape[1])]
-        if len(self.column_labels) != arr.shape[1]:
-            raise ValueError("column label count does not match column count")
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -78,8 +69,7 @@ def pca_fit(m: FeatureMatrix, threshold: float = DEFAULT_VARIANCE_THRESHOLD) -> 
 def pose_matrix(sequences) -> FeatureMatrix:
     """Stack pose frames into an (frames, 17*2) matrix (x, y per keypoint)."""
     values = np.concatenate([seq.points(KEYPOINT_NAMES) for seq in sequences])
-    labels = [f"{name}_{axis}" for name in KEYPOINT_NAMES for axis in ("x", "y")]
-    return FeatureMatrix(values.reshape(len(values), len(labels)), labels)
+    return FeatureMatrix(values.reshape(len(values), 2 * len(KEYPOINT_NAMES)))
 
 
 def marker_matrix(sequences) -> FeatureMatrix:
@@ -91,5 +81,4 @@ def marker_matrix(sequences) -> FeatureMatrix:
         raise ValueError("no frames supplied")
     names = [name for name, whole in zip(first.names, first.complete) if whole]
     values = np.concatenate([seq.points(names) for seq in sequences])
-    labels = [f"{name}_{axis}" for name in names for axis in ("x", "y", "z")]
-    return FeatureMatrix(values.reshape(len(values), len(labels)), labels)
+    return FeatureMatrix(values.reshape(len(values), 3 * len(names)))

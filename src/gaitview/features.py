@@ -32,14 +32,12 @@ from .errors import (
     NoWalkingDirection,
 )
 from .ingest import PoseSequence
+from .report import FEATURES
 from .signal_core import SideLabel, _finite
 
-
-class FeatureName(str, Enum):
-    STEP_LENGTH = "step_length"
-    KNEE_ROTATION = "knee_rotation"
-    TRUNK_ROTATION = "trunk_rotation"
-    WRIST_HIPMID = "wrist_hipmid"
+# STEP_LENGTH = "step_length", ...: one member per report.FEATURES name, in its order
+FeatureName = Enum("FeatureName", [(name.upper(), name) for name in FEATURES],
+                   type=str, module=__name__)
 
 
 # (feature, sides) layout of a complete feature set

@@ -444,9 +444,10 @@ def fill_gaps(
     return seq.with_values(values)
 
 
-def _read_key_values(source, key_of=None) -> dict[str, str]:
-    """Parse ``key = value`` lines; ``#`` starts a comment. A key given a
-    second time (as key_of maps it, if given) raises ParseError at its line."""
+def read_key_values(source, key_of=None) -> dict[str, str]:
+    """Parse ``key = value`` lines (a marker map, or analyze's --config);
+    ``#`` starts a comment. A key given a second time (as key_of maps it, if
+    given) raises ParseError at its line."""
     path = source if isinstance(source, (str, Path)) else None
     with _open(source, "r") as handle:
         text = handle.read()
@@ -468,8 +469,3 @@ def _read_key_values(source, key_of=None) -> dict[str, str]:
         lines[same] = line_no
         values[key] = value
     return values
-
-
-def load_marker_map(source) -> dict[str, str]:
-    """Parse a key/value marker-map config: anatomical role -> marker name."""
-    return _read_key_values(source)

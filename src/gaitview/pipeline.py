@@ -28,12 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dimred import marker_matrix, pca_fit, pose_matrix
+from .dimred import DEFAULT_VARIANCE_THRESHOLD, marker_matrix, pca_fit, pose_matrix
 from .errors import GaitViewError, InputFileError, ParseError, SignalTooShort
 from .features import FEATURE_SIDES, FeatureName, extract_all, signal_key_name
 from .ingest import (
     DEFAULT_CONF_THRESHOLD,
     DEFAULT_MAX_GAP,
+    KEYPOINT_NAMES,
     fill_gaps,
     parse_marker_csv,
     parse_pose_csv,
@@ -41,8 +42,8 @@ from .ingest import (
 from .metrics import MetricConfig, MetricRecord, compute_records
 from .preprocess import FilterSpec, smooth
 from .report import (
-    ALL_METRICS, METRIC_DIRECTION, PCA_HEADER, RECOMMENDATIONS, RECORDS_HEADER, STATS_HEADER,
-    _write_csv,
+    ALL_METRICS, DEFAULT_ALPHA, METRIC_DIRECTION, PCA_HEADER, RECOMMENDATIONS, RECORDS_HEADER,
+    STATS_HEADER, _write_csv,
 )
 from .signal_core import SideLabel, TrialId, ViewLabel
 from .stats import StatResult, compare_views
@@ -57,8 +58,8 @@ TIME_TOLERANCE = 0.1
 class RunConfig:
     manifest: Path
     out_dir: Path
-    alpha: float = 0.05
-    pca_threshold: float = 0.95
+    alpha: float = DEFAULT_ALPHA
+    pca_threshold: float = DEFAULT_VARIANCE_THRESHOLD
     pca_scope: str = "pooled"  # or "per-subject"
     apply_filter: bool = True
     filter_spec: FilterSpec = field(default_factory=FilterSpec)
@@ -131,7 +132,8 @@ def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
     """Parse and repair each file of one subject's trial, filter the trial's
     sequences in one call, then extract features; returns the sequences and
     the features, each keyed by view in _TRIAL_VIEWS order. A file is
-    rejected if it has no frames, if a sample step is not within
+    rejected if it has no frames, if it is a pose file without one of the
+    17 keypoints (pose PCA reads them all), if a sample step is not within
     TIME_TOLERANCE of its median step, if the filter runs and the rate
     1 / median step is not within TIME_TOLERANCE of the filter's, or, for a
     pose file, if its first or last time is more than the mocap3d file's
@@ -152,6 +154,10 @@ def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
                                 cfg.conf_threshold, cfg.max_gap)
             if not len(seq):
                 raise GaitViewError("no frames")
+            absent = [name for name in KEYPOINT_NAMES if name not in seq.names]
+            if view is not ViewLabel.MOCAP3D and absent:
+                raise GaitViewError(f"missing keypoints {', '.join(absent)}: pose PCA needs "
+                                    f"all {len(KEYPOINT_NAMES)}")
             times, steps = seq.times, np.diff(seq.times)
             step, rate = _median(steps), cfg.filter_spec.sample_rate_hz
             if np.any(np.abs(steps - step) > TIME_TOLERANCE * step):
@@ -204,14 +210,24 @@ def _naming(trial: TrialId, view: ViewLabel, path: Path):
 
 
 def run_analysis(cfg: RunConfig) -> None:
-    """Full pipeline over every subject in the manifest, ending in the report files."""
+    """Full pipeline over every subject in the manifest, ending in the report
+    files. Under pooled PCA, a mocap3d file that lacks a marker of the first
+    trial's is rejected, naming the file, before its trial is scored."""
     manifest = load_manifest(cfg.manifest)
     if not manifest:
         raise GaitViewError(f"manifest {cfg.manifest} lists no subjects")
     records: list[MetricRecord] = []
     sequences: list[tuple[int, ViewLabel, object]] = []  # (subject, view, sequence)
+    first3d = None  # (subject, markers) of the first mocap3d file: pooled PCA's columns
     for trial in sorted(manifest):
         seqs, feats = _process_trial(cfg, trial, manifest[trial])
+        markers = seqs[ViewLabel.MOCAP3D].names
+        first3d = first3d or (trial.subject_index, markers)
+        absent = [name for name in first3d[1] if name not in markers]
+        if cfg.pca_scope == "pooled" and absent:
+            with _naming(trial, ViewLabel.MOCAP3D, manifest[trial]["mocap3d"]):
+                raise GaitViewError(f"missing markers {', '.join(absent)}: pooled PCA reads "
+                                    f"those of subject {first3d[0]}'s mocap3d file")
         sequences += [(trial.subject_index, view, seq) for view, seq in seqs.items()]
         signals3d = feats.pop(ViewLabel.MOCAP3D).signals
         for feature in cfg.features:
@@ -247,7 +263,7 @@ def _pca_rows(cfg, sequences) -> list[tuple[str, int, int, float]]:
             continue
         matrix = marker_matrix(seqs) if view is ViewLabel.MOCAP3D else pose_matrix(seqs)
         result = pca_fit(matrix, cfg.pca_threshold)
-        rows.append((name, matrix.n_cols, result.k, result.explained_ratio))
+        rows.append((name, matrix.values.shape[1], result.k, result.explained_ratio))
     return rows
 
 

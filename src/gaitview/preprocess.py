@@ -53,10 +53,6 @@ class FilterSpec:
             raise InvalidFilterSpec(f"order must be even and >= 2, got {self.order}")
 
     @property
-    def design_order(self) -> int:
-        return self.order // 2
-
-    @property
     def pad_len(self) -> int:
         return 3 * (self.order + 1)
 
@@ -69,7 +65,7 @@ def butterworth_coeffs(spec: FilterSpec) -> tuple[np.ndarray, np.ndarray]:
     their order are those of scipy.signal.butter's low-pass 'ba' path:
     buttap, tan pre-warp at fs = 2, lp2lp_zpk, bilinear_zpk, zpk2tf.
     """
-    order = spec.design_order
+    order = spec.order // 2
     # analog prototype: poles on the left unit half-circle, no zeros, gain 1
     m = np.arange(-order + 1, order, 2, dtype=np.float64)
     poles = -np.exp(1j * np.pi * m / (2 * order))  # odd orders: m = 0 gives a real pole

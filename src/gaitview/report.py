@@ -1,8 +1,9 @@
 """Report schema and `gaitview recommend`: stdlib only, so recommend starts
 without numpy.
 
-recommend reads the stats_<feature>.csv files of a finished analyze run and
-rejects any row it cannot vote with, naming the file, line and column.
+recommend reads the stats_<feature>.csv files of the four FEATURES from a
+finished analyze run and rejects any row it cannot vote with, naming the
+file, line and column.
 """
 from __future__ import annotations
 
@@ -11,9 +12,12 @@ from pathlib import Path
 
 from .errors import NotAnalyzed, ParseError
 
+# the gait parameters, in report order; features.FeatureName is built from them
+FEATURES = ("step_length", "knee_rotation", "trunk_rotation", "wrist_hipmid")
 # direction of "better" per metric; IE has no direction in reports
 METRIC_DIRECTION = {"dtw": "lower", "mcc": "higher", "kld": "lower", "ie": None}
 ALL_METRICS = tuple(METRIC_DIRECTION)
+DEFAULT_ALPHA = 0.05  # significance level of analyze's winners and recommend's votes
 
 STATS_HEADER = [
     "metric", "frontal_mean", "frontal_sd", "lateral_mean", "lateral_sd",
@@ -74,20 +78,21 @@ def _read_stats(path: Path):
             yield metric, side, p_value, row["winner"]
 
 
-def recommend(analyzed_dir, alpha: float = 0.05) -> list[dict]:
+def recommend(analyzed_dir, alpha: float = DEFAULT_ALPHA) -> list[dict]:
     """Per (feature, side) view recommendation from a completed analyze run.
 
     Majority vote of significant winners of the metrics with a better
-    direction (not IE). Writes recommendations.csv into the analyzed dir
-    once every stats file has been read.
+    direction (not IE), from the stats_<feature>.csv of each of FEATURES
+    present; any other file is ignored. Writes recommendations.csv into the
+    analyzed dir once every stats file has been read.
     """
     analyzed = Path(analyzed_dir)
-    stats_files = sorted(analyzed.glob("stats_*.csv"))
+    stats_files = [(feature, analyzed / f"stats_{feature}.csv") for feature in sorted(FEATURES)]
+    stats_files = [(feature, path) for feature, path in stats_files if path.exists()]
     if not stats_files:
-        raise NotAnalyzed(f"no stats_*.csv files in {analyzed}")
+        raise NotAnalyzed(f"no stats_<feature>.csv files in {analyzed}")
     rows: list[dict] = []
-    for path in stats_files:
-        feature = path.stem[len("stats_"):]
+    for feature, path in stats_files:
         votes: dict[str, list[tuple[str, str]]] = {}
         for metric, side, p_value, winner in _read_stats(path):
             if METRIC_DIRECTION[metric] is None:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import AllZeroDifferences, EmptySample, UnpairedSubject
 from .features import FeatureName
-from .report import METRIC_DIRECTION
+from .report import DEFAULT_ALPHA, METRIC_DIRECTION
 from .signal_core import SideLabel, ViewLabel
 
 EXACT_N_MAX = 25
@@ -136,7 +136,7 @@ def compare_views(
     feature: FeatureName,
     side: SideLabel,
     metric: str,
-    alpha: float = 0.05,
+    alpha: float = DEFAULT_ALPHA,
 ) -> StatResult:
     """Paired frontal-vs-lateral comparison of one metric for one feature/side.
 

@@ -48,28 +48,33 @@ DEFAULT_FOCAL_PX = 1000.0
 DEFAULT_IMAGE_SIZE = (1920, 1080)
 
 
+# the fixed body and recording: sample rate, segment heights, widths and
+# lengths (meters), and the joint angles no subject varies (degrees)
+SAMPLE_RATE_HZ = 100.0
+HIP_HEIGHT_M = 0.95
+SHOULDER_HEIGHT_M = 1.45
+HEAD_HEIGHT_M = 1.68
+HIP_WIDTH_M = 0.30
+SHOULDER_WIDTH_M = 0.38
+THIGH_LEN_M = 0.45
+SHANK_LEN_M = 0.44
+UPPER_ARM_LEN_M = 0.30
+FOREARM_LEN_M = 0.28
+ELBOW_FLEX_DEG = 20.0
+HIP_ROT_AMP_DEG = 4.0
+
+
 @dataclass(frozen=True)
 class GaitModelParams:
+    """What a caller sets: trial length, cadence, pixel noise and seed, and
+    the gait that make_paired_dataset varies per subject."""
     n_frames: int = 169
-    sample_rate_hz: float = 100.0
     cycle_hz: float = 1.0
     walking_speed_mps: float = 1.1
-    hip_height_m: float = 0.95
-    shoulder_height_m: float = 1.45
-    head_height_m: float = 1.68
-    hip_width_m: float = 0.30
-    shoulder_width_m: float = 0.38
-    thigh_len_m: float = 0.45
-    shank_len_m: float = 0.44
-    upper_arm_len_m: float = 0.30
-    forearm_len_m: float = 0.28
     leg_swing_amp_deg: float = 22.0
     knee_flex_amp_deg: float = 42.0
     arm_swing_amp_deg: float = 18.0
-    elbow_flex_deg: float = 20.0
     trunk_rot_amp_deg: float = 9.0
-    hip_rot_amp_deg: float = 4.0
-    marker_noise_sd_mm: float = 0.0  # 3D noise on generated markers
     noise_sd: float = 0.0  # pixel noise added to projected keypoints
     seed: int = 0
 
@@ -79,18 +84,14 @@ class GaitModelParams:
         for f in fields(self):
             if f.type == "float" and not np.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        for name in (
-            "sample_rate_hz", "cycle_hz", "walking_speed_mps", "hip_height_m",
-            "shoulder_height_m", "head_height_m", "hip_width_m", "shoulder_width_m",
-            "thigh_len_m", "shank_len_m", "upper_arm_len_m", "forearm_len_m",
-        ):
+        for name in ("cycle_hz", "walking_speed_mps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.marker_noise_sd_mm < 0 or self.noise_sd < 0:
-            raise ValueError("noise standard deviations must be >= 0")
-        if self.cycle_hz >= self.sample_rate_hz / 2:
+        if self.noise_sd < 0:
+            raise ValueError("noise_sd must be >= 0")
+        if self.cycle_hz >= SAMPLE_RATE_HZ / 2:
             raise ValueError(f"cycle_hz must be below the Nyquist frequency "
-                             f"({self.sample_rate_hz / 2} Hz), got {self.cycle_hz}")
+                             f"({SAMPLE_RATE_HZ / 2} Hz), got {self.cycle_hz}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ def make_camera(
 
 def preset_cameras(params: GaitModelParams) -> dict[ViewLabel, CameraModel]:
     """Frontal and lateral cameras matching the recording-geometry presets."""
-    path_len = params.walking_speed_mps * (params.n_frames - 1) / params.sample_rate_hz
+    path_len = params.walking_speed_mps * (params.n_frames - 1) / SAMPLE_RATE_HZ
     frontal = make_camera(
         position=(path_len + 3.0, 0.0, 1.2),
         look_dir_ground=(-1.0, 0.0, 0.0),
@@ -163,7 +164,7 @@ def generate_gait(params: GaitModelParams) -> MarkerSequence:
     Raises ValueError when the parameters overflow to a non-finite coordinate.
     """
     p = params
-    t = np.arange(p.n_frames) / p.sample_rate_hz
+    t = np.arange(p.n_frames) / SAMPLE_RATE_HZ
     phase = 2.0 * np.pi * p.cycle_hz * t
 
     def xyz(x, y, z):
@@ -176,36 +177,32 @@ def generate_gait(params: GaitModelParams) -> MarkerSequence:
     def limb(start, length, angle):
         return start + length * xyz(np.sin(angle), 0.0, -np.cos(angle))
 
-    pelvis = xyz(p.walking_speed_mps * t, 0.0, p.hip_height_m)
-    shoulder_mid = xyz(pelvis[:, 0], 0.0, p.shoulder_height_m)
-    hip_rot = np.radians(p.hip_rot_amp_deg) * np.sin(phase)
+    pelvis = xyz(p.walking_speed_mps * t, 0.0, HIP_HEIGHT_M)
+    shoulder_mid = xyz(pelvis[:, 0], 0.0, SHOULDER_HEIGHT_M)
+    hip_rot = np.radians(HIP_ROT_AMP_DEG) * np.sin(phase)
     trunk_rot = -np.radians(p.trunk_rot_amp_deg) * np.sin(phase)
-    # insertion order is the order the marker noise is drawn in
     markers: dict[str, np.ndarray] = {}
     for side, sign in (("left", 1.0), ("right", -1.0)):
-        markers[f"{side}_hip"] = turned(pelvis, hip_rot, sign * p.hip_width_m / 2)
+        markers[f"{side}_hip"] = turned(pelvis, hip_rot, sign * HIP_WIDTH_M / 2)
         markers[f"{side}_shoulder"] = turned(shoulder_mid, trunk_rot,
-                                             sign * p.shoulder_width_m / 2)
-    markers["head"] = xyz(pelvis[:, 0], 0.0, p.head_height_m)
+                                             sign * SHOULDER_WIDTH_M / 2)
+    markers["head"] = xyz(pelvis[:, 0], 0.0, HEAD_HEIGHT_M)
     for side, side_phase in (("left", 0.0), ("right", np.pi)):
         leg = np.radians(p.leg_swing_amp_deg) * np.sin(phase + side_phase)
         # knee flexes most during the swing phase of the same leg
         flex = np.radians(p.knee_flex_amp_deg) * 0.5 * (1.0 - np.cos(phase + side_phase))
-        markers[f"{side}_knee"] = limb(markers[f"{side}_hip"], p.thigh_len_m, leg)
-        markers[f"{side}_ankle"] = limb(markers[f"{side}_knee"], p.shank_len_m, leg - flex)
+        markers[f"{side}_knee"] = limb(markers[f"{side}_hip"], THIGH_LEN_M, leg)
+        markers[f"{side}_ankle"] = limb(markers[f"{side}_knee"], SHANK_LEN_M, leg - flex)
         arm = np.radians(p.arm_swing_amp_deg) * np.sin(phase + side_phase + np.pi)
-        markers[f"{side}_elbow"] = limb(markers[f"{side}_shoulder"], p.upper_arm_len_m, arm)
-        markers[f"{side}_wrist"] = limb(markers[f"{side}_elbow"], p.forearm_len_m,
-                                        arm + np.radians(p.elbow_flex_deg))
-    values = np.stack(list(markers.values()), axis=1)
-    if p.marker_noise_sd_mm > 0:
-        rng = np.random.default_rng([p.seed, 0x6A17])
-        values = values + rng.normal(0.0, p.marker_noise_sd_mm / 1000.0, size=values.shape)
+        markers[f"{side}_elbow"] = limb(markers[f"{side}_shoulder"], UPPER_ARM_LEN_M, arm)
+        markers[f"{side}_wrist"] = limb(markers[f"{side}_elbow"], FOREARM_LEN_M,
+                                        arm + np.radians(ELBOW_FLEX_DEG))
+    names = sorted(markers)
+    values = np.stack([markers[name] for name in names], axis=1)
     if not np.isfinite(values).all():
         raise ValueError("parameters overflow: a generated coordinate is not finite")
-    names = sorted(markers)
     return MarkerSequence(frame_index=np.arange(p.n_frames), times=t, names=names,
-                          values=values[:, [list(markers).index(name) for name in names]])
+                          values=values)
 
 
 _FACE_OFFSETS = {
@@ -304,7 +301,7 @@ def make_paired_dataset(
     for subject in range(1, subjects + 1):
         rng = np.random.default_rng([params.seed, subject])
         sub_params = _randomized_params(params, rng)
-        seq3d = generate_gait(replace(sub_params, seed=params.seed + subject))
+        seq3d = generate_gait(sub_params)
         cams = preset_cameras(sub_params)
         marker_path = out / f"s{subject:02d}_mocap3d.csv"
         # generation is in meters; the marker CSV schema is millimeters

@@ -29,6 +29,7 @@ from gaitview.ingest import (
     PoseSequence,
 )
 from gaitview.signal_core import ViewLabel
+from gaitview import synth
 from gaitview.synth import _FACE_OFFSETS, MARKER_ROLES
 
 DTW_MAX_LEN = 8
@@ -250,35 +251,36 @@ def generate_gait_loop(params) -> MarkerSequence:
     """synth.generate_gait one frame at a time, each marker from 3-vectors
     and the hip and shoulder lines turned by a z-rotation matrix."""
     p = params
-    rng = np.random.default_rng([p.seed, 0x6A17])
     names = sorted(MARKER_ROLES)
     times, rows = [], []
     omega = 2.0 * np.pi * p.cycle_hz
     for i in range(p.n_frames):
-        t = i / p.sample_rate_hz
+        t = i / synth.SAMPLE_RATE_HZ
         phase = omega * t
-        pelvis = np.array([p.walking_speed_mps * t, 0.0, p.hip_height_m])
+        pelvis = np.array([p.walking_speed_mps * t, 0.0, synth.HIP_HEIGHT_M])
         markers: dict[str, np.ndarray] = {}
 
-        hip_rot = np.radians(p.hip_rot_amp_deg) * np.sin(phase)
+        hip_rot = np.radians(synth.HIP_ROT_AMP_DEG) * np.sin(phase)
         trunk_rot = -np.radians(p.trunk_rot_amp_deg) * np.sin(phase)
         rz_hip = _rot_z(hip_rot)
         rz_sh = _rot_z(trunk_rot)
-        shoulder_mid = np.array([pelvis[0], 0.0, p.shoulder_height_m])
+        shoulder_mid = np.array([pelvis[0], 0.0, synth.SHOULDER_HEIGHT_M])
         for side, sign in (("left", 1.0), ("right", -1.0)):
-            markers[f"{side}_hip"] = pelvis + rz_hip @ np.array([0.0, sign * p.hip_width_m / 2, 0.0])
-            markers[f"{side}_shoulder"] = shoulder_mid + rz_sh @ np.array(
-                [0.0, sign * p.shoulder_width_m / 2, 0.0]
+            markers[f"{side}_hip"] = pelvis + rz_hip @ np.array(
+                [0.0, sign * synth.HIP_WIDTH_M / 2, 0.0]
             )
-        markers["head"] = np.array([pelvis[0], 0.0, p.head_height_m])
+            markers[f"{side}_shoulder"] = shoulder_mid + rz_sh @ np.array(
+                [0.0, sign * synth.SHOULDER_WIDTH_M / 2, 0.0]
+            )
+        markers["head"] = np.array([pelvis[0], 0.0, synth.HEAD_HEIGHT_M])
 
         for side, side_phase in (("left", 0.0), ("right", np.pi)):
             leg = np.radians(p.leg_swing_amp_deg) * np.sin(phase + side_phase)
             flex = np.radians(p.knee_flex_amp_deg) * 0.5 * (1.0 - np.cos(phase + side_phase))
             hip = markers[f"{side}_hip"]
-            knee = hip + p.thigh_len_m * np.array([np.sin(leg), 0.0, -np.cos(leg)])
+            knee = hip + synth.THIGH_LEN_M * np.array([np.sin(leg), 0.0, -np.cos(leg)])
             shank_angle = leg - flex
-            ankle = knee + p.shank_len_m * np.array(
+            ankle = knee + synth.SHANK_LEN_M * np.array(
                 [np.sin(shank_angle), 0.0, -np.cos(shank_angle)]
             )
             markers[f"{side}_knee"] = knee
@@ -286,19 +288,14 @@ def generate_gait_loop(params) -> MarkerSequence:
 
             arm = np.radians(p.arm_swing_amp_deg) * np.sin(phase + side_phase + np.pi)
             shoulder = markers[f"{side}_shoulder"]
-            elbow = shoulder + p.upper_arm_len_m * np.array([np.sin(arm), 0.0, -np.cos(arm)])
-            fore_angle = arm + np.radians(p.elbow_flex_deg)
-            wrist = elbow + p.forearm_len_m * np.array(
+            elbow = shoulder + synth.UPPER_ARM_LEN_M * np.array([np.sin(arm), 0.0, -np.cos(arm)])
+            fore_angle = arm + np.radians(synth.ELBOW_FLEX_DEG)
+            wrist = elbow + synth.FOREARM_LEN_M * np.array(
                 [np.sin(fore_angle), 0.0, -np.cos(fore_angle)]
             )
             markers[f"{side}_elbow"] = elbow
             markers[f"{side}_wrist"] = wrist
 
-        if p.marker_noise_sd_mm > 0:
-            for name in markers:
-                markers[name] = markers[name] + rng.normal(
-                    0.0, p.marker_noise_sd_mm / 1000.0, size=3
-                )
         times.append(t)
         rows.append([markers[name] for name in names])
     return MarkerSequence(frame_index=np.arange(p.n_frames), times=times, names=names,

@@ -18,6 +18,7 @@ from gaitview.features import FeatureName
 from gaitview.errors import NotAnalyzed
 from gaitview.metrics import MetricRecord
 from gaitview.signal_core import SideLabel, TrialId, ViewLabel
+from gaitview.synth import GaitModelParams, make_paired_dataset
 
 
 def digest(path):
@@ -150,6 +151,16 @@ class TestSynthCommand:
         run_synth(a)
         run_synth(b)
         assert tree_digests(a) == tree_digests(b)
+
+    def test_defaults_are_gait_model_params(self, tmp_path):
+        # no flag restates a GaitModelParams default
+        assert main(["synth", "--subjects", "2", "--out", str(tmp_path / "bare")]) == 0
+        assert main(["synth", "--subjects", "2", "--frames", "169", "--seed", "0",
+                     "--noise-sd", "0", "--cycle-hz", "1", "--out", str(tmp_path / "flags")]) == 0
+        make_paired_dataset(GaitModelParams(), 2, tmp_path / "library")
+        bare = tree_digests(tmp_path / "bare")
+        for other in ("flags", "library"):
+            assert tree_digests(tmp_path / other) == bare
 
     def test_missing_out_errors(self, monkeypatch):
         monkeypatch.delenv("GAITVIEW_OUT", raising=False)
@@ -344,6 +355,32 @@ class TestAnalyzeCommand:
         # the rate is checked only when the filter runs, and at its configured rate
         assert run_analyze(manifest, tmp_path / "unfiltered", "--no-filter") == 0
         assert run_analyze(manifest, tmp_path / "at50", "--sample-rate-hz", "50") == 0
+
+    def test_pose_file_without_a_keypoint_rejected(self, tmp_path, capsys):
+        # pose PCA needs all 17 keypoints; such a file failed only after every
+        # trial was scored, with an error that named no file
+        manifest = run_synth(tmp_path / "d", subjects=2)
+        cut = tmp_path / "d" / "s02_frontal.csv"
+        lines = cut.read_text().splitlines(keepends=True)
+        cut.write_text("".join(line for line in lines
+                               if line.split(",")[2] not in ("nose", "left_ear")))
+        for scope in ("pooled", "per-subject"):
+            assert run_analyze(manifest, tmp_path / scope, "--pca-scope", scope) == 1
+            assert (f"error: (subject 2, trial 1, frontal, {cut}): missing keypoints nose, "
+                    "left_ear: pose PCA needs all 17" in capsys.readouterr().err)
+            assert not (tmp_path / scope).exists()
+
+    def test_pooled_pca_needs_the_first_mocap3d_markers(self, tmp_path, capsys):
+        manifest = run_synth(tmp_path / "d", subjects=2)
+        cut = tmp_path / "d" / "s02_mocap3d.csv"
+        lines = cut.read_text().splitlines(keepends=True)
+        cut.write_text("".join(line for line in lines if line.split(",")[2] != "head"))
+        assert run_analyze(manifest, tmp_path / "pooled") == 1
+        assert (f"error: (subject 2, trial 1, mocap3d, {cut}): missing markers head: pooled "
+                "PCA reads those of subject 1's mocap3d file" in capsys.readouterr().err)
+        assert not (tmp_path / "pooled").exists()
+        # each subject's PCA reads its own markers
+        assert run_analyze(manifest, tmp_path / "per", "--pca-scope", "per-subject") == 0
 
     def test_narrower_run_removes_stale_reports(self, dataset, tmp_path):
         out = tmp_path / "out"
@@ -740,6 +777,13 @@ class TestRecommendCommand:
         assert main(["recommend", "--analyzed", str(tmp_path)]) == 1
         assert f"{path}: line 3, column {column}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "recommendations.csv").exists()
+
+    def test_reads_only_the_features_stats_files(self, analyzed, tmp_path):
+        copy = tmp_path / "analysis"
+        shutil.copytree(analyzed, copy)
+        expected = recommend(copy)
+        shutil.copy(copy / "stats_step_length.csv", copy / "stats_step_length_old.csv")
+        assert recommend(copy) == expected
 
     def test_not_analyzed_dir(self, tmp_path):
         with pytest.raises(NotAnalyzed):

@@ -16,9 +16,9 @@ from gaitview.ingest import (
     PoseFrame,
     PoseSequence,
     fill_gaps,
-    load_marker_map,
     parse_marker_csv,
     parse_pose_csv,
+    read_key_values,
     write_marker_csv,
     write_pose_csv,
 )
@@ -496,17 +496,17 @@ class TestFillGaps:
 class TestMarkerMap:
     def test_basic(self):
         text = "# roles\nleft_ankle = LANK\nright_hip=RHIP  # vicon name\n\n"
-        mapping = load_marker_map(io.StringIO(text))
+        mapping = read_key_values(io.StringIO(text))
         assert mapping == {"left_ankle": "LANK", "right_hip": "RHIP"}
 
     def test_bad_line(self):
         with pytest.raises(ParseError):
-            load_marker_map(io.StringIO("left_ankle LANK\n"))
+            read_key_values(io.StringIO("left_ankle LANK\n"))
 
     def test_duplicate_role(self):
         text = "left_ankle = LANK\n# again\nleft_ankle = LANK2\n"
         with pytest.raises(ParseError) as err:
-            load_marker_map(io.StringIO(text))
+            read_key_values(io.StringIO(text))
         assert (err.value.line, err.value.reason) == (
             3, "duplicate key 'left_ankle', first set on line 1")
 

@@ -13,7 +13,11 @@ from gaitview.features import FeatureName, signal
 from gaitview.ingest import KEYPOINT_NAMES, MarkerFrame, MarkerSequence, parse_marker_csv
 from gaitview.signal_core import SideLabel, ViewLabel
 from gaitview.synth import (
+    HIP_ROT_AMP_DEG,
     MARKER_ROLES,
+    SAMPLE_RATE_HZ,
+    SHANK_LEN_M,
+    THIGH_LEN_M,
     CameraModel,
     GaitModelParams,
     _randomized_params,
@@ -40,17 +44,17 @@ class TestGenerateGait:
         assert set(seq.frames[0].markers) == set(MARKER_ROLES)
 
     def test_deterministic(self):
-        a = generate_gait(GaitModelParams(marker_noise_sd_mm=5.0, seed=3))
-        b = generate_gait(GaitModelParams(marker_noise_sd_mm=5.0, seed=3))
-        for fa, fb in zip(a.frames, b.frames):
-            assert fa.markers == fb.markers
+        # the markers carry no noise: the seed drives only make_paired_dataset's draws
+        a = generate_gait(GaitModelParams(seed=3))
+        assert bits(a) == bits(generate_gait(GaitModelParams(seed=3)))
+        assert bits(a) == bits(generate_gait(GaitModelParams(seed=4)))
 
     def test_pelvis_advances_at_constant_speed(self):
         params = GaitModelParams()
         seq = generate_gait(params)
         mid_x = [(fr.markers["left_hip"][0] + fr.markers["right_hip"][0]) / 2
                  for fr in seq.frames]
-        v = np.diff(mid_x) * params.sample_rate_hz
+        v = np.diff(mid_x) * SAMPLE_RATE_HZ
         assert np.allclose(v, params.walking_speed_mps, atol=1e-9)
 
     def test_limb_lengths_constant(self):
@@ -60,8 +64,8 @@ class TestGenerateGait:
             hip = np.array(fr.markers["left_hip"])
             knee = np.array(fr.markers["left_knee"])
             ankle = np.array(fr.markers["left_ankle"])
-            assert abs(np.linalg.norm(knee - hip) - params.thigh_len_m) < 1e-12
-            assert abs(np.linalg.norm(ankle - knee) - params.shank_len_m) < 1e-12
+            assert abs(np.linalg.norm(knee - hip) - THIGH_LEN_M) < 1e-12
+            assert abs(np.linalg.norm(ankle - knee) - SHANK_LEN_M) < 1e-12
 
     def test_sides_half_cycle_apart(self):
         # 1 Hz cycle at 100 Hz sampling: left ankle oscillation leads the
@@ -81,7 +85,7 @@ class TestGenerateGait:
         seq = generate_gait(params)
         ts = signal(seq, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL)
         assert abs(np.max(np.abs(ts)) - params.trunk_rot_amp_deg
-                   - params.hip_rot_amp_deg) < 0.5
+                   - HIP_ROT_AMP_DEG) < 0.5
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -318,8 +322,7 @@ def outcome(make):
 @st.composite
 def subject_params(draw):
     """A subject's parameters as make_paired_dataset varies them, at any trial length."""
-    base = GaitModelParams(seed=draw(st.integers(0, 10_000)),
-                           marker_noise_sd_mm=draw(st.sampled_from([0.0, 5.0])))
+    base = GaitModelParams(seed=draw(st.integers(0, 10_000)))
     params = _randomized_params(base, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     return replace(params, n_frames=draw(st.integers(2, 700)))
 
@@ -332,7 +335,7 @@ def cameras(draw, params):
     choice = draw(st.sampled_from(views + ["random"]))
     if choice != "random":
         return preset_cameras(params)[choice]
-    path_len = params.walking_speed_mps * (params.n_frames - 1) / params.sample_rate_hz
+    path_len = params.walking_speed_mps * (params.n_frames - 1) / SAMPLE_RATE_HZ
     target = draw(st.floats(0.0, 1.0)) * path_len
     heading = draw(st.floats(0.0, 2 * np.pi))
     distance = draw(st.floats(1.5, 6.0))
@@ -365,7 +368,7 @@ class TestLoopOracles:
     def test_camera_in_walking_path_names_same_point(self, params, where, facing, height):
         # a level camera on the path: its plane is x = its own x, which the
         # ears cross in the first frame (facing +x) or the nose by the last (facing -x)
-        path_len = params.walking_speed_mps * (params.n_frames - 1) / params.sample_rate_hz
+        path_len = params.walking_speed_mps * (params.n_frames - 1) / SAMPLE_RATE_HZ
         cam = make_camera((where * path_len, 0.0, height), (facing, 0.0, 0.0))
         seq = generate_gait(params)
         got = outcome(lambda: project(seq, cam))
