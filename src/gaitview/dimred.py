@@ -66,19 +66,15 @@ def pca_fit(m: FeatureMatrix, threshold: float = DEFAULT_VARIANCE_THRESHOLD) -> 
     )
 
 
-def pose_matrix(sequences) -> FeatureMatrix:
-    """Stack pose frames into an (frames, 17*2) matrix (x, y per keypoint)."""
-    values = np.concatenate([seq.points(KEYPOINT_NAMES) for seq in sequences])
-    return FeatureMatrix(values.reshape(len(values), 2 * len(KEYPOINT_NAMES)))
+def pose_matrix(seq) -> np.ndarray:
+    """One pose sequence as a (frames, 17*2) array: x, y per keypoint."""
+    return seq.points(KEYPOINT_NAMES).reshape(len(seq), 2 * len(KEYPOINT_NAMES))
 
 
-def marker_matrix(sequences) -> FeatureMatrix:
-    """Stack marker frames into an (frames, markers*3) matrix; the columns
-    are the markers of the first sequence with frames, sorted by name."""
-    sequences = list(sequences)
-    first = next((seq for seq in sequences if len(seq)), None)
-    if first is None:
-        raise ValueError("no frames supplied")
-    names = [name for name, whole in zip(first.names, first.complete) if whole]
-    values = np.concatenate([seq.points(names) for seq in sequences])
-    return FeatureMatrix(values.reshape(len(values), 3 * len(names)))
+def marker_matrix(seq, names=None) -> np.ndarray:
+    """One marker sequence as a (frames, markers*3) array: x, y, z per marker
+    of names, by default the sequence's markers present in every frame, sorted
+    by name."""
+    if names is None:
+        names = [name for name, whole in zip(seq.names, seq.complete) if whole]
+    return seq.points(names).reshape(len(seq), 3 * len(names))

@@ -3,22 +3,28 @@ extraction -> metrics -> paired stats -> PCA, ending in deterministic CSV/JSON
 reports (6 significant digits in CSV, full precision in JSON, sorted keys and
 fixed row order, so identical inputs give byte-identical outputs).
 
-Each trial's files are parsed and repaired one by one, filtered in one
-smooth call, then reduced to features; an error names the subject, trial,
-view and file it came from. The reports are replaced as a set: analyze
-writes them all into a temporary directory inside the output directory,
-checks that none of their names there is taken by a directory or another
-non-file, then moves them in and deletes the stats_<feature>.csv and
-recommendations.csv an earlier run left that this run did not write. A run
-that fails before the move leaves the output directory as it was, and files
-gaitview does not own are never touched.
+The manifest is checked whole before any file is read. Each trial's files
+are parsed and repaired one by one, filtered in one smooth call, then
+reduced to features; an error names the subject, trial, view and file it
+came from. One trial's sequences are in memory at a time: once the trial
+is scored, each becomes the float matrix PCA reads, and per-subject PCA is
+fitted on the spot, while pooled PCA keeps each view's matrices and stacks
+them once every trial is in. hashlib, and with it OpenSSL's libcrypto,
+loads only for run_metadata.json's config_hash, after the PCA.
+
+The reports are replaced as a set: analyze writes them all into a
+temporary directory inside the output directory, checks that none of their
+names there is taken by a directory or another non-file, then moves them
+in and deletes the stats_<feature>.csv and recommendations.csv an earlier
+run left that this run did not write. A run that fails before the move
+leaves the output directory as it was, and files gaitview does not own are
+never touched.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import json
 import os
 import tempfile
@@ -28,7 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dimred import DEFAULT_VARIANCE_THRESHOLD, marker_matrix, pca_fit, pose_matrix
+from .dimred import (
+    DEFAULT_VARIANCE_THRESHOLD, FeatureMatrix, marker_matrix, pca_fit, pose_matrix,
+)
 from .errors import GaitViewError, InputFileError, ParseError, SignalTooShort
 from .features import FEATURE_SIDES, FeatureName, extract_all, signal_key_name
 from .ingest import (
@@ -71,7 +79,13 @@ class RunConfig:
     marker_map: dict[str, str] | None = None
 
     def fingerprint(self) -> str:
-        """sha256 of every setting but the manifest and output paths."""
+        """sha256 of every setting but the manifest and output paths.
+
+        hashlib is imported here, not with the module: it maps OpenSSL's
+        libcrypto, about 3.6 MB, which analyze then adds only once the
+        trials and the PCA are done."""
+        import hashlib
+
         payload = dataclasses.asdict(self)
         del payload["manifest"], payload["out_dir"]
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
@@ -82,17 +96,21 @@ def _fmt(value: float) -> str:
 
 
 def load_manifest(path: Path) -> dict[TrialId, dict[str, Path]]:
-    """manifest.csv -> {trial: {kind: absolute file path}}.
+    """manifest.csv -> {trial: {kind: absolute file path}}, checked before
+    any file is read.
 
     A row with an empty or missing cell, a cell beyond the header, a
     subject or trial that is not an integer >= 1, an unknown kind, a
-    repeated (subject, kind) or a subject listed under a second trial raises
+    repeated (subject, kind), a subject listed under a second trial or a
+    file listed on an earlier row (paths compared once resolved) raises
     ParseError naming the manifest line and column: one trial per subject
-    is supported.
+    is supported. A subject without a mocap3d, frontal or lateral row
+    raises GaitViewError naming the manifest and the subject.
     """
     base = path.parent
     kinds = {view.value for view in ViewLabel}
     out: dict[int, tuple[int, dict[str, Path]]] = {}
+    lines: dict[Path, int] = {}  # resolved file -> manifest line that lists it
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         required = ("subject", "trial", "kind", "path")
@@ -125,6 +143,16 @@ def load_manifest(path: Path) -> dict[TrialId, dict[str, Path]]:
             if kind in files:
                 raise error("kind", f"duplicate {kind} row for subject {subject}")
             files[kind] = base / row["path"]
+            first_line = lines.setdefault(files[kind].resolve(), reader.line_num)
+            if first_line != reader.line_num:
+                raise error("path", f"{row['path']} is the file of line {first_line} too; "
+                                    "each file belongs to one row")
+    for subject, (_, files) in sorted(out.items()):
+        absent = [view.value for view in _TRIAL_VIEWS if view.value not in files]
+        if absent:
+            raise GaitViewError(f"manifest {path}: subject {subject} has no "
+                                f"{' or '.join(absent)} row; every subject needs one "
+                                "mocap3d, one frontal and one lateral row")
     return {TrialId(subject, trial): files for subject, (trial, files) in out.items()}
 
 
@@ -139,9 +167,7 @@ def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
     pose file, if its first or last time is more than the mocap3d file's
     median step from the mocap3d file's. A failure names the subject,
     trial, view and file."""
-    if "mocap3d" not in paths:
-        raise GaitViewError(f"subject {trial.subject_index}: manifest lists no mocap3d file")
-    files = {view: paths[view.value] for view in _TRIAL_VIEWS if view.value in paths}
+    files = {view: paths[view.value] for view in _TRIAL_VIEWS}
     seqs = {}
     for view, path in files.items():
         with _naming(trial, view, path):
@@ -209,68 +235,85 @@ def _naming(trial: TrialId, view: ViewLabel, path: Path):
                              exc) from exc
 
 
+def _score_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path], first3d):
+    """One trial's metric records and each view's PCA matrix; its sequences
+    go when this returns. first3d, returned as the third item, is (subject,
+    markers, markers present in every frame) of the first trial's mocap3d
+    file, None before it. Under pooled PCA, a mocap3d file without one of
+    those markers is rejected, naming the file, before the trial is scored,
+    and the mocap3d matrix has a column per complete marker of that file."""
+    seqs, feats = _process_trial(cfg, trial, paths)
+    seq3d = seqs[ViewLabel.MOCAP3D]
+    first3d = first3d or (trial.subject_index, seq3d.names,
+                          [name for name, whole in zip(seq3d.names, seq3d.complete) if whole])
+    pooled = cfg.pca_scope == "pooled"
+    absent = [name for name in first3d[1] if name not in seq3d.names]
+    if pooled and absent:
+        with _naming(trial, ViewLabel.MOCAP3D, paths["mocap3d"]):
+            raise GaitViewError(f"missing markers {', '.join(absent)}: pooled PCA reads "
+                                f"those of subject {first3d[0]}'s mocap3d file")
+    records = []
+    signals3d = feats.pop(ViewLabel.MOCAP3D).signals
+    for feature in cfg.features:
+        for side in FEATURE_SIDES[feature]:
+            key = (feature, side)
+            records += compute_records(
+                trial, feature, side, signals3d[key],
+                {view: feats2d.signals[key] for view, feats2d in feats.items()},
+                cfg.metric_cfg,
+            )
+    matrices = {}
+    for view, seq in seqs.items():
+        with _naming(trial, view, paths[view.value]):
+            matrices[view] = (marker_matrix(seq, first3d[2] if pooled else None)
+                              if view is ViewLabel.MOCAP3D else pose_matrix(seq))
+    return records, matrices, first3d
+
+
 def run_analysis(cfg: RunConfig) -> None:
     """Full pipeline over every subject in the manifest, ending in the report
-    files. Under pooled PCA, a mocap3d file that lacks a marker of the first
-    trial's is rejected, naming the file, before its trial is scored."""
+    files. One trial's sequences are in memory at a time: per-subject PCA is
+    fitted as each trial is scored, and pooled PCA keeps each view's float
+    matrices until every trial is in, then stacks them in trial order."""
     manifest = load_manifest(cfg.manifest)
     if not manifest:
         raise GaitViewError(f"manifest {cfg.manifest} lists no subjects")
     records: list[MetricRecord] = []
-    sequences: list[tuple[int, ViewLabel, object]] = []  # (subject, view, sequence)
-    first3d = None  # (subject, markers) of the first mocap3d file: pooled PCA's columns
+    pca_rows: list[tuple[str, int, int, float]] = []
+    parts: dict[ViewLabel, list[np.ndarray]] = {view: [] for view in _TRIAL_VIEWS}
+    first3d = None
     for trial in sorted(manifest):
-        seqs, feats = _process_trial(cfg, trial, manifest[trial])
-        markers = seqs[ViewLabel.MOCAP3D].names
-        first3d = first3d or (trial.subject_index, markers)
-        absent = [name for name in first3d[1] if name not in markers]
-        if cfg.pca_scope == "pooled" and absent:
-            with _naming(trial, ViewLabel.MOCAP3D, manifest[trial]["mocap3d"]):
-                raise GaitViewError(f"missing markers {', '.join(absent)}: pooled PCA reads "
-                                    f"those of subject {first3d[0]}'s mocap3d file")
-        sequences += [(trial.subject_index, view, seq) for view, seq in seqs.items()]
-        signals3d = feats.pop(ViewLabel.MOCAP3D).signals
-        for feature in cfg.features:
-            for side in FEATURE_SIDES[feature]:
-                key = (feature, side)
-                records += compute_records(
-                    trial, feature, side, signals3d[key],
-                    {view: feats2d.signals[key] for view, feats2d in feats.items()},
-                    cfg.metric_cfg,
-                )
+        trial_records, matrices, first3d = _score_trial(cfg, trial, manifest[trial], first3d)
+        records += trial_records
+        for view, values in matrices.items():
+            if cfg.pca_scope == "pooled":
+                parts[view].append(values)
+                continue
+            with _naming(trial, view, manifest[trial][view.value]):
+                pca_rows.append(_pca_row(f"{view.value}_s{trial.subject_index:02d}",
+                                         values, cfg.pca_threshold))
+    if cfg.pca_scope == "pooled":  # each view's list of parts is freed before its SVD
+        pca_rows = [_pca_row(view.value, np.concatenate(parts.pop(view)), cfg.pca_threshold)
+                    for view in _TRIAL_VIEWS]
 
     stat_results: list[StatResult] = []
     for feature in cfg.features:
         for side in FEATURE_SIDES[feature]:
             for metric in cfg.metrics:
                 stat_results.append(compare_views(records, feature, side, metric, cfg.alpha))
-    _write_outputs(cfg, records, stat_results, _pca_rows(cfg, sequences),
-                   _radar_data(records, cfg))
+    _write_outputs(cfg, records, stat_results, pca_rows, _radar_data(records, cfg))
 
 
-def _pca_rows(cfg, sequences) -> list[tuple[str, int, int, float]]:
-    """(group, initial_dim, k, explained_ratio) per PCA group: one group per
-    view of every sequence pooled, or one per (subject, view)."""
-    if cfg.pca_scope == "pooled":
-        groups = [(view.value, view, [seq for _, v, seq in sequences if v is view])
-                  for view in _TRIAL_VIEWS]
-    else:
-        groups = [(f"{view.value}_s{subject:02d}", view, [seq])
-                  for subject, view, seq in sequences]
-    rows = []
-    for name, view, seqs in groups:
-        if not seqs:
-            continue
-        matrix = marker_matrix(seqs) if view is ViewLabel.MOCAP3D else pose_matrix(seqs)
-        result = pca_fit(matrix, cfg.pca_threshold)
-        rows.append((name, matrix.values.shape[1], result.k, result.explained_ratio))
-    return rows
+def _pca_row(group: str, values: np.ndarray, threshold: float) -> tuple[str, int, int, float]:
+    """(group, initial_dim, k, explained_ratio) of one PCA group's matrix."""
+    result = pca_fit(FeatureMatrix(values), threshold)
+    return group, values.shape[1], result.k, result.explained_ratio
 
 
 def _radar_data(records, cfg) -> dict:
     """Per (feature, side) and metric: view means min-max normalized so the
     better-direction extreme is exactly 1 and the worse exactly 0. Every
-    view is present: compare_views has raised UnpairedSubject otherwise."""
+    view is present: load_manifest rejects a subject without one."""
     groups: dict[tuple, list[MetricRecord]] = {}  # (feature, side, view) -> records in order
     for rec in records:
         groups.setdefault((rec.feature, rec.side, rec.view), []).append(rec)

@@ -62,6 +62,7 @@ UPPER_ARM_LEN_M = 0.30
 FOREARM_LEN_M = 0.28
 ELBOW_FLEX_DEG = 20.0
 HIP_ROT_AMP_DEG = 4.0
+MIN_FRAMES = 80  # make_paired_dataset's floor on every subject's trial length
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,7 @@ def _randomized_params(base: GaitModelParams, rng: np.random.Generator) -> GaitM
     """Per-subject variation around the defaults."""
     return replace(
         base,
-        n_frames=max(80, int(round(rng.normal(base.n_frames, 14.0)))),
+        n_frames=max(MIN_FRAMES, int(round(rng.normal(base.n_frames, 14.0)))),
         cycle_hz=base.cycle_hz * float(rng.uniform(0.9, 1.1)),
         walking_speed_mps=base.walking_speed_mps * float(rng.uniform(0.85, 1.15)),
         leg_swing_amp_deg=base.leg_swing_amp_deg * float(rng.uniform(0.85, 1.15)),
@@ -291,10 +292,15 @@ def make_paired_dataset(
 
     Deterministic for a fixed params.seed: each subject's random streams
     derive from the seed and the subject number alone, so subject k's files
-    do not depend on how many subjects come before it.
+    do not depend on how many subjects come before it. Each subject's trial
+    length scatters around params.n_frames and is raised to MIN_FRAMES where
+    it falls below, so a params.n_frames below MIN_FRAMES is rejected.
     """
     if subjects < 1:
         raise ValueError("subjects must be >= 1")
+    if params.n_frames < MIN_FRAMES:
+        raise ValueError(f"n_frames must be >= {MIN_FRAMES}, the floor of a synthetic "
+                         f"subject's trial length, got {params.n_frames}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest_rows = []

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -136,6 +138,38 @@ print(gaitview.cli.pipeline.ViewLabel is first.ViewLabel)
         assert lines == ["True", "True"]
 
 
+class TestMemory:
+    def test_pipeline_import_leaves_out_openssl(self):
+        # hashlib maps OpenSSL's libcrypto (3.6 MB of peak memory); only
+        # RunConfig.fingerprint needs it, after the trials are scored
+        assert probe("""
+import sys
+import gaitview.pipeline
+print("_hashlib" in sys.modules)
+""") == ["False"]
+
+    def test_per_subject_peak_does_not_grow_with_the_cohort(self, tmp_path):
+        # every trial's sequences were kept until the end: 16 subjects peaked
+        # about 1 MB above 8. Each peak is taken above the memory in use at
+        # the start of its run, after a collection, so garbage that earlier
+        # tests left does not count.
+        manifests = {n: run_synth(tmp_path / f"d{n}", subjects=n, frames=100)
+                     for n in (2, 8, 16)}
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for n, manifest in manifests.items():  # 2 subjects warm up
+                gc.collect()
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                assert run_analyze(manifest, tmp_path / f"out{n}",
+                                   "--pca-scope", "per-subject") == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peaks[16] - peaks[8] < 100_000, peaks
+
+
 class TestSynthCommand:
     def test_layout(self, dataset):
         names = sorted(p.name for p in dataset.parent.iterdir())
@@ -181,6 +215,15 @@ class TestSynthCommand:
         assert main(["synth", "--subjects", "1", flag, value, "--out", str(out)]) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_frames_below_the_floor_exit_1(self, tmp_path, capsys):
+        # every trial was raised to 80 frames without a message
+        out = tmp_path / "data"
+        assert main(["synth", "--subjects", "2", "--frames", "10", "--out", str(out)]) == 1
+        assert ("error: n_frames must be >= 80, the floor of a synthetic subject's trial "
+                "length, got 10" in capsys.readouterr().err)
+        assert not out.exists()
+        assert main(["synth", "--subjects", "2", "--frames", "80", "--out", str(out)]) == 0
 
     def test_cycle_above_nyquist_exit_1(self, tmp_path, capsys):
         out = tmp_path / "data"
@@ -389,7 +432,8 @@ class TestAnalyzeCommand:
         before = tree_digests(out)
         (tmp_path / "d").mkdir()
         broken = tmp_path / "d" / "manifest.csv"
-        broken.write_text("subject,trial,kind,path\n1,1,mocap3d,absent.csv\n")
+        broken.write_text("subject,trial,kind,path\n1,1,mocap3d,absent.csv\n"
+                          "1,1,frontal,absent_f.csv\n1,1,lateral,absent_l.csv\n")
         assert run_analyze(broken, out, "--features", "step_length") == 1
         assert tree_digests(out) == before  # a failed run removes nothing
         assert run_analyze(dataset, out, "--features", "step_length") == 0
@@ -681,7 +725,8 @@ class TestReportSet:
         ]
         assert sorted(os.listdir(out)) == names
         broken = tmp_path / "manifest.csv"
-        broken.write_text("subject,trial,kind,path\n1,1,mocap3d,absent.csv\n")
+        broken.write_text("subject,trial,kind,path\n1,1,mocap3d,absent.csv\n"
+                          "1,1,frontal,absent_f.csv\n1,1,lateral,absent_l.csv\n")
         assert run_analyze(broken, out) == 1
         assert sorted(os.listdir(out)) == names
 
@@ -706,6 +751,29 @@ class TestManifest:
         err = capsys.readouterr().err
         assert f"{manifest}: line {line}" in err
         assert message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("listed", ["s01_frontal.csv", "./s01_frontal.csv"])
+    def test_file_listed_twice_exit_1(self, tmp_path, capsys, listed):
+        # subject 1's lateral records equalled its frontal ones, and the stats used them
+        manifest = run_synth(tmp_path / "d", subjects=4, seed=3)
+        manifest.write_text(manifest.read_text().replace("1,1,lateral,s01_lateral.csv",
+                                                         f"1,1,lateral,{listed}"))
+        assert run_analyze(manifest, tmp_path / "out") == 1
+        assert (f"error: {manifest}: line 4, column 4: {listed} is the file of line 3 too; "
+                "each file belongs to one row" in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_subject_without_a_view_exit_1(self, tmp_path, capsys):
+        # failed only after every trial was scored, naming no manifest line; no file is
+        # read now, so subject 1's missing mocap3d file goes unnoticed
+        manifest = run_synth(tmp_path / "d", subjects=4, seed=3)
+        manifest.write_text(manifest.read_text().replace("2,1,lateral,s02_lateral.csv\n", ""))
+        (tmp_path / "d" / "s01_mocap3d.csv").unlink()
+        assert run_analyze(manifest, tmp_path / "out") == 1
+        assert (f"error: manifest {manifest}: subject 2 has no lateral row; every subject "
+                "needs one mocap3d, one frontal and one lateral row"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_trial_index_reaches_records(self, tmp_path):
@@ -797,10 +865,12 @@ class TestRecommendCommand:
 
 class TestTieBehaviour:
     def test_identical_views_all_tie(self, tmp_path, capsys):
-        # point both 2D entries at the same file: every comparison ties
+        # give both 2D rows the same data: every comparison ties (the manifest
+        # cannot list one file twice)
         manifest = run_synth(tmp_path / "d", subjects=4, noise=0.0)
-        text = manifest.read_text().replace("_frontal.csv", "_lateral.csv")
-        manifest.write_text(text)
+        for subject in range(1, 5):
+            shutil.copy(tmp_path / "d" / f"s{subject:02d}_lateral.csv",
+                        tmp_path / "d" / f"s{subject:02d}_frontal.csv")
         out = tmp_path / "out"
         assert run_analyze(manifest, out) == 0
         for stats in sorted(out.glob("stats_*.csv")):

@@ -108,25 +108,35 @@ class TestStacking:
             kps = {name: (float(rng.normal()), float(rng.normal()), 1.0)
                    for name in KEYPOINT_NAMES}
             frames.append(PoseFrame(i, i / 100.0, kps))
-        m = pose_matrix([PoseSequence(ViewLabel.FRONTAL, frames)])
-        assert m.values.shape == (3, 34)
+        m = pose_matrix(PoseSequence(ViewLabel.FRONTAL, frames))
+        assert m.shape == (3, 34)
         # x, y of each keypoint in KEYPOINT_NAMES order
-        assert m.values[1, :2].tolist() == list(frames[1].keypoints[KEYPOINT_NAMES[0]][:2])
+        assert m[1, :2].tolist() == list(frames[1].keypoints[KEYPOINT_NAMES[0]][:2])
 
     def test_pose_matrix_missing_keypoint(self):
         frames = [PoseFrame(0, 0.0, {"nose": (1.0, 2.0, 1.0)})]
         with pytest.raises(ValueError):
-            pose_matrix([PoseSequence(ViewLabel.FRONTAL, frames)])
+            pose_matrix(PoseSequence(ViewLabel.FRONTAL, frames))
 
     def test_marker_matrix_sorted_columns(self):
         frames = [
             MarkerFrame(i, i / 100.0, {"b_mark": (1.0, 2.0, 3.0), "a_mark": (4.0, 5.0, 6.0)})
             for i in range(2)
         ]
-        m = marker_matrix([MarkerSequence(frames)])
-        assert m.values.shape == (2, 6)
-        assert m.values[0].tolist() == [4.0, 5.0, 6.0, 1.0, 2.0, 3.0]  # a_mark's x, y, z first
+        m = marker_matrix(MarkerSequence(frames))
+        assert m.shape == (2, 6)
+        assert m[0].tolist() == [4.0, 5.0, 6.0, 1.0, 2.0, 3.0]  # a_mark's x, y, z first
+
+    def test_marker_matrix_named_columns(self):
+        # pooled PCA passes the first file's markers
+        frames = [
+            MarkerFrame(i, i / 100.0, {"b_mark": (1.0, 2.0, 3.0), "a_mark": (4.0, 5.0, 6.0)})
+            for i in range(2)
+        ]
+        assert marker_matrix(MarkerSequence(frames), ["b_mark"]).tolist() == [[1.0, 2.0, 3.0]] * 2
+        with pytest.raises(ValueError):
+            marker_matrix(MarkerSequence(frames), ["c_mark"])
 
     def test_marker_matrix_empty(self):
-        with pytest.raises(ValueError):
-            marker_matrix([MarkerSequence([])])
+        with pytest.raises(ValueError):  # no rows and no complete marker
+            FeatureMatrix(marker_matrix(MarkerSequence([])))
