@@ -177,26 +177,37 @@ def _take(settings: dict, cls) -> dict:
 
 def _run_config_from_args(args) -> pipeline.RunConfig:
     """Each setting from its flag, else from --config; a setting neither
-    gives keeps the default of the dataclass that holds it."""
+    gives keeps the default of the dataclass that holds it. A setting
+    rejected when read with others names the --config file if one of them
+    came from it."""
     settings = _read_config(args.config) if args.config else {}
     # flags win; the --out default reads GAITVIEW_OUT, so it wins over the file's out
     flags = {key: value for key, value in vars(args).items()
              if key in CONFIG_KEYS and value is not None}
+    from_file = settings.keys() - flags.keys()
     settings.update(flags)
     out = settings.pop("out", None)
     if not out:
         raise GaitViewError("no output directory: pass --out or set " + OUT_DIR_ENV)
+
+    def build(keys, make, what=""):
+        """make(), with an error naming the --config file when one of keys came from it."""
+        try:
+            return make()
+        except (GaitViewError, ValueError, OSError) as exc:
+            source = f"{args.config}: " if from_file.intersection(keys) else ""
+            raise GaitViewError(f"{source}{what}{exc}") from None
+
     if "filter_order" in settings:
         settings["order"] = settings.pop("filter_order")
-    filter_spec = preprocess.FilterSpec(**_take(settings, preprocess.FilterSpec))
-    metric_cfg = metrics.MetricConfig(**_take(settings, metrics.MetricConfig))
+        from_file = {"order" if key == "filter_order" else key for key in from_file}
+    given = _take(settings, preprocess.FilterSpec)
+    filter_spec = build(given, lambda: preprocess.FilterSpec(**given))
+    given = _take(settings, metrics.MetricConfig)
+    metric_cfg = build(given, lambda: metrics.MetricConfig(**given))
     for key, resolve in _RESOLVED.items():
         if key in settings:
-            try:
-                settings[key] = resolve(settings[key])
-            except (GaitViewError, ValueError, OSError) as exc:
-                source = "" if key in flags else f"{args.config}: "
-                raise GaitViewError(f"{source}{key}: {exc}") from None
+            settings[key] = build((key,), lambda: resolve(settings[key]), f"{key}: ")
     return pipeline.RunConfig(manifest=Path(args.manifest), out_dir=Path(out),
                               filter_spec=filter_spec, metric_cfg=metric_cfg, **settings)
 

@@ -1,9 +1,9 @@
 """PCA with an explained-variance threshold over flattened trial matrices.
 
 Columns are mean-centered but not variance-scaled (covariance PCA:
-coordinate features share units within a source). Basis signs are fixed
-so each component's largest-magnitude entry is positive, making results
-bit-deterministic across runs.
+coordinate features share units within a source). A fit reports how many
+components reach the threshold and the variance ratio they explain, the
+two numbers pca_summary.csv holds; no basis is kept.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrix
+from .errors import GaitViewError
 from .ingest import KEYPOINT_NAMES
 
 DEFAULT_VARIANCE_THRESHOLD = 0.95
@@ -36,8 +36,6 @@ class FeatureMatrix:
 class PcaResult:
     k: int
     explained_ratio: float
-    component_basis: np.ndarray  # (k, n_cols), orthonormal rows
-    singular_values: np.ndarray  # full nonincreasing spectrum
 
 
 def pca_fit(m: FeatureMatrix, threshold: float = DEFAULT_VARIANCE_THRESHOLD) -> PcaResult:
@@ -46,24 +44,15 @@ def pca_fit(m: FeatureMatrix, threshold: float = DEFAULT_VARIANCE_THRESHOLD) -> 
     if not (0.0 < threshold <= 1.0):
         raise ValueError("threshold must be in (0, 1]")
     centered = m.values - m.values.mean(axis=0)
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    _, s, _ = np.linalg.svd(centered, full_matrices=False)
     total = float(np.sum(s**2))
     if total == 0.0:
-        raise DegenerateMatrix("all-constant matrix has no variance")
+        raise GaitViewError("all-constant matrix has no variance")
     ratios = s**2 / total
     cumulative = np.cumsum(ratios)
     k = int(np.searchsorted(cumulative, threshold - 1e-12) + 1)
     k = min(k, s.size)
-    basis = vt[:k].copy()
-    for row in basis:
-        if row[np.argmax(np.abs(row))] < 0:
-            row *= -1.0
-    return PcaResult(
-        k=k,
-        explained_ratio=float(cumulative[k - 1]),
-        component_basis=basis,
-        singular_values=s.copy(),
-    )
+    return PcaResult(k=k, explained_ratio=float(cumulative[k - 1]))
 
 
 def pose_matrix(seq) -> np.ndarray:

@@ -25,12 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateGeometry,
-    FeatureError,
-    MissingLandmark,
-    NoWalkingDirection,
-)
+from .errors import GaitViewError
 from .ingest import PoseSequence
 from .report import FEATURES
 from .signal_core import SideLabel, _finite
@@ -73,7 +68,7 @@ class _Body:
     when first read.
 
     body[role] is the role's per-frame positions, (N, 2) px or (N, 3) mm;
-    a role absent from a frame raises MissingLandmark when it is read.
+    a role absent from a frame raises GaitViewError when it is read.
     """
 
     def __init__(self, seq, marker_map: dict[str, str] | None = None):
@@ -86,7 +81,7 @@ class _Body:
     def __getitem__(self, role: str) -> np.ndarray:
         k = _ROLE_INDEX[role]
         if self._absent[k]:
-            self._seq.points([self._names[k]], MissingLandmark)  # raises, naming the frame
+            self._seq.points([self._names[k]], GaitViewError)  # raises, naming the frame
         return self._points[:, k]
 
     @functools.cached_property
@@ -102,7 +97,7 @@ class _Body:
         centered = plane - plane.mean(axis=0)
         net = plane[-1] - plane[0]
         if np.linalg.norm(net) < 1e-12:
-            raise NoWalkingDirection("hip midpoint shows no net displacement")
+            raise GaitViewError("hip midpoint shows no net displacement")
         _, _, vt = np.linalg.svd(centered, full_matrices=False)
         axis = vt[0]
         if np.dot(axis, net) < 0:
@@ -129,7 +124,7 @@ def _interior_angle_deg(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     nv = np.linalg.norm(v, axis=1)
     bad = (nu < 1e-12) | (nv < 1e-12)
     if np.any(bad):
-        raise DegenerateGeometry(f"zero-length limb vector at frame index {int(np.argmax(bad))}")
+        raise GaitViewError(f"zero-length limb vector at frame index {int(np.argmax(bad))}")
     cosang = np.einsum("ij,ij->i", u, v) / (nu * nv)
     return np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
 
@@ -160,7 +155,7 @@ def _trunk_rotation(body: _Body, side: SideLabel) -> np.ndarray:
     nh = np.linalg.norm(h, axis=1)
     bad = (ns < 1e-12) | (nh < 1e-12)
     if np.any(bad):
-        raise DegenerateGeometry(
+        raise GaitViewError(
             f"zero-length shoulder or hip line at frame index {int(np.argmax(bad))}"
         )
     cross = h[:, 0] * s[:, 1] - h[:, 1] * s[:, 0]
@@ -201,7 +196,7 @@ def extract_all(seq, marker_map: dict[str, str] | None = None) -> GaitFeatureSet
 
     The roles are gathered once, and the hip midpoint and walking axis
     computed once, for all seven signals. The first signal that fails, in
-    FEATURE_SIDES order, raises FeatureError.
+    FEATURE_SIDES order, raises GaitViewError naming its feature and side.
     """
     out = GaitFeatureSet()
     body = _Body(seq, marker_map)
@@ -210,5 +205,5 @@ def extract_all(seq, marker_map: dict[str, str] | None = None) -> GaitFeatureSet
             try:
                 out.signals[(feature, side)] = _finite(_KERNELS[feature](body, side))
             except Exception as exc:
-                raise FeatureError(feature.value, side.value, exc) from exc
+                raise GaitViewError(f"({feature.value}, {side.value}): {exc}") from exc
     return out

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DuplicateError, GapTooLarge, ParseError, SchemaError
+from .errors import GaitViewError, ParseError
 from .signal_core import ViewLabel
 
 KEYPOINT_NAMES = (
@@ -315,7 +315,7 @@ def _parse(source, cls) -> dict:
             line, column, f"{fault} {what}: {cells[column - 1]!r}")
 
     def schema(reason):
-        return lambda i, line, cells: SchemaError(f"line {line}: {reason(i)}")
+        return lambda i, line, cells: GaitViewError(f"line {line}: {reason(i)}")
 
     # every check of a row, in the order of a reader that checks one row at a time
     checks = [
@@ -337,7 +337,7 @@ def _parse(source, cls) -> dict:
         (time != frame_time[frame_ix], lambda i, line, cells: ParseError(
             line, 2, f"time {float(time[i])!r} of frame {frame[i]} conflicts with "
                      f"{float(frame_time[frame_ix[i]])!r} given by an earlier row")),
-        (duplicate, lambda i, line, cells: DuplicateError(
+        (duplicate, lambda i, line, cells: GaitViewError(
             f"line {line}: duplicate (frame {frame[i]}, {cls.point} {bare[raw[i]]!r})")),
     ]
     code = np.select([mask for mask, _ in checks], np.arange(1, len(checks) + 1), 0)
@@ -350,7 +350,7 @@ def _parse(source, cls) -> dict:
     present[frame_ix, name_ix] = True
     changed = np.flatnonzero((present != present[:1]).any(axis=1))
     if not pose and changed.size:
-        raise SchemaError(
+        raise GaitViewError(
             f"marker set changes at frame {frame_ids[changed[0]]}; must be constant per trial"
         )
     stalled = np.flatnonzero(frame_time[1:] <= frame_time[:-1]) + 1
@@ -415,7 +415,7 @@ def fill_gaps(
 
     A keypoint missing from a frame counts as a gap. Repaired points carry
     confidence equal to the threshold. Gaps longer than max_gap, or touching
-    the first or last frame, raise GapTooLarge (the first by keypoint name,
+    the first or last frame, raise GaitViewError (the first by keypoint name,
     then by frame).
     """
     if max_gap < 0:
@@ -433,7 +433,8 @@ def fill_gaps(
     if fatal.any():
         k, i = divmod(int(np.argmax(fatal.T)), n)
         frames = seq.frame_index.tolist()
-        raise GapTooLarge(seq.names[k], (frames[before[i, k] + 1], frames[after[i, k] - 1]))
+        span = (frames[before[i, k] + 1], frames[after[i, k] - 1])
+        raise GaitViewError(f"gap for {seq.names[k]!r} spanning frames {span} cannot be repaired")
     i, k = np.nonzero(gap)
     i0, i1 = before[i, k], after[i, k]
     f = seq.frame_index

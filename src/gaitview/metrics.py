@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConstantSignal, DegenerateSignal, LengthMismatch, MetricError
+from .errors import GaitViewError
 from .features import FeatureName
 from .signal_core import SideLabel, TrialId, ViewLabel, resample_linear, znormalize
 
@@ -61,7 +61,7 @@ class MetricRecord:
 
 def _nonempty(*signals: np.ndarray) -> None:
     if any(len(values) == 0 for values in signals):
-        raise DegenerateSignal("empty signal")
+        raise GaitViewError("empty signal")
 
 
 def dtw_distance(x: np.ndarray, y: np.ndarray) -> float:
@@ -119,9 +119,9 @@ def max_cross_correlation(x: np.ndarray, y: np.ndarray) -> tuple[float, int]:
     smallest |tau|, then toward negative tau.
     """
     if len(x) != len(y):
-        raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
+        raise GaitViewError(f"lengths {len(x)} and {len(y)} differ")
     if len(x) < 2:
-        raise DegenerateSignal("need >= 2 samples")
+        raise GaitViewError("need >= 2 samples")
     n = x.size
     r = np.correlate(y, x, mode="full")  # r[k] = sum_t x[t] y[t + (k - (n-1))]
     lags = np.arange(-(n - 1), n)
@@ -148,7 +148,7 @@ def kl_divergence(x: np.ndarray, y: np.ndarray, cfg: MetricConfig | None = None)
     lo = min(x.min(), y.min())
     hi = max(x.max(), y.max())
     if hi - lo == 0.0:
-        raise ConstantSignal("pooled range of width zero")
+        raise GaitViewError("pooled range of width zero")
     edges = np.linspace(lo, hi, cfg.histogram_bins + 1)
     p = _histogram_mass(x, edges, cfg.smoothing_epsilon)
     q = _histogram_mass(y, edges, cfg.smoothing_epsilon)
@@ -205,8 +205,8 @@ def compute_records(
             if ie3 is None:
                 ie3 = information_entropy(sig3, cfg)
         except Exception as exc:
-            raise MetricError(trial.subject_index, trial.trial_index,
-                              feature.value, side.value, view.value, exc) from exc
+            raise GaitViewError(f"(subject {trial.subject_index}, trial {trial.trial_index}, "
+                                f"{feature.value}, {side.value}, {view.value}): {exc}") from exc
         records.append(MetricRecord(
             trial=trial, feature=feature, side=side, view=view,
             dtw=dtw, mcc=mcc, mcc_lag=lag, kld=kld, ie_2d=ie2, ie_3d=ie3,

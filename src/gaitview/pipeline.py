@@ -37,7 +37,7 @@ from . import __version__
 from .dimred import (
     DEFAULT_VARIANCE_THRESHOLD, FeatureMatrix, marker_matrix, pca_fit, pose_matrix,
 )
-from .errors import GaitViewError, InputFileError, ParseError, SignalTooShort
+from .errors import GaitViewError, ParseError, SignalTooShort
 from .features import FEATURE_SIDES, FeatureName, extract_all, signal_key_name
 from .ingest import (
     DEFAULT_CONF_THRESHOLD,
@@ -210,7 +210,7 @@ def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
             view = next(view for view, seq in seqs.items()
                         if len(seq) <= spec.pad_len and seq.complete.any())
             with _naming(trial, view, files[view]):
-                raise  # as the InputFileError of the first sequence too short to filter
+                raise  # naming the first sequence too short to filter
     feats = {}
     for view, seq in seqs.items():
         with _naming(trial, view, files[view]):
@@ -227,12 +227,12 @@ def _median(values: np.ndarray) -> float:
 
 @contextlib.contextmanager
 def _naming(trial: TrialId, view: ViewLabel, path: Path):
-    """Re-raise a failure as InputFileError naming the subject, trial, view and file."""
+    """Re-raise a failure as a GaitViewError naming the subject, trial, view and file."""
     try:
         yield
     except (GaitViewError, ValueError, OSError) as exc:
-        raise InputFileError(trial.subject_index, trial.trial_index, view.value, path,
-                             exc) from exc
+        raise GaitViewError(f"(subject {trial.subject_index}, trial {trial.trial_index}, "
+                            f"{view.value}, {path}): {exc}") from exc
 
 
 def _score_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path], first3d):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidFilterSpec, SignalTooShort
+from .errors import GaitViewError, SignalTooShort
 
 DEFAULT_CUTOFF_HZ = 7.0
 DEFAULT_SAMPLE_RATE_HZ = 100.0
@@ -41,16 +41,16 @@ class FilterSpec:
     def __post_init__(self):
         for name in ("cutoff_hz", "sample_rate_hz"):
             if not math.isfinite(getattr(self, name)):
-                raise InvalidFilterSpec(f"{name} must be finite, got {getattr(self, name)}")
+                raise GaitViewError(f"{name} must be finite, got {getattr(self, name)}")
         if self.cutoff_hz <= 0 or self.sample_rate_hz <= 0:
-            raise InvalidFilterSpec("cutoff and sample rate must be positive")
+            raise GaitViewError("cutoff and sample rate must be positive")
         if self.cutoff_hz >= self.sample_rate_hz / 2:
-            raise InvalidFilterSpec(
+            raise GaitViewError(
                 f"cutoff {self.cutoff_hz} Hz at or above Nyquist "
                 f"({self.sample_rate_hz / 2} Hz)"
             )
         if self.order < 2 or self.order % 2 != 0:
-            raise InvalidFilterSpec(f"order must be even and >= 2, got {self.order}")
+            raise GaitViewError(f"order must be even and >= 2, got {self.order}")
 
     @property
     def pad_len(self) -> int:

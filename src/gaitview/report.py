@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 
-from .errors import NotAnalyzed, ParseError
+from .errors import GaitViewError, ParseError
 
 # the gait parameters, in report order; features.FeatureName is built from them
 FEATURES = ("step_length", "knee_rotation", "trunk_rotation", "wrist_hipmid")
@@ -48,7 +48,7 @@ def _read_stats(path: Path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != STATS_HEADER:
-            raise NotAnalyzed(f"{path} does not match the stats schema")
+            raise GaitViewError(f"{path} does not match the stats schema")
 
         def error(column: str, reason: str) -> ParseError:
             return ParseError(reader.line_num, STATS_HEADER.index(column) + 1, reason, path)
@@ -90,7 +90,7 @@ def recommend(analyzed_dir, alpha: float = DEFAULT_ALPHA) -> list[dict]:
     stats_files = [(feature, analyzed / f"stats_{feature}.csv") for feature in sorted(FEATURES)]
     stats_files = [(feature, path) for feature, path in stats_files if path.exists()]
     if not stats_files:
-        raise NotAnalyzed(f"no stats_<feature>.csv files in {analyzed}")
+        raise GaitViewError(f"no stats_<feature>.csv files in {analyzed}")
     rows: list[dict] = []
     for feature, path in stats_files:
         votes: dict[str, list[tuple[str, str]]] = {}

@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConstantSignal, DegenerateSignal
+from .errors import GaitViewError
 
 
 class ViewLabel(str, Enum):
@@ -48,9 +48,9 @@ def resample_linear(values: np.ndarray, target_len: int) -> np.ndarray:
     """Resample to target_len points by endpoint-preserving linear interpolation."""
     n = len(values)
     if n < 2:
-        raise DegenerateSignal(f"need >= 2 samples to resample, got {n}")
+        raise GaitViewError(f"need >= 2 samples to resample, got {n}")
     if target_len < 2:
-        raise DegenerateSignal(f"target_len must be >= 2, got {target_len}")
+        raise GaitViewError(f"target_len must be >= 2, got {target_len}")
     if target_len == n:
         return _finite(values)
     old_t = np.linspace(0.0, 1.0, n)
@@ -64,9 +64,9 @@ def resample_linear(values: np.ndarray, target_len: int) -> np.ndarray:
 def znormalize(values: np.ndarray) -> np.ndarray:
     """Shift/scale to zero mean and unit population standard deviation."""
     if len(values) < 2:
-        raise DegenerateSignal(f"need >= 2 samples to z-normalize, got {len(values)}")
+        raise GaitViewError(f"need >= 2 samples to z-normalize, got {len(values)}")
     mu = float(np.mean(values))
     sd = float(np.std(values))
     if sd == 0.0:
-        raise ConstantSignal("signal has zero variance")
+        raise GaitViewError("signal has zero variance")
     return _finite((values - mu) / sd)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroDifferences, EmptySample, UnpairedSubject
+from .errors import AllZeroDifferences, GaitViewError
 from .features import FeatureName
 from .report import DEFAULT_ALPHA, METRIC_DIRECTION
 from .signal_core import SideLabel, ViewLabel
@@ -30,7 +30,7 @@ class PairedSample:
         if len(self.values_a) != len(self.values_b):
             raise ValueError("paired samples must have equal length")
         if len(self.values_a) < 1:
-            raise EmptySample("need at least one pair")
+            raise GaitViewError("need at least one pair")
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,10 @@ def compare_views(
     frontal, lateral = per_view[ViewLabel.FRONTAL], per_view[ViewLabel.LATERAL]
     subjects = sorted(set(frontal) | set(lateral))
     if not subjects:
-        raise UnpairedSubject(f"no records for ({feature.value}, {side.value})")
+        raise GaitViewError(f"no records for ({feature.value}, {side.value})")
     missing = [s for s in subjects if s not in frontal or s not in lateral]
     if missing:
-        raise UnpairedSubject(
+        raise GaitViewError(
             f"subjects {missing} lack one view for ({feature.value}, {side.value}, {metric})"
         )
     a = tuple(frontal[s] for s in subjects)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BehindCamera
+from .errors import GaitViewError
 from .ingest import (
     KEYPOINT_NAMES,
     MarkerSequence,
@@ -227,7 +227,7 @@ def project(
 ) -> PoseSequence:
     """Pinhole-project a marker sequence to the 17-keypoint pose schema.
 
-    Face keypoints are synthesized from the head marker. Raises BehindCamera
+    Face keypoints are synthesized from the head marker. Raises GaitViewError
     naming the first frame with a point on or behind the camera plane, and
     in it the first such keypoint: face points first, then MARKER_ROLES.
     A point whose pixel overflows to a non-finite value raises ValueError
@@ -244,7 +244,8 @@ def project(
     behind = pc[..., 2] <= 1e-9
     if behind.any():
         i, k = divmod(int(np.argmax(behind)), len(_WORLD_NAMES))
-        raise BehindCamera(int(seq.frame_index[i]), _WORLD_NAMES[k])
+        raise GaitViewError(f"marker {_WORLD_NAMES[k]!r} at or behind the camera plane in "
+                            f"frame {int(seq.frame_index[i])}")
     fx = cam.focal_px
     cx, cy = cam.principal_point
     uvc = np.stack(np.broadcast_arrays(cx + fx * pc[..., 0] / pc[..., 2],

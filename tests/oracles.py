@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from gaitview.errors import BehindCamera, DuplicateError, GapTooLarge, ParseError, SchemaError
+from gaitview.errors import GaitViewError, ParseError
 from gaitview.ingest import (
     KEYPOINT_NAMES,
     MARKER_HEADER,
@@ -167,25 +167,25 @@ def parse_rows(text: str, pose: bool) -> list[tuple[int, float, dict]]:
         time_s = _number(float, row[1], line, 2, "time")
         name = row[2].strip()
         if pose and name not in KEYPOINT_NAMES:
-            raise SchemaError(f"line {line}: unknown keypoint {name!r}")
+            raise GaitViewError(f"line {line}: unknown keypoint {name!r}")
         if not name:
-            raise SchemaError(f"line {line}: empty marker name")
+            raise GaitViewError(f"line {line}: empty marker name")
         x = _number(float, row[3], line, 4, "x")
         y = _number(float, row[4], line, 5, "y")
         third = _number(float, row[5], line, 6, third_name)
         if pose and not (0.0 <= third <= 1.0):
-            raise SchemaError(f"line {line}: confidence {third} outside [0, 1]")
+            raise GaitViewError(f"line {line}: confidence {third} outside [0, 1]")
         frame_time, points, _ = frames.setdefault(frame, (time_s, {}, line))
         if time_s != frame_time:
             raise ParseError(line, 2, f"time {time_s!r} of frame {frame} conflicts with "
                                       f"{frame_time!r} given by an earlier row")
         if name in points:
-            raise DuplicateError(f"line {line}: duplicate (frame {frame}, {point} {name!r})")
+            raise GaitViewError(f"line {line}: duplicate (frame {frame}, {point} {name!r})")
         points[name] = (x, y, third)
     ordered = sorted(frames.items())
     for index, (_, points, _) in ordered[1:]:
         if not pose and set(points) != set(ordered[0][1][1]):
-            raise SchemaError(
+            raise GaitViewError(
                 f"marker set changes at frame {index}; must be constant per trial")
     for (before, (t0, _, _)), (index, (t1, _, line)) in zip(ordered, ordered[1:]):
         if t1 <= t0:
@@ -214,7 +214,8 @@ def fill_gaps_loop(frames, conf_threshold: float, max_gap: int):
             end = i  # the run is [start, end)
             frame_range = (frames[start][0], frames[end - 1][0])
             if start == 0 or end == n or end - start > max_gap:
-                raise GapTooLarge(name, frame_range)
+                raise GaitViewError(f"gap for {name!r} spanning frames {frame_range} "
+                                    "cannot be repaired")
             f0, _, before = frames[start - 1]
             f1, _, after = frames[end]
             (x0, y0, _), (x1, y1, _) = before[name], after[name]
@@ -325,7 +326,8 @@ def project_loop(seq, cam, conf: float = 1.0, view: ViewLabel = ViewLabel.FRONTA
         for name, world in _keypoint_world(dict(zip(seq.names, points))).items():
             pc = rot @ (world - pos)
             if pc[2] <= 1e-9:
-                raise BehindCamera(index, name)
+                raise GaitViewError(f"marker {name!r} at or behind the camera plane in "
+                                    f"frame {index}")
             u = cx + fx * pc[0] / pc[2]
             v = cy + fx * pc[1] / pc[2]
             keypoints[name] = (u, v, conf)

@@ -222,13 +222,17 @@ def test_criterion_09_pca(capsys):
             ok = False
     full = FeatureMatrix(rng.normal(size=(40, 6)))
     res = pca_fit(full, threshold=1.0)
-    ratios = res.singular_values**2 / np.sum(res.singular_values**2)
-    ok = ok and abs(float(ratios.sum()) - 1.0) < 1e-9
-    means = full.values.mean(axis=0)
-    recon = (full.values - means) @ res.component_basis.T @ res.component_basis + means
-    ok = ok and np.max(np.abs(recon - full.values)) < 1e-6
-    report(capsys, 9, "PCA: rank-k -> k components with ratio 1, ratios sum to 1, "
-              "full-rank round trip within 1e-6", ok)
+    ok = ok and res.k == 6 and abs(res.explained_ratio - 1.0) < 1e-9
+    # the covariance eigenvalues, largest first, give the same k and ratio
+    eig = np.linalg.eigvalsh(np.cov(full.values, rowvar=False))[::-1]
+    cumulative = np.cumsum(eig) / eig.sum()
+    for threshold in (0.3, 0.5, 0.8, 0.95):
+        res = pca_fit(full, threshold=threshold)
+        k = int(np.argmax(cumulative >= threshold)) + 1
+        ok = ok and res.k == k and abs(res.explained_ratio - cumulative[k - 1]) < 1e-9
+    report(capsys, 9, "PCA: rank-k -> k components with ratio 1, full rank needs every "
+              "component at threshold 1, k and ratio agree with the covariance eigenvalues",
+           ok)
 
 
 def test_criterion_10_directional_reproduction(capsys, pipeline18):

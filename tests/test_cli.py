@@ -17,7 +17,7 @@ from gaitview.pipeline import RunConfig, _radar_data
 from gaitview.report import PCA_HEADER, RECORDS_HEADER, STATS_HEADER, recommend
 from gaitview import preprocess
 from gaitview.features import FeatureName
-from gaitview.errors import NotAnalyzed
+from gaitview.errors import GaitViewError
 from gaitview.metrics import MetricRecord
 from gaitview.signal_core import SideLabel, TrialId, ViewLabel
 from gaitview.synth import GaitModelParams, make_paired_dataset
@@ -425,6 +425,28 @@ class TestAnalyzeCommand:
         # each subject's PCA reads its own markers
         assert run_analyze(manifest, tmp_path / "per", "--pca-scope", "per-subject") == 0
 
+    def test_metric_failure_names_subject_trial_signal_and_view(self, tmp_path, capsys):
+        # subject 1's frontal shoulders are its whole-pixel hips 100 px up, so the
+        # shoulder line is the hip line and the unfiltered trunk rotation is exactly 0
+        manifest = run_synth(tmp_path / "d", subjects=2)
+        path = tmp_path / "d" / "s01_frontal.csv"
+        header, *rows = path.read_text().splitlines(keepends=True)
+        rows = [row.rstrip("\n").split(",") for row in rows]
+        hips = {}
+        for row in rows:
+            if row[2].endswith("_hip"):
+                row[3], row[4] = (repr(float(round(float(cell)))) for cell in row[3:5])
+                hips[row[0], row[2].split("_")[0]] = (float(row[3]), float(row[4]))
+        for row in rows:
+            if row[2].endswith("_shoulder"):
+                x, y = hips[row[0], row[2].split("_")[0]]
+                row[3], row[4] = repr(x), repr(y - 100.0)
+        path.write_text(header + "".join(",".join(row) + "\n" for row in rows))
+        assert run_analyze(manifest, tmp_path / "out", "--no-filter") == 1
+        assert capsys.readouterr().err == ("error: (subject 1, trial 1, trunk_rotation, "
+                                           "bilateral, frontal): signal has zero variance\n")
+        assert not (tmp_path / "out").exists()
+
     def test_narrower_run_removes_stale_reports(self, dataset, tmp_path):
         out = tmp_path / "out"
         assert run_analyze(dataset, out) == 0
@@ -658,6 +680,31 @@ class TestSettings:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("cutoff-hz", "80", "cutoff 80.0 Hz at or above Nyquist (50.0 Hz)"),
+        ("histogram-bins", "1", "histogram_bins must be >= 2"),
+    ])
+    def test_filter_or_metric_setting_from_config_names_the_file(
+            self, dataset, tmp_path, capsys, key, value, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert run_analyze(dataset, tmp_path / "o", "--config", str(cfg)) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        # the same value from its flag names no file
+        assert run_analyze(dataset, tmp_path / "o", f"--{key}", value) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_setting_rejected_with_a_flag_still_names_the_file(self, dataset, tmp_path, capsys):
+        # the Nyquist check reads the flag's cutoff and the file's sample rate
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sample-rate-hz = 10\n")
+        assert run_analyze(dataset, tmp_path / "o", "--config", str(cfg),
+                           "--cutoff-hz", "6") == 1
+        assert (capsys.readouterr().err
+                == f"error: {cfg}: cutoff 6.0 Hz at or above Nyquist (5.0 Hz)\n")
+        assert not (tmp_path / "o").exists()
+
     def test_analyze_options_unchanged(self, capsys):
         # the flags are built from the --config key table; none may drop out or be renamed
         with pytest.raises(SystemExit) as exit_info:
@@ -854,7 +901,8 @@ class TestRecommendCommand:
         assert recommend(copy) == expected
 
     def test_not_analyzed_dir(self, tmp_path):
-        with pytest.raises(NotAnalyzed):
+        with pytest.raises(GaitViewError,
+                           match=f"^{re.escape(f'no stats_<feature>.csv files in {tmp_path}')}$"):
             recommend(tmp_path)
 
     def test_recommend_cli_error_path(self, tmp_path, capsys):

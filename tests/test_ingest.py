@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaitview.errors import DuplicateError, GaitViewError, GapTooLarge, ParseError, SchemaError
+from gaitview.errors import GaitViewError, ParseError
 from gaitview.ingest import (
     KEYPOINT_NAMES,
     MarkerFrame,
@@ -46,16 +46,17 @@ class TestParsePose:
         assert seq.frames[0].keypoints["left_ankle"] == (100.5, 200.25, 0.98)
 
     def test_confidence_out_of_range(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(GaitViewError, match=r"^line 2: confidence 1\.5 outside \[0, 1\]$"):
             parse_pose_csv(io.StringIO(POSE_HEADER + "0,0.0,left_ankle,1,2,1.5\n"))
 
     def test_unknown_keypoint(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(GaitViewError, match="^line 2: unknown keypoint 'left_toe'$"):
             parse_pose_csv(io.StringIO(POSE_HEADER + "0,0.0,left_toe,1,2,0.9\n"))
 
     def test_duplicate_keypoint(self):
         body = "0,0.0,nose,1,2,0.9\n0,0.0,nose,3,4,0.8\n"
-        with pytest.raises(DuplicateError):
+        with pytest.raises(GaitViewError,
+                           match=r"^line 3: duplicate \(frame 0, keypoint 'nose'\)$"):
             parse_pose_csv(io.StringIO(POSE_HEADER + body))
 
     def test_malformed_row_positioned(self):
@@ -147,7 +148,8 @@ class TestParseMarker:
 
     def test_marker_set_must_be_constant(self):
         body = "0,0.0,a,1,2,3\n1,0.01,b,1,2,3\n"
-        with pytest.raises(SchemaError):
+        with pytest.raises(GaitViewError,
+                           match="^marker set changes at frame 1; must be constant per trial$"):
             parse_marker_csv(io.StringIO(MARKER_HEADER + body))
 
     def test_times_must_increase(self):
@@ -164,7 +166,7 @@ class TestParseMarker:
 
     def test_duplicate_marker(self):
         body = "0,0.0,a,1,2,3\n0,0.0,a,4,5,6\n"
-        with pytest.raises(DuplicateError):
+        with pytest.raises(GaitViewError, match=r"^line 3: duplicate \(frame 0, marker 'a'\)$"):
             parse_marker_csv(io.StringIO(MARKER_HEADER + body))
 
     def test_bad_last_row_costs_log_rows_reads(self, monkeypatch):
@@ -467,7 +469,8 @@ class TestFillGaps:
         rows = [(0, 0.0, {"nose": (0.0, 0.0, 0.9)})]
         rows += [(i, i / 100, {"nose": (0.0, 0.0, 0.1)}) for i in range(1, 12)]
         rows += [(12, 0.12, {"nose": (0.0, 0.0, 0.9)})]
-        with pytest.raises(GapTooLarge):
+        with pytest.raises(GaitViewError,
+                           match=r"^gap for 'nose' spanning frames \(1, 11\) cannot be repaired$"):
             fill_gaps(make_pose(rows), 0.3, 10)
 
     def test_gap_at_boundary(self):
@@ -475,7 +478,8 @@ class TestFillGaps:
             (0, 0.00, {"nose": (0.0, 0.0, 0.1)}),
             (1, 0.01, {"nose": (1.0, 0.0, 0.9)}),
         ])
-        with pytest.raises(GapTooLarge):
+        with pytest.raises(GaitViewError,
+                           match=r"^gap for 'nose' spanning frames \(0, 0\) cannot be repaired$"):
             fill_gaps(seq, 0.3, 10)
 
     def test_confident_points_untouched(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import signal as sps
 
 from gaitview import preprocess
-from gaitview.errors import InvalidFilterSpec, SignalTooShort
+from gaitview.errors import GaitViewError, SignalTooShort
 from gaitview.ingest import KEYPOINT_NAMES, MarkerFrame, MarkerSequence, PoseFrame, PoseSequence
 from gaitview.preprocess import (
     FilterSpec,
@@ -44,11 +44,12 @@ class TestCoeffs:
         assert abs(abs(h) - 1 / np.sqrt(2)) < 1e-6
 
     def test_cutoff_at_nyquist_rejected(self):
-        with pytest.raises(InvalidFilterSpec):
+        with pytest.raises(GaitViewError,
+                           match=r"^cutoff 60\.0 Hz at or above Nyquist \(50\.0 Hz\)$"):
             FilterSpec(cutoff_hz=60.0, sample_rate_hz=100.0)
 
     def test_odd_order_rejected(self):
-        with pytest.raises(InvalidFilterSpec):
+        with pytest.raises(GaitViewError, match="^order must be even and >= 2, got 3$"):
             FilterSpec(order=3)
 
     @pytest.mark.parametrize("name, value", [
@@ -56,7 +57,7 @@ class TestCoeffs:
         ("sample_rate_hz", np.nan), ("sample_rate_hz", np.inf),
     ])
     def test_non_finite_rejected(self, name, value):
-        with pytest.raises(InvalidFilterSpec, match=f"^{name} must be finite, got {value}$"):
+        with pytest.raises(GaitViewError, match=f"^{name} must be finite, got {value}$"):
             FilterSpec(**{name: value})
 
 

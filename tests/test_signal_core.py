@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gaitview.errors import ConstantSignal, DegenerateSignal
+from gaitview.errors import GaitViewError
 from gaitview.signal_core import TrialId, _finite, resample_linear, znormalize
 
 
@@ -65,15 +65,15 @@ class TestResampleLinear:
                 resample_linear(np.array([-1.7e308, 1.7e308]), 5)
 
     def test_too_short(self):
-        with pytest.raises(DegenerateSignal):
+        with pytest.raises(GaitViewError, match="^need >= 2 samples to resample, got 1$"):
             resample_linear(np.array([1.0]), 5)
-        with pytest.raises(DegenerateSignal):
+        with pytest.raises(GaitViewError, match="^target_len must be >= 2, got 1$"):
             resample_linear(np.array([1.0, 2.0]), 1)
 
 
 class TestZnormalize:
     def test_constant_rejected(self):
-        with pytest.raises(ConstantSignal):
+        with pytest.raises(GaitViewError, match="^signal has zero variance$"):
             znormalize(np.array([1.0, 1.0, 1.0]))
 
     def test_two_point_symmetry(self):

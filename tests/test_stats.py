@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from gaitview.errors import AllZeroDifferences, UnpairedSubject
+from gaitview.errors import AllZeroDifferences, GaitViewError
 from gaitview.features import FeatureName
 from gaitview.metrics import MetricRecord
 from gaitview.pipeline import RunConfig, _write_outputs
@@ -45,6 +45,10 @@ class TestWilcoxonExamples:
     def test_all_zero_rejected(self):
         with pytest.raises(AllZeroDifferences):
             wilcoxon_signed_rank(PairedSample((3.0, 3.0), (3.0, 3.0)))
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(GaitViewError, match="^need at least one pair$"):
+            PairedSample((), ())
 
 
 class TestWilcoxonAgainstEnumeration:
@@ -236,11 +240,13 @@ class TestCompareViews:
         recs = make_records([1.0, 2.0], [3.0, 4.0])
         recs = [r for r in recs if not (r.view is ViewLabel.LATERAL
                                         and r.trial.subject_index == 2)]
-        with pytest.raises(UnpairedSubject):
+        with pytest.raises(GaitViewError, match=r"^subjects \[2\] lack one view for "
+                                                r"\(step_length, left, dtw\)$"):
             compare_views(recs, FeatureName.STEP_LENGTH, SideLabel.LEFT, "dtw")
 
     def test_no_records_rejected(self):
-        with pytest.raises(UnpairedSubject):
+        with pytest.raises(GaitViewError,
+                           match=r"^no records for \(trunk_rotation, bilateral\)$"):
             compare_views([], FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL, "kld")
 
     def test_unknown_metric(self):
