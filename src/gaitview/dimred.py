@@ -1,9 +1,12 @@
 """PCA with an explained-variance threshold over flattened trial matrices.
 
-Columns are mean-centered but not variance-scaled (covariance PCA:
-coordinate features share units within a source). A fit reports how many
-components reach the threshold and the variance ratio they explain, the
-two numbers pca_summary.csv holds; no basis is kept.
+pca_matrix flattens a pose or marker sequence into one row per frame of
+the named points' coordinates; the caller names the points (the pipeline:
+the 17 keypoints, or a mocap3d file's complete markers). Columns are
+mean-centered but not variance-scaled (covariance PCA: coordinate features
+share units within a source). A fit reports how many components reach the
+threshold and the variance ratio they explain, the two numbers
+pca_summary.csv holds; no basis is kept.
 """
 from __future__ import annotations
 
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GaitViewError
-from .ingest import KEYPOINT_NAMES
 
 DEFAULT_VARIANCE_THRESHOLD = 0.95
 
@@ -55,15 +57,7 @@ def pca_fit(m: FeatureMatrix, threshold: float = DEFAULT_VARIANCE_THRESHOLD) -> 
     return PcaResult(k=k, explained_ratio=float(cumulative[k - 1]))
 
 
-def pose_matrix(seq) -> np.ndarray:
-    """One pose sequence as a (frames, 17*2) array: x, y per keypoint."""
-    return seq.points(KEYPOINT_NAMES).reshape(len(seq), 2 * len(KEYPOINT_NAMES))
-
-
-def marker_matrix(seq, names=None) -> np.ndarray:
-    """One marker sequence as a (frames, markers*3) array: x, y, z per marker
-    of names, by default the sequence's markers present in every frame, sorted
-    by name."""
-    if names is None:
-        names = [name for name, whole in zip(seq.names, seq.complete) if whole]
-    return seq.points(names).reshape(len(seq), 3 * len(names))
+def pca_matrix(seq, names) -> np.ndarray:
+    """One sequence as a (frames, len(names) * dims) array: the coordinates
+    of each named point, in the order given."""
+    return seq.points(names).reshape(len(seq), seq.dims * len(names))

@@ -34,9 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dimred import (
-    DEFAULT_VARIANCE_THRESHOLD, FeatureMatrix, marker_matrix, pca_fit, pose_matrix,
-)
+from .dimred import DEFAULT_VARIANCE_THRESHOLD, FeatureMatrix, pca_fit, pca_matrix
 from .errors import GaitViewError, ParseError, SignalTooShort
 from .features import FEATURE_SIDES, FeatureName, extract_all, signal_key_name
 from .ingest import (
@@ -115,7 +113,8 @@ def load_manifest(path: Path) -> dict[TrialId, dict[str, Path]]:
         reader = csv.DictReader(fh)
         required = ("subject", "trial", "kind", "path")
         if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
-            raise GaitViewError(f"manifest {path} must have columns {sorted(required)}")
+            raise GaitViewError(f"manifest {path} must have columns {sorted(required)}, "
+                                f"got {reader.fieldnames or []}")
 
         def error(column: str, reason: str) -> ParseError:
             return ParseError(reader.line_num, reader.fieldnames.index(column) + 1, reason, path)
@@ -244,8 +243,8 @@ def _score_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path], first3d
     and the mocap3d matrix has a column per complete marker of that file."""
     seqs, feats = _process_trial(cfg, trial, paths)
     seq3d = seqs[ViewLabel.MOCAP3D]
-    first3d = first3d or (trial.subject_index, seq3d.names,
-                          [name for name, whole in zip(seq3d.names, seq3d.complete) if whole])
+    complete3d = [name for name, whole in zip(seq3d.names, seq3d.complete) if whole]
+    first3d = first3d or (trial.subject_index, seq3d.names, complete3d)
     pooled = cfg.pca_scope == "pooled"
     absent = [name for name in first3d[1] if name not in seq3d.names]
     if pooled and absent:
@@ -265,8 +264,9 @@ def _score_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path], first3d
     matrices = {}
     for view, seq in seqs.items():
         with _naming(trial, view, paths[view.value]):
-            matrices[view] = (marker_matrix(seq, first3d[2] if pooled else None)
-                              if view is ViewLabel.MOCAP3D else pose_matrix(seq))
+            names = ((first3d[2] if pooled else complete3d) if view is ViewLabel.MOCAP3D
+                     else KEYPOINT_NAMES)
+            matrices[view] = pca_matrix(seq, names)
     return records, matrices, first3d
 
 
@@ -296,12 +296,21 @@ def run_analysis(cfg: RunConfig) -> None:
         pca_rows = [_pca_row(view.value, np.concatenate(parts.pop(view)), cfg.pca_threshold)
                     for view in _TRIAL_VIEWS]
 
+    # (feature, side, view) -> records in trial order; load_manifest gives every
+    # subject each view, so two views' lists pair subject by subject
+    groups: dict[tuple, list[MetricRecord]] = {}
+    for rec in records:
+        groups.setdefault((rec.feature, rec.side, rec.view), []).append(rec)
     stat_results: list[StatResult] = []
     for feature in cfg.features:
         for side in FEATURE_SIDES[feature]:
             for metric in cfg.metrics:
-                stat_results.append(compare_views(records, feature, side, metric, cfg.alpha))
-    _write_outputs(cfg, records, stat_results, pca_rows, _radar_data(records, cfg))
+                attr = "ie_2d" if metric == "ie" else metric  # IE compares the 2D entropies
+                frontal, lateral = ([getattr(r, attr) for r in groups[feature, side, view]]
+                                    for view in (ViewLabel.FRONTAL, ViewLabel.LATERAL))
+                stat_results.append(
+                    compare_views(frontal, lateral, feature, side, metric, cfg.alpha))
+    _write_outputs(cfg, records, stat_results, pca_rows, _radar_data(groups, cfg))
 
 
 def _pca_row(group: str, values: np.ndarray, threshold: float) -> tuple[str, int, int, float]:
@@ -310,13 +319,10 @@ def _pca_row(group: str, values: np.ndarray, threshold: float) -> tuple[str, int
     return group, values.shape[1], result.k, result.explained_ratio
 
 
-def _radar_data(records, cfg) -> dict:
-    """Per (feature, side) and metric: view means min-max normalized so the
-    better-direction extreme is exactly 1 and the worse exactly 0. Every
-    view is present: load_manifest rejects a subject without one."""
-    groups: dict[tuple, list[MetricRecord]] = {}  # (feature, side, view) -> records in order
-    for rec in records:
-        groups.setdefault((rec.feature, rec.side, rec.view), []).append(rec)
+def _radar_data(groups, cfg) -> dict:
+    """Per (feature, side) and metric: view means of the records grouped by
+    (feature, side, view), min-max normalized so the better-direction
+    extreme is exactly 1 and the worse exactly 0."""
     radar: dict[str, dict[str, dict[str, float]]] = {}
     for feature in cfg.features:
         for side in FEATURE_SIDES[feature]:

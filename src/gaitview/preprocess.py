@@ -10,7 +10,8 @@ scipy.signal.filtfilt with odd padding, where each pass starts from the
 steady-state step response (lfilter_zi; on initial states in
 forward-backward filtering see Gustafsson 1996). They perform scipy's
 floating-point operations in scipy's order, so their results equal scipy's
-bit for bit; the tests hold scipy as the oracle. Filtering never imports
+bit for bit; the tests hold scipy as the oracle. zpk2tf's step, zeros and
+poles to polynomial coefficients, is np.poly. Filtering never imports
 scipy.
 
 smooth filters the sequences of a trial together: the complete tracks of
@@ -81,21 +82,7 @@ def butterworth_coeffs(spec: FilterSpec) -> tuple[np.ndarray, np.ndarray]:
     zeros_z = np.concatenate(((fs2 + zeros) / (fs2 - zeros), -np.ones(order)))
     poles_z = (fs2 + poles) / (fs2 - poles)
     gain = gain * np.real(np.prod(fs2 - zeros) / np.prod(fs2 - poles))
-    return gain * _poly(zeros_z), _poly(poles_z)
-
-
-def _poly(roots: np.ndarray) -> np.ndarray:
-    """Monic polynomial with the given roots, highest power first; real when
-    the roots are real or come in conjugate pairs."""
-    coeffs = np.ones((1,), dtype=roots.dtype)
-    one = np.ones_like(roots[0])
-    for root in roots:
-        coeffs = np.convolve(coeffs, np.stack((one, -root)), mode="full")
-    if np.iscomplexobj(coeffs) and np.all(
-        np.sort(np.imag(roots)) == np.sort(np.imag(np.conj(roots)))
-    ):
-        coeffs = np.real(coeffs).copy()
-    return coeffs
+    return gain * np.poly(zeros_z), np.poly(poles_z)
 
 
 def filtfilt_array(values: np.ndarray, spec: FilterSpec) -> np.ndarray:

@@ -3,6 +3,8 @@
 Wilcoxon signed-rank (exact by sign-assignment enumeration up to n = 25,
 normal approximation with tie and continuity corrections above), Cliff's
 delta with Small/Medium/Large labels at |delta| thresholds 0.33 and 0.474.
+compare_views takes each view's scores as a list, paired by position; the
+caller picks the record field that is a metric's score.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import numpy as np
 from .errors import AllZeroDifferences, GaitViewError
 from .features import FeatureName
 from .report import DEFAULT_ALPHA, METRIC_DIRECTION
-from .signal_core import SideLabel, ViewLabel
+from .signal_core import SideLabel
 
 EXACT_N_MAX = 25
 DELTA_MEDIUM = 0.33
@@ -132,7 +134,8 @@ def cliffs_delta(s: PairedSample) -> tuple[float, str]:
 
 
 def compare_views(
-    records,
+    frontal,
+    lateral,
     feature: FeatureName,
     side: SideLabel,
     metric: str,
@@ -140,27 +143,13 @@ def compare_views(
 ) -> StatResult:
     """Paired frontal-vs-lateral comparison of one metric for one feature/side.
 
+    frontal and lateral hold the two views' scores, paired by position.
     A winner is declared only at p < alpha, by the sign of W+ - W- of the
     frontal - lateral differences and the metric's direction; IE has none.
     """
     if metric not in METRIC_DIRECTION:
         raise ValueError(f"unknown metric {metric!r}")
-    per_view: dict[ViewLabel, dict[int, float]] = {ViewLabel.FRONTAL: {}, ViewLabel.LATERAL: {}}
-    attr = "ie_2d" if metric == "ie" else metric
-    for rec in records:
-        if rec.feature == feature and rec.side == side and rec.view in per_view:
-            per_view[rec.view][rec.trial.subject_index] = getattr(rec, attr)
-    frontal, lateral = per_view[ViewLabel.FRONTAL], per_view[ViewLabel.LATERAL]
-    subjects = sorted(set(frontal) | set(lateral))
-    if not subjects:
-        raise GaitViewError(f"no records for ({feature.value}, {side.value})")
-    missing = [s for s in subjects if s not in frontal or s not in lateral]
-    if missing:
-        raise GaitViewError(
-            f"subjects {missing} lack one view for ({feature.value}, {side.value}, {metric})"
-        )
-    a = tuple(frontal[s] for s in subjects)
-    b = tuple(lateral[s] for s in subjects)
+    a, b = tuple(frontal), tuple(lateral)
     sample = PairedSample(a, b)
     try:
         w_plus, w_minus, p = wilcoxon_signed_rank(sample)

@@ -543,15 +543,17 @@ class TestRadarData:
             ViewLabel.FRONTAL: [(1.0, 0.2, 0.5, 3.3), (3.0, 0.2, 0.7, 3.5)],
             ViewLabel.LATERAL: [(4.0, 0.8, 0.6, 2.0), (4.0, 1.0, 0.6, 2.0)],
         }
-        records = [
-            MetricRecord(trial=TrialId(subject, 1), feature=FeatureName.TRUNK_ROTATION,
-                         side=SideLabel.BILATERAL, view=view, dtw=dtw, mcc=mcc, mcc_lag=0,
-                         kld=kld, ie_2d=ie_2d, ie_3d=3.0)
+        groups = {  # (feature, side, view) -> records, as run_analysis groups them
+            (FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL, view): [
+                MetricRecord(trial=TrialId(subject, 1), feature=FeatureName.TRUNK_ROTATION,
+                             side=SideLabel.BILATERAL, view=view, dtw=dtw, mcc=mcc, mcc_lag=0,
+                             kld=kld, ie_2d=ie_2d, ie_3d=3.0)
+                for subject, (dtw, mcc, kld, ie_2d) in enumerate(rows, start=1)
+            ]
             for view, rows in values.items()
-            for subject, (dtw, mcc, kld, ie_2d) in enumerate(rows, start=1)
-        ]
+        }
         cfg = RunConfig(Path("m.csv"), Path("out"), features=(FeatureName.TRUNK_ROTATION,))
-        assert _radar_data(records, cfg) == {"trunk_rotation": {
+        assert _radar_data(groups, cfg) == {"trunk_rotation": {
             "dtw": {"frontal": 1.0, "lateral": 0.0},  # lower wins: 2.0 < 4.0
             "mcc": {"frontal": 0.0, "lateral": 1.0},  # higher wins: 0.9 > 0.2
             "kld": {"frontal": 0.5, "lateral": 0.5},  # equal means: 0.6 = 0.6
@@ -822,6 +824,34 @@ class TestManifest:
                 "needs one mocap3d, one frontal and one lateral row"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
+
+    def test_byte_order_mark_named_in_the_header_error(self, tmp_path, capsys):
+        # the error listed the four required columns without saying what it read; the
+        # byte-order mark shows escaped, and the manifest is not decoded differently
+        manifest = run_synth(tmp_path / "d", subjects=1)
+        manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+        assert run_analyze(manifest, tmp_path / "out") == 1
+        assert (f"error: manifest {manifest} must have columns ['kind', 'path', 'subject', "
+                r"'trial'], got ['\ufeffsubject', 'trial', 'kind', 'path']"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_reports_do_not_depend_on_row_order(self, tmp_path):
+        # the stats pair the two views' scores by position, so both runs must order alike
+        manifest = run_synth(tmp_path / "d", subjects=6, seed=3)
+        header, *rows = manifest.read_text().splitlines(keepends=True)
+        reversed_manifest = manifest.with_name("reversed.csv")
+        reversed_manifest.write_text(header + "".join(reversed(rows)))
+        assert run_analyze(manifest, tmp_path / "a") == 0
+        assert run_analyze(reversed_manifest, tmp_path / "b") == 0
+        a, b = tree_digests(tmp_path / "a"), tree_digests(tmp_path / "b")
+        meta_a, meta_b = (json.loads((tmp_path / out / "run_metadata.json").read_text())
+                          for out in ("a", "b"))
+        assert (meta_a.pop("manifest"), meta_b.pop("manifest")) == (
+            str(manifest), str(reversed_manifest))
+        assert meta_a == meta_b
+        del a["run_metadata.json"], b["run_metadata.json"]
+        assert a == b and len(a) == 7
 
     def test_trial_index_reaches_records(self, tmp_path):
         manifest = run_synth(tmp_path / "d", subjects=2)

@@ -3,9 +3,8 @@ import pytest
 
 from gaitview.dimred import (
     FeatureMatrix,
-    marker_matrix,
     pca_fit,
-    pose_matrix,
+    pca_matrix,
 )
 from gaitview.errors import GaitViewError
 from gaitview.ingest import KEYPOINT_NAMES, MarkerFrame, MarkerSequence, PoseFrame, PoseSequence
@@ -94,7 +93,7 @@ class TestStacking:
             kps = {name: (float(rng.normal()), float(rng.normal()), 1.0)
                    for name in KEYPOINT_NAMES}
             frames.append(PoseFrame(i, i / 100.0, kps))
-        m = pose_matrix(PoseSequence(ViewLabel.FRONTAL, frames))
+        m = pca_matrix(PoseSequence(ViewLabel.FRONTAL, frames), KEYPOINT_NAMES)
         assert m.shape == (3, 34)
         # x, y of each keypoint in KEYPOINT_NAMES order
         assert m[1, :2].tolist() == list(frames[1].keypoints[KEYPOINT_NAMES[0]][:2])
@@ -102,14 +101,15 @@ class TestStacking:
     def test_pose_matrix_missing_keypoint(self):
         frames = [PoseFrame(0, 0.0, {"nose": (1.0, 2.0, 1.0)})]
         with pytest.raises(ValueError):
-            pose_matrix(PoseSequence(ViewLabel.FRONTAL, frames))
+            pca_matrix(PoseSequence(ViewLabel.FRONTAL, frames), KEYPOINT_NAMES)
 
     def test_marker_matrix_sorted_columns(self):
         frames = [
             MarkerFrame(i, i / 100.0, {"b_mark": (1.0, 2.0, 3.0), "a_mark": (4.0, 5.0, 6.0)})
             for i in range(2)
         ]
-        m = marker_matrix(MarkerSequence(frames))
+        seq = MarkerSequence(frames)
+        m = pca_matrix(seq, seq.names)
         assert m.shape == (2, 6)
         assert m[0].tolist() == [4.0, 5.0, 6.0, 1.0, 2.0, 3.0]  # a_mark's x, y, z first
 
@@ -119,10 +119,10 @@ class TestStacking:
             MarkerFrame(i, i / 100.0, {"b_mark": (1.0, 2.0, 3.0), "a_mark": (4.0, 5.0, 6.0)})
             for i in range(2)
         ]
-        assert marker_matrix(MarkerSequence(frames), ["b_mark"]).tolist() == [[1.0, 2.0, 3.0]] * 2
+        assert pca_matrix(MarkerSequence(frames), ["b_mark"]).tolist() == [[1.0, 2.0, 3.0]] * 2
         with pytest.raises(ValueError):
-            marker_matrix(MarkerSequence(frames), ["c_mark"])
+            pca_matrix(MarkerSequence(frames), ["c_mark"])
 
     def test_marker_matrix_empty(self):
         with pytest.raises(ValueError):  # no rows and no complete marker
-            FeatureMatrix(marker_matrix(MarkerSequence([])))
+            FeatureMatrix(pca_matrix(MarkerSequence([]), []))

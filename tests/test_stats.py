@@ -6,10 +6,9 @@ from scipy import stats as sstats
 
 from gaitview.errors import AllZeroDifferences, GaitViewError
 from gaitview.features import FeatureName
-from gaitview.metrics import MetricRecord
 from gaitview.pipeline import RunConfig, _write_outputs
 from gaitview.report import recommend
-from gaitview.signal_core import SideLabel, TrialId, ViewLabel
+from gaitview.signal_core import SideLabel
 from gaitview.stats import (
     EXACT_N_MAX,
     PairedSample,
@@ -164,28 +163,12 @@ class TestCliffsDelta:
         assert effect_label(-0.474) == "large"
 
 
-def make_records(frontal_vals, lateral_vals, metric="dtw",
-                 feature=FeatureName.STEP_LENGTH, side=SideLabel.LEFT):
-    recs = []
-    for view, vals in ((ViewLabel.FRONTAL, frontal_vals), (ViewLabel.LATERAL, lateral_vals)):
-        for subj, v in enumerate(vals, start=1):
-            kwargs = dict(dtw=1.0, mcc=0.0, mcc_lag=0, kld=0.5, ie_2d=3.0, ie_3d=3.0)
-            if metric == "ie":
-                kwargs["ie_2d"] = v
-            else:
-                kwargs[metric] = v
-            recs.append(MetricRecord(trial=TrialId(subj, 1), feature=feature,
-                                     side=side, view=view, **kwargs))
-    return recs
-
-
 class TestCompareViews:
     def test_dominant_lateral_wins_dtw(self):
         n = 18
         frontal = [10.0 + i * 0.1 for i in range(n)]
         lateral = [2.0 + i * 0.1 for i in range(n)]
-        res = compare_views(make_records(frontal, lateral),
-                            FeatureName.STEP_LENGTH, SideLabel.LEFT, "dtw")
+        res = compare_views(frontal, lateral, FeatureName.STEP_LENGTH, SideLabel.LEFT, "dtw")
         assert res.winner == "lateral"
         assert res.p_value == 2 / 2**n
         assert abs(res.cliffs_delta) == 1.0
@@ -197,8 +180,7 @@ class TestCompareViews:
         frontal, lateral = [10.0] * 17 + [200.0], [11.0] * 17 + [100.0]
         sample = PairedSample(tuple(frontal), tuple(lateral))
         assert wilcoxon_signed_rank(sample)[:2] == (18.0, 153.0)  # W+, W- of frontal - lateral
-        res = compare_views(make_records(frontal, lateral),
-                            FeatureName.STEP_LENGTH, SideLabel.LEFT, "dtw")
+        res = compare_views(frontal, lateral, FeatureName.STEP_LENGTH, SideLabel.LEFT, "dtw")
         assert res.mean_sd_a[0] > res.mean_sd_b[0]
         assert res.p_value == 310 / 2**18 and res.cliffs_delta < -0.88
         assert res.winner == "frontal"
@@ -211,19 +193,17 @@ class TestCompareViews:
         n = 12
         frontal = [0.9 + i * 0.001 for i in range(n)]
         lateral = [0.2 + i * 0.001 for i in range(n)]
-        res = compare_views(make_records(frontal, lateral, metric="mcc"),
-                            FeatureName.STEP_LENGTH, SideLabel.LEFT, "mcc")
+        res = compare_views(frontal, lateral, FeatureName.STEP_LENGTH, SideLabel.LEFT, "mcc")
         assert res.winner == "frontal"
 
     def test_ie_has_no_winner(self):
-        res = compare_views(make_records([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], metric="ie"),
+        res = compare_views([1.0, 2.0, 3.0], [4.0, 5.0, 6.0],
                             FeatureName.STEP_LENGTH, SideLabel.LEFT, "ie")
         assert res.winner == ""
 
     def test_identical_views_tie_with_p_one(self):
         vals = [1.0, 2.0, 3.0, 4.0]
-        res = compare_views(make_records(vals, vals),
-                            FeatureName.STEP_LENGTH, SideLabel.LEFT, "dtw")
+        res = compare_views(vals, vals, FeatureName.STEP_LENGTH, SideLabel.LEFT, "dtw")
         assert res.p_value == 1.0
         assert res.winner == "tie"
 
@@ -231,29 +211,23 @@ class TestCompareViews:
         rng = np.random.default_rng(33)
         base = rng.normal(5.0, 1.0, size=10)
         noise = base + rng.normal(0.0, 0.01, size=10) * np.where(rng.random(10) < 0.5, 1, -1)
-        res = compare_views(make_records(base.tolist(), noise.tolist()),
+        res = compare_views(base.tolist(), noise.tolist(),
                             FeatureName.STEP_LENGTH, SideLabel.LEFT, "dtw")
         if res.p_value >= 0.05:
             assert res.winner == "tie"
 
     def test_unpaired_subject_rejected(self):
-        recs = make_records([1.0, 2.0], [3.0, 4.0])
-        recs = [r for r in recs if not (r.view is ViewLabel.LATERAL
-                                        and r.trial.subject_index == 2)]
-        with pytest.raises(GaitViewError, match=r"^subjects \[2\] lack one view for "
-                                                r"\(step_length, left, dtw\)$"):
-            compare_views(recs, FeatureName.STEP_LENGTH, SideLabel.LEFT, "dtw")
+        with pytest.raises(ValueError, match="^paired samples must have equal length$"):
+            compare_views([1.0, 2.0], [3.0], FeatureName.STEP_LENGTH, SideLabel.LEFT, "dtw")
 
     def test_no_records_rejected(self):
-        with pytest.raises(GaitViewError,
-                           match=r"^no records for \(trunk_rotation, bilateral\)$"):
-            compare_views([], FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL, "kld")
+        with pytest.raises(GaitViewError, match="^need at least one pair$"):
+            compare_views([], [], FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL, "kld")
 
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
-            compare_views([], FeatureName.STEP_LENGTH, SideLabel.LEFT, "rmse")
+            compare_views([], [], FeatureName.STEP_LENGTH, SideLabel.LEFT, "rmse")
 
     def test_sample_sd_uses_ddof1(self):
-        res = compare_views(make_records([1.0, 3.0], [5.0, 5.0]),
-                            FeatureName.STEP_LENGTH, SideLabel.LEFT, "dtw")
+        res = compare_views([1.0, 3.0], [5.0, 5.0], FeatureName.STEP_LENGTH, SideLabel.LEFT, "dtw")
         assert abs(res.mean_sd_a[1] - np.std([1.0, 3.0], ddof=1)) < 1e-15
