@@ -115,7 +115,7 @@ _max_gap = _bounded(int, lambda v: v >= 0, ">= 0")
 # each key is also the analyze flag --<key>, but for the negated booleans
 CONFIG_KEYS = {
     "out": str, "alpha": _alpha, "pca_threshold": _pca_threshold, "pca_scope": _pca_scope,
-    "cutoff_hz": float, "sample_rate_hz": float, "filter_order": int,
+    "cutoff_hz": float, "filter_order": int,
     "apply_filter": _boolean, "normalize": _boolean, "histogram_bins": int,
     "log_base": float, "smoothing_epsilon": float, "conf_threshold": _conf_threshold,
     "max_gap": _max_gap, "features": str, "metrics": str, "marker_map": str,
@@ -198,18 +198,13 @@ def _run_config_from_args(args) -> pipeline.RunConfig:
             source = f"{args.config}: " if from_file.intersection(keys) else ""
             raise GaitViewError(f"{source}{what}{exc}") from None
 
-    if "filter_order" in settings:
-        settings["order"] = settings.pop("filter_order")
-        from_file = {"order" if key == "filter_order" else key for key in from_file}
-    given = _take(settings, preprocess.FilterSpec)
-    filter_spec = build(given, lambda: preprocess.FilterSpec(**given))
     given = _take(settings, metrics.MetricConfig)
     metric_cfg = build(given, lambda: metrics.MetricConfig(**given))
     for key, resolve in _RESOLVED.items():
         if key in settings:
             settings[key] = build((key,), lambda: resolve(settings[key]), f"{key}: ")
-    return pipeline.RunConfig(manifest=Path(args.manifest), out_dir=Path(out),
-                              filter_spec=filter_spec, metric_cfg=metric_cfg, **settings)
+    return build(("cutoff_hz", "filter_order"), lambda: pipeline.RunConfig(
+        manifest=Path(args.manifest), out_dir=Path(out), metric_cfg=metric_cfg, **settings))
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,8 @@ context in front and the original failure as its __cause__. Three
 subclasses exist because something tells them apart: ParseError formats
 the line, column and file of a malformed input, and the pipeline catches
 SignalTooShort and stats catches AllZeroDifferences by type. Invalid
-arguments raise ValueError, and file-system failures OSError.
+arguments raise ValueError, and file-system failures OSError; read_text
+names the file whose bytes are not UTF-8, which UnicodeDecodeError does not.
 """
 
 
@@ -31,3 +32,13 @@ class SignalTooShort(GaitViewError):
 
 class AllZeroDifferences(GaitViewError):
     """Every paired difference is zero; the signed-rank test is undefined."""
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file, line endings as written; bytes that are not
+    UTF-8 raise GaitViewError naming the file."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise GaitViewError(f"{path}: {exc}") from None

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GaitViewError, ParseError
+from .errors import GaitViewError, ParseError, read_text
 from .signal_core import ViewLabel
 
 KEYPOINT_NAMES = (
@@ -450,8 +450,7 @@ def read_key_values(source, key_of=None) -> dict[str, str]:
     ``#`` starts a comment. A key given a second time (as key_of maps it, if
     given) raises ParseError at its line."""
     path = source if isinstance(source, (str, Path)) else None
-    with _open(source, "r") as handle:
-        text = handle.read()
+    text = read_text(path) if path else source.read()
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):

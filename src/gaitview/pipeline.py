@@ -4,13 +4,13 @@ reports (6 significant digits in CSV, full precision in JSON, sorted keys and
 fixed row order, so identical inputs give byte-identical outputs).
 
 The manifest is checked whole before any file is read. Each trial's files
-are parsed and repaired one by one, filtered in one smooth call, then
-reduced to features; an error names the subject, trial, view and file it
-came from. One trial's sequences are in memory at a time: once the trial
-is scored, each becomes the float matrix PCA reads, and per-subject PCA is
-fitted on the spot, while pooled PCA keeps each view's matrices and stacks
-them once every trial is in. hashlib, and with it OpenSSL's libcrypto,
-loads only for run_metadata.json's config_hash, after the PCA.
+are parsed and repaired one by one, filtered in one smooth call, each at
+its own rate, then reduced to features; an error names the subject, trial,
+view and file it came from. One trial's sequences are in memory at a time:
+once the trial is scored, each becomes the float matrix PCA reads, and
+per-subject PCA is fitted on the spot, while pooled PCA keeps each view's
+matrices and stacks them once every trial is in. hashlib, and with it
+OpenSSL's libcrypto, loads only for run_metadata.json's config_hash.
 
 The reports are replaced as a set: analyze writes them all into a
 temporary directory inside the output directory, checks that none of their
@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 import tempfile
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .dimred import DEFAULT_VARIANCE_THRESHOLD, FeatureMatrix, pca_fit, pca_matrix
-from .errors import GaitViewError, ParseError, SignalTooShort
+from .errors import GaitViewError, ParseError, SignalTooShort, read_text
 from .features import FEATURE_SIDES, FeatureName, extract_all, signal_key_name
 from .ingest import (
     DEFAULT_CONF_THRESHOLD,
@@ -46,7 +47,7 @@ from .ingest import (
     parse_pose_csv,
 )
 from .metrics import MetricConfig, MetricRecord, compute_records
-from .preprocess import FilterSpec, smooth
+from .preprocess import FilterSpec, check_setting, smooth
 from .report import (
     ALL_METRICS, DEFAULT_ALPHA, METRIC_DIRECTION, PCA_HEADER, RECOMMENDATIONS, RECORDS_HEADER,
     STATS_HEADER, _write_csv,
@@ -55,8 +56,7 @@ from .signal_core import SideLabel, TrialId, ViewLabel
 from .stats import StatResult, compare_views
 
 _TRIAL_VIEWS = (ViewLabel.MOCAP3D, ViewLabel.FRONTAL, ViewLabel.LATERAL)  # files of a trial
-# relative: every sample step vs. its file's median step, and the file's rate
-# vs. the filter's; passes 33/34 ms steps of 30 fps, rejects one dropped frame
+# relative, every sample step vs. its file's median: passes 30 fps's 33/34 ms, not a dropped frame
 TIME_TOLERANCE = 0.1
 
 
@@ -68,13 +68,17 @@ class RunConfig:
     pca_threshold: float = DEFAULT_VARIANCE_THRESHOLD
     pca_scope: str = "pooled"  # or "per-subject"
     apply_filter: bool = True
-    filter_spec: FilterSpec = field(default_factory=FilterSpec)
+    cutoff_hz: float = 7.0  # each file's filter is designed at that file's rate
+    filter_order: int = 4  # net order, as FilterSpec's
     metric_cfg: MetricConfig = field(default_factory=MetricConfig)
     conf_threshold: float = DEFAULT_CONF_THRESHOLD
     max_gap: int = DEFAULT_MAX_GAP
     features: tuple[FeatureName, ...] = tuple(FeatureName)
     metrics: tuple[str, ...] = ALL_METRICS
     marker_map: dict[str, str] | None = None
+
+    def __post_init__(self):
+        check_setting(self.cutoff_hz, self.filter_order)  # before any file is read
 
     def fingerprint(self) -> str:
         """sha256 of every setting but the manifest and output paths.
@@ -109,7 +113,7 @@ def load_manifest(path: Path) -> dict[TrialId, dict[str, Path]]:
     kinds = {view.value for view in ViewLabel}
     out: dict[int, tuple[int, dict[str, Path]]] = {}
     lines: dict[Path, int] = {}  # resolved file -> manifest line that lists it
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.DictReader(fh)
         required = ("subject", "trial", "kind", "path")
         if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
@@ -157,17 +161,17 @@ def load_manifest(path: Path) -> dict[TrialId, dict[str, Path]]:
 
 def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
     """Parse and repair each file of one subject's trial, filter the trial's
-    sequences in one call, then extract features; returns the sequences and
-    the features, each keyed by view in _TRIAL_VIEWS order. A file is
-    rejected if it has no frames, if it is a pose file without one of the
-    17 keypoints (pose PCA reads them all), if a sample step is not within
-    TIME_TOLERANCE of its median step, if the filter runs and the rate
-    1 / median step is not within TIME_TOLERANCE of the filter's, or, for a
-    pose file, if its first or last time is more than the mocap3d file's
-    median step from the mocap3d file's. A failure names the subject,
-    trial, view and file."""
+    sequences in one call, each at its file's _rate, then extract features;
+    returns the sequences and the features, each keyed by view in
+    _TRIAL_VIEWS order. A file is rejected if it has fewer than two frames,
+    if it is a pose file without one of the 17 keypoints (pose PCA reads
+    them all), if a sample step is not within TIME_TOLERANCE of its median
+    step, if the filter runs and its rate puts the cutoff at or above
+    Nyquist, or, for a pose file, if its first or last time is further from
+    the mocap3d file's than the coarser of their median steps. A failure
+    names the subject, trial, view and file."""
     files = {view: paths[view.value] for view in _TRIAL_VIEWS}
-    seqs = {}
+    seqs, specs = {}, {}
     for view, path in files.items():
         with _naming(trial, view, path):
             if not path.exists():
@@ -177,37 +181,35 @@ def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
             else:
                 seq = fill_gaps(parse_pose_csv(path, view=view),
                                 cfg.conf_threshold, cfg.max_gap)
-            if not len(seq):
-                raise GaitViewError("no frames")
+            if len(seq) < 2:
+                raise GaitViewError("one frame: no sample rate" if len(seq) else "no frames")
             absent = [name for name in KEYPOINT_NAMES if name not in seq.names]
             if view is not ViewLabel.MOCAP3D and absent:
                 raise GaitViewError(f"missing keypoints {', '.join(absent)}: pose PCA needs "
                                     f"all {len(KEYPOINT_NAMES)}")
             times, steps = seq.times, np.diff(seq.times)
-            step, rate = _median(steps), cfg.filter_spec.sample_rate_hz
+            step = _median(steps)
             if np.any(np.abs(steps - step) > TIME_TOLERANCE * step):
                 raise GaitViewError(
                     f"sample steps range over {steps.min():g}..{steps.max():g} s, not within "
                     f"{TIME_TOLERANCE:.0%} of their median {step:g} s")
-            if cfg.apply_filter and len(steps) and abs(1 / step - rate) > TIME_TOLERANCE * rate:
-                raise GaitViewError(
-                    f"sample rate {1 / step:g} Hz (median step {step:g} s) is not within "
-                    f"{TIME_TOLERANCE:.0%} of the filter's sample-rate-hz, {rate:g} Hz")
+            if cfg.apply_filter:
+                specs[view] = FilterSpec(cfg.cutoff_hz, _rate(times), cfg.filter_order)
             if view is ViewLabel.MOCAP3D:
-                times3d, spacing = times, step  # the first file of every trial
+                times3d, step3d = times, step  # the first file of every trial
+            spacing = max(step, step3d)
             if max(abs(times[0] - times3d[0]), abs(times[-1] - times3d[-1])) > spacing:
                 raise GaitViewError(
                     f"time span {times[0]:g}..{times[-1]:g} s differs from the mocap3d "
-                    f"file's {times3d[0]:g}..{times3d[-1]:g} s by more than its sample "
-                    f"spacing ({spacing:g} s)")
+                    f"file's {times3d[0]:g}..{times3d[-1]:g} s by more than the coarser of "
+                    f"the two files' median steps ({spacing:g} s)")
             seqs[view] = seq
     if cfg.apply_filter:
-        spec = cfg.filter_spec
         try:
-            seqs = dict(zip(seqs, smooth(list(seqs.values()), spec)))
+            seqs = dict(zip(seqs, smooth(list(seqs.values()), list(specs.values()))))
         except SignalTooShort:
             view = next(view for view, seq in seqs.items()
-                        if len(seq) <= spec.pad_len and seq.complete.any())
+                        if len(seq) <= specs[view].pad_len and seq.complete.any())
             with _naming(trial, view, files[view]):
                 raise  # naming the first sequence too short to filter
     feats = {}
@@ -217,10 +219,14 @@ def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
     return seqs, feats
 
 
+def _rate(times: np.ndarray) -> float:
+    """Mean rate of increasing times, to 1 uHz: ms-rounded 30 fps reads 30, decimal 100 Hz 100."""
+    return round((len(times) - 1) / float(times[-1] - times[0]), 6)
+
+
 def _median(values: np.ndarray) -> float:
-    """Median by sorting, 0 for no values: np.median imports numpy.ma, 1 MB
-    more peak memory."""
-    values = np.sort(values) if len(values) else np.zeros(1)
+    """Median by sorting: np.median imports numpy.ma, 1 MB more peak memory."""
+    values = np.sort(values)
     return float(values[(len(values) - 1) // 2] + values[len(values) // 2]) / 2
 
 
@@ -379,8 +385,8 @@ def _write_outputs(cfg, records, stat_results, pca_rows, radar):
             "pca_threshold": cfg.pca_threshold,
             "normalize": cfg.metric_cfg.normalize,
             "histogram_bins": cfg.metric_cfg.histogram_bins,
-            "cutoff_hz": cfg.filter_spec.cutoff_hz,
-            "filter_order": cfg.filter_spec.order,
+            "cutoff_hz": cfg.cutoff_hz,
+            "filter_order": cfg.filter_order,
         }
         for name, data in (("radar.json", radar), ("run_metadata.json", meta)):
             (tmp / name).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n",

@@ -1,9 +1,9 @@
 """Zero-phase Butterworth low-pass filtering for gait coordinate tracks.
 
 The net filter order is even: an order/2 design is applied forward and
-backward, which doubles the attenuation and cancels phase. Defaults (7 Hz
-cutoff, 100 Hz sampling, net order 4) follow standard gait-lab practice
-(Winter's zero-lag 4th-order Butterworth).
+backward, which doubles the attenuation and cancels phase. analyze's
+defaults (7 Hz cutoff, net order 4) follow standard gait-lab practice
+(Winter's zero-lag 4th-order Butterworth), at each file's own sample rate.
 
 The design and the filter are numpy ports of scipy.signal.butter and
 scipy.signal.filtfilt with odd padding, where each pass starts from the
@@ -14,10 +14,10 @@ bit for bit; the tests hold scipy as the oracle. zpk2tf's step, zeros and
 poles to polynomial coefficients, is np.poly. Filtering never imports
 scipy.
 
-smooth filters the sequences of a trial together: the complete tracks of
-sequences of one length become the columns of one filtfilt_array call,
-with one design. Columns never interact, so each value equals that of
-filtering its sequence alone.
+smooth filters the sequences of a trial together, each at its own spec:
+the complete tracks of sequences of one length and one spec become the
+columns of one filtfilt_array call, with one design. Columns never
+interact, so each value equals that of filtering its sequence alone.
 """
 from __future__ import annotations
 
@@ -28,30 +28,30 @@ import numpy as np
 
 from .errors import GaitViewError, SignalTooShort
 
-DEFAULT_CUTOFF_HZ = 7.0
-DEFAULT_SAMPLE_RATE_HZ = 100.0
-DEFAULT_ORDER = 4
+
+def check_setting(cutoff_hz: float, order: int) -> None:
+    """Reject a cutoff or a net order that no sample rate makes valid."""
+    if not math.isfinite(cutoff_hz):
+        raise GaitViewError(f"cutoff_hz must be finite, got {cutoff_hz}")
+    if cutoff_hz <= 0:
+        raise GaitViewError(f"cutoff_hz must be positive, got {cutoff_hz}")
+    if order < 2 or order % 2 != 0:
+        raise GaitViewError(f"order must be even and >= 2, got {order}")
 
 
 @dataclass(frozen=True)
 class FilterSpec:
-    cutoff_hz: float = DEFAULT_CUTOFF_HZ
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
-    order: int = DEFAULT_ORDER  # net order; design order is order // 2
+    cutoff_hz: float
+    sample_rate_hz: float
+    order: int  # net order; design order is order // 2
 
     def __post_init__(self):
-        for name in ("cutoff_hz", "sample_rate_hz"):
-            if not math.isfinite(getattr(self, name)):
-                raise GaitViewError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.cutoff_hz <= 0 or self.sample_rate_hz <= 0:
-            raise GaitViewError("cutoff and sample rate must be positive")
-        if self.cutoff_hz >= self.sample_rate_hz / 2:
-            raise GaitViewError(
-                f"cutoff {self.cutoff_hz} Hz at or above Nyquist "
-                f"({self.sample_rate_hz / 2} Hz)"
-            )
-        if self.order < 2 or self.order % 2 != 0:
-            raise GaitViewError(f"order must be even and >= 2, got {self.order}")
+        check_setting(self.cutoff_hz, self.order)
+        if not math.isfinite(self.sample_rate_hz):
+            raise GaitViewError(f"sample_rate_hz must be finite, got {self.sample_rate_hz}")
+        if self.cutoff_hz >= self.sample_rate_hz / 2:  # a rate <= 0 too: the cutoff is > 0
+            raise GaitViewError(f"cutoff {self.cutoff_hz} Hz at or above Nyquist "
+                                f"({self.sample_rate_hz / 2} Hz)")
 
     @property
     def pad_len(self) -> int:
@@ -138,29 +138,29 @@ def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.
     return sums[:, 0]
 
 
-def smooth(seqs, spec: FilterSpec) -> list:
-    """Zero-phase filter the coordinate tracks of every sequence: x/y of each
-    keypoint (confidences untouched), x/y/z of each marker.
+def smooth(seqs, specs) -> list:
+    """Zero-phase filter the coordinate tracks of each sequence at its spec in
+    specs: x/y of each keypoint (confidences untouched), x/y/z of each marker.
 
     Tracks not present in every frame pass through unchanged (run fill_gaps
-    first). Sequences of one length are filtered together: their tracks
-    are concatenated column-wise into one filtfilt_array call, so each
-    length costs one filter design. Columns never interact, so every value
-    equals that of filtering the sequence alone. Returns new sequences in
-    the order given.
+    first). Sequences of one length and one spec are filtered together:
+    their tracks are concatenated column-wise into one filtfilt_array call,
+    so each (length, spec) costs one filter design. Columns never interact,
+    so every value equals that of filtering the sequence alone. Returns new
+    sequences in the order given.
 
-    Lengths are filtered in the order they first appear, so the
+    Groups are filtered in the order they first appear, so the
     SignalTooShort raised is that of the first sequence with tracks no
-    longer than spec.pad_len.
+    longer than its spec's pad_len.
     """
     where = [(slice(None), seq.complete, slice(seq.dims)) for seq in seqs]
     tracks = [seq.values[at] for seq, at in zip(seqs, where)]  # (frames, points, dims)
-    by_length: dict[int, list[int]] = {}
-    for i, track in enumerate(tracks):
+    groups: dict[tuple[int, FilterSpec], list[int]] = {}
+    for i, (track, spec) in enumerate(zip(tracks, specs)):
         if track.size:
-            by_length.setdefault(len(track), []).append(i)
+            groups.setdefault((len(track), spec), []).append(i)
     out = [seq.values.copy() for seq in seqs]
-    for members in by_length.values():
+    for (_, spec), members in groups.items():
         columns = [tracks[i].reshape(len(tracks[i]), -1) for i in members]
         filtered = filtfilt_array(np.concatenate(columns, axis=1), spec)
         ends = np.cumsum([c.shape[1] for c in columns])[:-1]

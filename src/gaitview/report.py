@@ -8,9 +8,10 @@ file, line and column.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
-from .errors import GaitViewError, ParseError
+from .errors import GaitViewError, ParseError, read_text
 
 # the gait parameters, in report order; features.FeatureName is built from them
 FEATURES = ("step_length", "knee_rotation", "trunk_rotation", "wrist_hipmid")
@@ -45,7 +46,7 @@ def _read_stats(path: Path):
     header's, whose metric is not one of ALL_METRICS (with an optional
     _left/_right), whose p_value is not a number in [0, 1] or whose winner
     is not one of WINNERS raises ParseError."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != STATS_HEADER:
             raise GaitViewError(f"{path} does not match the stats schema")

@@ -5,15 +5,19 @@ import json
 import os
 import re
 import shutil
+import statistics
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitview.cli import main
-from gaitview.pipeline import RunConfig, _radar_data
+from gaitview.pipeline import RunConfig, _radar_data, _rate
 from gaitview.report import PCA_HEADER, RECORDS_HEADER, STATS_HEADER, recommend
 from gaitview import preprocess
 from gaitview.features import FeatureName
@@ -345,7 +349,7 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("kept, message", [
         (lambda f: f < 100, "time span 0..0.99 s differs from the mocap3d file's 0..{end} s "
-                            "by more than its sample spacing (0.01 s)"),
+                            "by more than the coarser of the two files' median steps (0.01 s)"),
         (lambda f: f >= 2, "time span 0.02..{end} s differs from the mocap3d file's 0..{end} s"),
         (lambda f: False, "no frames"),
     ], ids=["frames_0_to_99", "frames_0_1_dropped", "no_frames"])
@@ -380,24 +384,37 @@ class TestAnalyzeCommand:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
-    def test_sample_rate_must_match_the_filter(self, tmp_path, capsys):
-        # every time doubled: 50 Hz files, filtered at the default 100 Hz they were
-        # smoothed at twice the intended cutoff
+    def test_30_fps_pose_beside_100_hz_mocap(self, tmp_path, capsys):
+        # such a file was rejected: filtered, for its rate; unfiltered, for ending more
+        # than the mocap3d file's 10 ms step before it
         manifest = run_synth(tmp_path / "d", subjects=2)
-        for path in sorted((tmp_path / "d").glob("s*.csv")):
-            header, *rows = path.read_text().splitlines(keepends=True)
-            rows = (row.split(",", 2) for row in rows)
-            path.write_text(header + "".join(f"{f},{2 * float(t)!r},{rest}"
-                                             for f, t, rest in rows))
-        assert run_analyze(manifest, tmp_path / "out") == 1
-        mocap = tmp_path / "d" / "s01_mocap3d.csv"
-        assert (f"error: (subject 1, trial 1, mocap3d, {mocap}): sample rate 50 Hz (median step "
-                "0.02 s) is not within 10% of the filter's sample-rate-hz, 100 Hz"
+        end = float((tmp_path / "d" / "s02_mocap3d.csv").read_text().splitlines()[-1]
+                    .split(",")[1])
+        video = tmp_path / "d" / "s02_frontal.csv"
+        header, *rows = video.read_text().splitlines(keepends=True)
+        table = {}  # keypoint -> rows of (time, x, y, conf)
+        for row in rows:
+            cells = row.split(",")
+            table.setdefault(cells[2], []).append([float(cell) for cell in (cells[1], *cells[3:])])
+        camera = [i / 30 for i in range(int(end * 30) + 1)]
+        assert 0.01 < end - camera[-1] < 1 / 30
+
+        def write(shift):
+            video.write_text(header + "".join(
+                f"{i},{t + shift!r},{name},{x!r},{y!r},{c!r}\n" for name, track in table.items()
+                for i, (t, x, y, c) in enumerate(zip(camera, *(
+                    np.interp(camera, *np.array(track).T[[0, k]]).tolist() for k in (1, 2, 3))))))
+
+        write(0.0)
+        assert run_analyze(manifest, tmp_path / "out") == 0
+        # more than one camera frame off the 3D span is rejected
+        write(0.0334)
+        assert run_analyze(manifest, tmp_path / "shifted") == 1
+        assert (f"error: (subject 2, trial 1, frontal, {video}): time span "
+                f"0.0334..{camera[-1] + 0.0334:g} s differs from the mocap3d file's 0..{end:g} s "
+                "by more than the coarser of the two files' median steps (0.0333333 s)"
                 in capsys.readouterr().err)
-        assert not (tmp_path / "out").exists()
-        # the rate is checked only when the filter runs, and at its configured rate
-        assert run_analyze(manifest, tmp_path / "unfiltered", "--no-filter") == 0
-        assert run_analyze(manifest, tmp_path / "at50", "--sample-rate-hz", "50") == 0
+        assert not (tmp_path / "shifted").exists()
 
     def test_pose_file_without_a_keypoint_rejected(self, tmp_path, capsys):
         # pose PCA needs all 17 keypoints; such a file failed only after every
@@ -471,7 +488,8 @@ class TestAnalyzeCommand:
         monkeypatch.setattr(preprocess, "butterworth_coeffs",
                             lambda spec: designs.append(spec) or design(spec))
         assert run_analyze(dataset, tmp_path / "out") == 0
-        assert designs == [preprocess.FilterSpec()] * 2  # 2 subjects, 3 equal-length files each
+        # 2 subjects, 3 equal-length 100 Hz files each
+        assert designs == [preprocess.FilterSpec(7.0, 100.0, 4)] * 2
 
     def test_metric_subset(self, dataset, tmp_path):
         out = tmp_path / "subset"
@@ -562,17 +580,61 @@ class TestRadarData:
         }}
 
 
+def view_medians(out, feature, metric):
+    """Median of one metric over a feature's records, per 2D view."""
+    with open(out / "metric_records.csv", newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["feature"] == feature]
+    return {view: statistics.median(float(row[metric]) for row in rows if row["view"] == view)
+            for view in ("frontal", "lateral")}
+
+
+class TestMixedRates:
+    def test_50_hz_pose_beside_100_hz_mocap_is_filtered(self, tmp_path, capsys):
+        # criterion 10's cohort with every pose file cut to even frames: it ran only with
+        # --no-filter, since one sample-rate-hz designed every file's filter
+        manifest = run_synth(tmp_path / "d", subjects=18, seed=42, noise=2.0)
+        assert run_analyze(manifest, tmp_path / "full") == 0
+        for path in sorted((tmp_path / "d").glob("s*_*al.csv")):  # frontal and lateral
+            header, *rows = path.read_text().splitlines(keepends=True)
+            path.write_text(header + "".join(row for row in rows
+                                             if int(row.split(",")[0]) % 2 == 0))
+        assert run_analyze(manifest, tmp_path / "half") == 0
+        full, half = (view_medians(tmp_path / out, "step_length", "dtw")
+                      for out in ("full", "half"))
+        assert half["lateral"] < half["frontal"]  # criterion 10's two directions
+        kld = view_medians(tmp_path / "half", "trunk_rotation", "kld")
+        assert kld["frontal"] < kld["lateral"]
+        for view in full:  # half the pose samples move each median by under 5%
+            assert abs(half[view] - full[view]) < 0.05 * full[view]
+        # a 30 Hz cutoff suits the 100 Hz mocap3d file, not the 50 Hz pose files
+        assert run_analyze(manifest, tmp_path / "o", "--cutoff-hz", "30") == 1
+        first = tmp_path / "d" / "s01_frontal.csv"
+        assert capsys.readouterr().err == (f"error: (subject 1, trial 1, frontal, {first}): "
+                                           "cutoff 30.0 Hz at or above Nyquist (25.0 Hz)\n")
+        assert not (tmp_path / "o").exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(10, 2000).map(float), st.sampled_from([30000 / 1001,
+                                                                         60000 / 1001])),
+           st.integers(2, 3000))
+    def test_rate_of_decimal_times(self, rate, frames):
+        # times as a writer prints them: every synth file reads exactly 100 Hz, and so
+        # one trial's files share one filter design
+        times = np.array([float(repr(i / rate)) for i in range(frames)])
+        assert _rate(times) == round(rate, 6)
+
+
 class TestSettings:
     def test_config_hash_is_pinned(self):
         # run_metadata.json's config_hash; a refactor of RunConfig must not move it
         paths = (Path("data/manifest.csv"), Path("results"))
         assert RunConfig(*paths).fingerprint() == (
-            "911610354a101edab82cec7b9820cd3b4d6045f13e9b7d21026049382a240f15")
+            "b7bafbaf767dbd45f6e160026e0c14607634957cab7f05a30857c37b5b852c51")
         assert RunConfig(
             *paths, pca_scope="per-subject", metrics=("dtw", "kld"),
             features=(FeatureName.STEP_LENGTH, FeatureName.TRUNK_ROTATION),
             marker_map={"l_hip": "LASI", "r_hip": "RASI"},
-        ).fingerprint() == "1722680cf096a8b83461342b30b6385aac55b69bd73889d97d356c31ebefa780"
+        ).fingerprint() == "4e1cf954326c1f621fea05dc6b19e8694635aac5f7fb8fbd5c3edd6bb0785dd6"
 
     @pytest.mark.parametrize("flags, config, message", [
         (["--features", "trunk_rotation,trunk_rotation"], None,
@@ -669,7 +731,6 @@ class TestSettings:
         ("--log-base", "nan", "log_base must be finite, got nan"),
         ("--smoothing-epsilon", "inf", "smoothing_epsilon must be finite, got inf"),
         ("--cutoff-hz", "nan", "cutoff_hz must be finite, got nan"),
-        ("--sample-rate-hz", "inf", "sample_rate_hz must be finite, got inf"),
     ])
     def test_non_finite_setting_rejected_before_reading_input(
             self, dataset, tmp_path, capsys, monkeypatch, flag, value, message):
@@ -683,7 +744,8 @@ class TestSettings:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key, value, message", [
-        ("cutoff-hz", "80", "cutoff 80.0 Hz at or above Nyquist (50.0 Hz)"),
+        ("filter-order", "3", "order must be even and >= 2, got 3"),
+        ("cutoff-hz", "0", "cutoff_hz must be positive, got 0.0"),
         ("histogram-bins", "1", "histogram_bins must be >= 2"),
     ])
     def test_filter_or_metric_setting_from_config_names_the_file(
@@ -697,14 +759,17 @@ class TestSettings:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "o").exists()
 
-    def test_setting_rejected_with_a_flag_still_names_the_file(self, dataset, tmp_path, capsys):
-        # the Nyquist check reads the flag's cutoff and the file's sample rate
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("sample-rate-hz = 10\n")
-        assert run_analyze(dataset, tmp_path / "o", "--config", str(cfg),
-                           "--cutoff-hz", "6") == 1
-        assert (capsys.readouterr().err
-                == f"error: {cfg}: cutoff 6.0 Hz at or above Nyquist (5.0 Hz)\n")
+    @pytest.mark.parametrize("option", ["--config", "--manifest", "--marker-map"])
+    def test_file_that_is_not_utf8_is_named(self, dataset, tmp_path, capsys, option):
+        # the error was "'utf-8' codec can't decode byte 0xe9 in position 5: invalid
+        # continuation byte" alone
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes(b"# caf\xe9\n")
+        files = {"--manifest": dataset, option: latin1}
+        assert main(["analyze", "--out", str(tmp_path / "o"),
+                     *(str(arg) for pair in files.items() for arg in pair)]) == 1
+        assert (f"{latin1}: 'utf-8' codec can't decode byte 0xe9 in position 5"
+                in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
     def test_analyze_options_unchanged(self, capsys):
@@ -715,7 +780,7 @@ class TestSettings:
         options = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
         assert sorted(options) == sorted([
             "-h", "--help", "--manifest", "--out", "--config", "--alpha", "--pca-threshold",
-            "--pca-scope", "--cutoff-hz", "--filter-order", "--sample-rate-hz", "--no-filter",
+            "--pca-scope", "--cutoff-hz", "--filter-order", "--no-filter",
             "--no-normalize", "--histogram-bins", "--log-base", "--smoothing-epsilon",
             "--conf-threshold", "--max-gap", "--features", "--metrics", "--marker-map",
         ])
@@ -934,6 +999,17 @@ class TestRecommendCommand:
         with pytest.raises(GaitViewError,
                            match=f"^{re.escape(f'no stats_<feature>.csv files in {tmp_path}')}$"):
             recommend(tmp_path)
+
+    def test_stats_file_that_is_not_utf8_is_named(self, analyzed, tmp_path, capsys):
+        # the error was "'utf-8' codec can't decode byte 0xff in position ..." alone
+        copy = tmp_path / "copy"
+        shutil.copytree(analyzed, copy)
+        stats = copy / "stats_step_length.csv"
+        size = stats.stat().st_size
+        stats.write_bytes(stats.read_bytes() + b"\xff")
+        assert main(["recommend", "--analyzed", str(copy)]) == 1
+        assert (f"error: {stats}: 'utf-8' codec can't decode byte 0xff in position {size}"
+                in capsys.readouterr().err)
 
     def test_recommend_cli_error_path(self, tmp_path, capsys):
         rc = main(["recommend", "--analyzed", str(tmp_path)])

@@ -17,6 +17,8 @@ from gaitview.preprocess import (
 )
 from gaitview.signal_core import ViewLabel
 
+SPEC = FilterSpec(7.0, 100.0, 4)  # the default cutoff and order on a 100 Hz file
+
 
 def sine(freq_hz, fs=100.0, seconds=3.0, amp=1.0):
     t = np.arange(int(seconds * fs)) / fs
@@ -46,11 +48,11 @@ class TestCoeffs:
     def test_cutoff_at_nyquist_rejected(self):
         with pytest.raises(GaitViewError,
                            match=r"^cutoff 60\.0 Hz at or above Nyquist \(50\.0 Hz\)$"):
-            FilterSpec(cutoff_hz=60.0, sample_rate_hz=100.0)
+            FilterSpec(cutoff_hz=60.0, sample_rate_hz=100.0, order=4)
 
     def test_odd_order_rejected(self):
         with pytest.raises(GaitViewError, match="^order must be even and >= 2, got 3$"):
-            FilterSpec(order=3)
+            FilterSpec(7.0, 100.0, 3)
 
     @pytest.mark.parametrize("name, value", [
         ("cutoff_hz", np.nan), ("cutoff_hz", np.inf),
@@ -58,18 +60,18 @@ class TestCoeffs:
     ])
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(GaitViewError, match=f"^{name} must be finite, got {value}$"):
-            FilterSpec(**{name: value})
+            replace(SPEC, **{name: value})
 
 
 class TestFiltfilt:
     def test_constant_preserved(self):
         ts = np.full(100, 5.0)
-        out = filtfilt_array(ts, FilterSpec())
+        out = filtfilt_array(ts, SPEC)
         assert np.max(np.abs(out - 5.0)) < 1e-9
 
     def test_passband_sine_zero_lag(self):
         ts = sine(2.0)
-        out = filtfilt_array(ts, FilterSpec())
+        out = filtfilt_array(ts, SPEC)
         assert len(out) == len(ts)
         assert peak_lag(ts, out) == 0
         ratio = np.max(np.abs(out)) / np.max(np.abs(ts))
@@ -77,7 +79,7 @@ class TestFiltfilt:
 
     def test_stopband_sine_attenuated(self):
         ts = sine(30.0)
-        out = filtfilt_array(ts, FilterSpec())
+        out = filtfilt_array(ts, SPEC)
         # edge padding leaves a short transient; judge the steady-state interior
         ratio = np.max(np.abs(out[30:-30])) / np.max(np.abs(ts))
         assert ratio < 0.05
@@ -86,7 +88,7 @@ class TestFiltfilt:
         rng = np.random.default_rng(8)
         x = rng.normal(size=200)
         y = rng.normal(size=200)
-        spec = FilterSpec()
+        spec = SPEC
         a, b = 2.5, -1.25
         combined = filtfilt_array(a * x + b * y, spec)
         separate = a * filtfilt_array(x, spec) + b * filtfilt_array(y, spec)
@@ -95,7 +97,7 @@ class TestFiltfilt:
     def test_time_reversal_symmetry(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=150)
-        spec = FilterSpec()
+        spec = SPEC
         fwd = filtfilt_array(x[::-1], spec)
         rev = filtfilt_array(x, spec)[::-1]
         # edge transients differ slightly; interior must agree
@@ -105,12 +107,12 @@ class TestFiltfilt:
         # any pure sinusoid below cutoff/2 keeps its phase
         for freq in (0.5, 1.0, 2.0, 3.0):
             ts = sine(freq, seconds=4.0)
-            out = filtfilt_array(ts, FilterSpec())
+            out = filtfilt_array(ts, SPEC)
             assert peak_lag(ts, out) == 0
 
     def test_too_short(self):
         with pytest.raises(SignalTooShort):
-            filtfilt_array(np.arange(10.0), FilterSpec())
+            filtfilt_array(np.arange(10.0), SPEC)
 
 
 @st.composite
@@ -213,21 +215,25 @@ class TestSmoothing:
             return butterworth_coeffs(s)
 
         monkeypatch.setattr(preprocess, "butterworth_coeffs", counting)
-        out = smooth([seq], spec)[0]
+        out = smooth([seq], [spec])[0]
         assert out == expected
         assert designs == [spec]
 
 
 @st.composite
 def mixed_sequences(draw):
-    """1-4 pose or marker sequences sharing a few lengths; some have no
+    """1-4 pose or marker sequences sharing a few lengths and one or two
+    specs of one order (files of one trial at two rates); some have no
     points, and some tracks miss a frame."""
     spec = draw(filter_specs())
+    specs = [spec, *draw(st.lists(filter_specs().map(lambda other: replace(
+        spec, sample_rate_hz=max(other.sample_rate_hz, 2.5 * spec.cutoff_hz))), max_size=1))]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lengths = [spec.pad_len + 1 + extra for extra in draw(
         st.lists(st.sampled_from([0, 7, 40]), min_size=1, max_size=3))]
-    seqs = []
+    seqs, seq_specs = [], []
     for _ in range(draw(st.integers(1, 4))):
+        seq_specs.append(draw(st.sampled_from(specs)))
         n = draw(st.sampled_from(lengths))
         pose = draw(st.booleans())
         names = (sorted(draw(st.sets(st.sampled_from(KEYPOINT_NAMES), max_size=5))) if pose
@@ -242,14 +248,14 @@ def mixed_sequences(draw):
                       values=values)
         seqs.append(PoseSequence(ViewLabel.FRONTAL, **arrays) if pose
                     else MarkerSequence(**arrays))
-    return spec, seqs
+    return seq_specs, seqs
 
 
 class TestSmoothTogether:
     @settings(max_examples=150, deadline=None)
     @given(mixed_sequences())
     def test_equals_each_sequence_alone_with_one_design_per_length(self, case):
-        spec, seqs = case
+        specs, seqs = case
         designs = []
 
         def counting(s):
@@ -258,12 +264,14 @@ class TestSmoothTogether:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(preprocess, "butterworth_coeffs", counting)
-            together = smooth(seqs, spec)
-        filtered_lengths = {len(seq) for seq in seqs if seq.complete.any()}
-        assert designs == [spec] * len(filtered_lengths)
+            together = smooth(seqs, specs)
+        # one design per (length, spec), in the order they first appear
+        groups = dict.fromkeys((len(seq), spec) for seq, spec in zip(seqs, specs)
+                               if seq.complete.any())
+        assert designs == [spec for _, spec in groups]
         assert len(together) == len(seqs)
-        for seq, out in zip(seqs, together):
-            alone = smooth([seq], spec)[0]
+        for seq, spec, out in zip(seqs, specs, together):
+            alone = smooth([seq], [spec])[0]
             assert type(out) is type(seq) and out.names == seq.names
             assert out.values.tobytes() == alone.values.tobytes()
             untouched = ~seq.complete
