@@ -2,7 +2,7 @@
 
 pca_matrix flattens a pose or marker sequence into one row per frame of
 the named points' coordinates; the caller names the points (the pipeline:
-the 17 keypoints, or a mocap3d file's complete markers). Columns are
+the 17 keypoints, or a mocap3d file's markers). Columns are
 mean-centered but not variance-scaled (covariance PCA: coordinate features
 share units within a source). A fit reports how many components reach the
 threshold and the variance ratio they explain, the two numbers

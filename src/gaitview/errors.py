@@ -3,12 +3,11 @@
 Every failure of the pipeline is a GaitViewError whose message says what
 went wrong; a stage that adds context (the feature and side, the subject,
 trial and view, the input file) raises a new GaitViewError with that
-context in front and the original failure as its __cause__. Three
-subclasses exist because something tells them apart: ParseError formats
-the line, column and file of a malformed input, and the pipeline catches
-SignalTooShort and stats catches AllZeroDifferences by type. Invalid
-arguments raise ValueError, and file-system failures OSError; read_text
-names the file whose bytes are not UTF-8, which UnicodeDecodeError does not.
+context in front and the original failure as its __cause__. The one
+subclass, ParseError, formats the line, column and file of a malformed
+input. Invalid arguments raise ValueError, and file-system failures
+OSError; read_text names the file whose bytes are not UTF-8, which
+UnicodeDecodeError does not.
 """
 
 
@@ -24,14 +23,6 @@ class ParseError(GaitViewError):
         self.path = path
         where = f"line {line}, column {column}"
         super().__init__(f"{path}: {where}: {reason}" if path else f"{where}: {reason}")
-
-
-class SignalTooShort(GaitViewError):
-    """Signal shorter than the filter's padding requirement."""
-
-
-class AllZeroDifferences(GaitViewError):
-    """Every paired difference is zero; the signed-rank test is undefined."""
 
 
 def read_text(path) -> str:

@@ -3,14 +3,15 @@ extraction -> metrics -> paired stats -> PCA, ending in deterministic CSV/JSON
 reports (6 significant digits in CSV, full precision in JSON, sorted keys and
 fixed row order, so identical inputs give byte-identical outputs).
 
-The manifest is checked whole before any file is read. Each trial's files
-are parsed and repaired one by one, filtered in one smooth call, each at
-its own rate, then reduced to features; an error names the subject, trial,
-view and file it came from. One trial's sequences are in memory at a time:
-once the trial is scored, each becomes the float matrix PCA reads, and
-per-subject PCA is fitted on the spot, while pooled PCA keeps each view's
-matrices and stacks them once every trial is in. hashlib, and with it
-OpenSSL's libcrypto, loads only for run_metadata.json's config_hash.
+The manifest is checked whole before any file is read. One function,
+_score_trial, takes a trial from its files to its records: the files are
+parsed, repaired and checked one by one, filtered in one smooth call, each
+at its own rate, then reduced to features; an error names the subject,
+trial, view and file it came from. One trial's sequences are in memory at
+a time: each becomes the float matrix PCA reads, and per-subject PCA is
+fitted on the spot, while pooled PCA keeps each view's matrices and stacks
+them once every trial is in. hashlib, and with it OpenSSL's libcrypto,
+loads only for run_metadata.json's config_hash.
 
 The reports are replaced as a set: analyze writes them all into a
 temporary directory inside the output directory, checks that none of their
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import __version__
 from .dimred import DEFAULT_VARIANCE_THRESHOLD, FeatureMatrix, pca_fit, pca_matrix
-from .errors import GaitViewError, ParseError, SignalTooShort, read_text
+from .errors import GaitViewError, ParseError, read_text
 from .features import FEATURE_SIDES, FeatureName, extract_all, signal_key_name
 from .ingest import (
     DEFAULT_CONF_THRESHOLD,
@@ -159,17 +160,25 @@ def load_manifest(path: Path) -> dict[TrialId, dict[str, Path]]:
     return {TrialId(subject, trial): files for subject, (trial, files) in out.items()}
 
 
-def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
-    """Parse and repair each file of one subject's trial, filter the trial's
-    sequences in one call, each at its file's _rate, then extract features;
-    returns the sequences and the features, each keyed by view in
-    _TRIAL_VIEWS order. A file is rejected if it has fewer than two frames,
-    if it is a pose file without one of the 17 keypoints (pose PCA reads
-    them all), if a sample step is not within TIME_TOLERANCE of its median
-    step, if the filter runs and its rate puts the cutoff at or above
-    Nyquist, or, for a pose file, if its first or last time is further from
-    the mocap3d file's than the coarser of their median steps. A failure
-    names the subject, trial, view and file."""
+def _score_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path], first3d):
+    """Parse, check, filter and score one subject's trial: returns its metric
+    records, each view's PCA matrix and first3d; its sequences go when this
+    returns. first3d is (subject, markers) of the first trial's mocap3d
+    file, None before it.
+
+    The files are parsed, repaired and checked one by one in _TRIAL_VIEWS
+    order. A file is rejected if it has fewer than two frames, if it is a
+    pose file without one of the 17 keypoints (pose PCA reads them all), if
+    a sample step is not within TIME_TOLERANCE of its median step, if the
+    filter runs and the file's _rate puts the cutoff at or above Nyquist or
+    the file has no more frames than the filter's padding, if it is a pose
+    file whose first or last time is further from the mocap3d file's than
+    the coarser of their median steps, or, under pooled PCA, if it is a
+    mocap3d file without one of first3d's markers, the mocap3d matrix's
+    columns. The trial's sequences are then filtered in one smooth call,
+    each at its file's rate, and reduced to features and PCA matrices file
+    by file. A failure names the subject, trial, view and file."""
+    pooled = cfg.pca_scope == "pooled"
     files = {view: paths[view.value] for view in _TRIAL_VIEWS}
     seqs, specs = {}, {}
     for view, path in files.items():
@@ -195,8 +204,14 @@ def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
                     f"{TIME_TOLERANCE:.0%} of their median {step:g} s")
             if cfg.apply_filter:
                 specs[view] = FilterSpec(cfg.cutoff_hz, _rate(times), cfg.filter_order)
+                specs[view].check_length(len(seq))
             if view is ViewLabel.MOCAP3D:
                 times3d, step3d = times, step  # the first file of every trial
+                first3d = first3d or (trial.subject_index, seq.names)
+                absent = [name for name in first3d[1] if name not in seq.names]
+                if pooled and absent:
+                    raise GaitViewError(f"missing markers {', '.join(absent)}: pooled PCA reads "
+                                        f"those of subject {first3d[0]}'s mocap3d file")
             spacing = max(step, step3d)
             if max(abs(times[0] - times3d[0]), abs(times[-1] - times3d[-1])) > spacing:
                 raise GaitViewError(
@@ -205,18 +220,25 @@ def _process_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path]):
                     f"the two files' median steps ({spacing:g} s)")
             seqs[view] = seq
     if cfg.apply_filter:
-        try:
-            seqs = dict(zip(seqs, smooth(list(seqs.values()), list(specs.values()))))
-        except SignalTooShort:
-            view = next(view for view, seq in seqs.items()
-                        if len(seq) <= specs[view].pad_len and seq.complete.any())
-            with _naming(trial, view, files[view]):
-                raise  # naming the first sequence too short to filter
-    feats = {}
+        seqs = dict(zip(seqs, smooth(list(seqs.values()), list(specs.values()))))
+    signals, matrices = {}, {}
     for view, seq in seqs.items():
         with _naming(trial, view, files[view]):
-            feats[view] = extract_all(seq, cfg.marker_map)
-    return seqs, feats
+            signals[view] = extract_all(seq, cfg.marker_map).signals
+            names = (KEYPOINT_NAMES if view is not ViewLabel.MOCAP3D
+                     else first3d[1] if pooled else seq.names)
+            matrices[view] = pca_matrix(seq, names)
+    signals3d = signals.pop(ViewLabel.MOCAP3D)
+    records = []
+    for feature in cfg.features:
+        for side in FEATURE_SIDES[feature]:
+            key = (feature, side)
+            records += compute_records(
+                trial, feature, side, signals3d[key],
+                {view: signals2d[key] for view, signals2d in signals.items()},
+                cfg.metric_cfg,
+            )
+    return records, matrices, first3d
 
 
 def _rate(times: np.ndarray) -> float:
@@ -238,42 +260,6 @@ def _naming(trial: TrialId, view: ViewLabel, path: Path):
     except (GaitViewError, ValueError, OSError) as exc:
         raise GaitViewError(f"(subject {trial.subject_index}, trial {trial.trial_index}, "
                             f"{view.value}, {path}): {exc}") from exc
-
-
-def _score_trial(cfg: RunConfig, trial: TrialId, paths: dict[str, Path], first3d):
-    """One trial's metric records and each view's PCA matrix; its sequences
-    go when this returns. first3d, returned as the third item, is (subject,
-    markers, markers present in every frame) of the first trial's mocap3d
-    file, None before it. Under pooled PCA, a mocap3d file without one of
-    those markers is rejected, naming the file, before the trial is scored,
-    and the mocap3d matrix has a column per complete marker of that file."""
-    seqs, feats = _process_trial(cfg, trial, paths)
-    seq3d = seqs[ViewLabel.MOCAP3D]
-    complete3d = [name for name, whole in zip(seq3d.names, seq3d.complete) if whole]
-    first3d = first3d or (trial.subject_index, seq3d.names, complete3d)
-    pooled = cfg.pca_scope == "pooled"
-    absent = [name for name in first3d[1] if name not in seq3d.names]
-    if pooled and absent:
-        with _naming(trial, ViewLabel.MOCAP3D, paths["mocap3d"]):
-            raise GaitViewError(f"missing markers {', '.join(absent)}: pooled PCA reads "
-                                f"those of subject {first3d[0]}'s mocap3d file")
-    records = []
-    signals3d = feats.pop(ViewLabel.MOCAP3D).signals
-    for feature in cfg.features:
-        for side in FEATURE_SIDES[feature]:
-            key = (feature, side)
-            records += compute_records(
-                trial, feature, side, signals3d[key],
-                {view: feats2d.signals[key] for view, feats2d in feats.items()},
-                cfg.metric_cfg,
-            )
-    matrices = {}
-    for view, seq in seqs.items():
-        with _naming(trial, view, paths[view.value]):
-            names = ((first3d[2] if pooled else complete3d) if view is ViewLabel.MOCAP3D
-                     else KEYPOINT_NAMES)
-            matrices[view] = pca_matrix(seq, names)
-    return records, matrices, first3d
 
 
 def run_analysis(cfg: RunConfig) -> None:

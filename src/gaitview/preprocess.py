@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GaitViewError, SignalTooShort
+from .errors import GaitViewError
 
 
 def check_setting(cutoff_hz: float, order: int) -> None:
@@ -56,6 +56,11 @@ class FilterSpec:
     @property
     def pad_len(self) -> int:
         return 3 * (self.order + 1)
+
+    def check_length(self, n: int) -> None:
+        """Reject a signal of n samples, too short for filtfilt_array's padding."""
+        if n <= self.pad_len:
+            raise GaitViewError(f"signal length {n} must exceed padding length {self.pad_len}")
 
 
 def butterworth_coeffs(spec: FilterSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -97,8 +102,7 @@ def filtfilt_array(values: np.ndarray, spec: FilterSpec) -> np.ndarray:
     """
     values = np.asarray(values, dtype=np.float64)
     n, pad = values.shape[0], spec.pad_len
-    if n <= pad:
-        raise SignalTooShort(f"signal length {n} must exceed padding length {pad}")
+    spec.check_length(n)
     x = values.reshape(n, -1)
     ext = np.concatenate((2 * x[:1] - x[pad:0:-1], x, 2 * x[-1:] - x[-2:-(pad + 2):-1]))
     b, a = butterworth_coeffs(spec)
@@ -147,11 +151,8 @@ def smooth(seqs, specs) -> list:
     their tracks are concatenated column-wise into one filtfilt_array call,
     so each (length, spec) costs one filter design. Columns never interact,
     so every value equals that of filtering the sequence alone. Returns new
-    sequences in the order given.
-
-    Groups are filtered in the order they first appear, so the
-    SignalTooShort raised is that of the first sequence with tracks no
-    longer than its spec's pad_len.
+    sequences in the order given. A sequence with tracks no longer than
+    its spec's pad_len raises GaitViewError.
     """
     where = [(slice(None), seq.complete, slice(seq.dims)) for seq in seqs]
     tracks = [seq.values[at] for seq, at in zip(seqs, where)]  # (frames, points, dims)

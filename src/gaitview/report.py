@@ -44,8 +44,9 @@ def _read_stats(path: Path):
     """(metric, side, p_value, winner) of each row of a stats_<feature>.csv;
     side is "" for a bilateral row. A row whose cell count differs from the
     header's, whose metric is not one of ALL_METRICS (with an optional
-    _left/_right), whose p_value is not a number in [0, 1] or whose winner
-    is not one of WINNERS raises ParseError."""
+    _left/_right), whose p_value is not a number in [0, 1], whose winner
+    is not one of WINNERS or whose metric cell repeats an earlier row's
+    raises ParseError."""
     with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != STATS_HEADER:
@@ -54,6 +55,7 @@ def _read_stats(path: Path):
         def error(column: str, reason: str) -> ParseError:
             return ParseError(reader.line_num, STATS_HEADER.index(column) + 1, reason, path)
 
+        lines: dict[str, int] = {}  # metric cell -> line of its row
         for row in reader:
             if None in row:  # cells beyond the header
                 raise ParseError(reader.line_num, len(STATS_HEADER) + 1,
@@ -66,6 +68,10 @@ def _read_stats(path: Path):
             if metric not in ALL_METRICS or side not in ("", "left", "right"):
                 raise error("metric", f"unknown metric {row['metric']!r}, expected one of "
                                       f"{'/'.join(ALL_METRICS)}, with _left or _right or alone")
+            first_line = lines.setdefault(row["metric"], reader.line_num)
+            if first_line != reader.line_num:
+                raise error("metric", f"second {row['metric']} row; the first is line "
+                                      f"{first_line}")
             try:
                 p_value = float(row["p_value"])
             except ValueError:

@@ -1,7 +1,8 @@
 """Paired nonparametric comparison of frontal vs lateral metric scores.
 
-Wilcoxon signed-rank (exact by sign-assignment enumeration up to n = 25,
-normal approximation with tie and continuity corrections above), Cliff's
+Wilcoxon signed-rank (exact by sign-assignment enumeration up to n = 25
+nonzero differences, normal approximation with tie and continuity
+corrections above; no nonzero difference gives p = 1), Cliff's
 delta with Small/Medium/Large labels at |delta| thresholds 0.33 and 0.474.
 compare_views takes each view's scores as a list, paired by position; the
 caller picks the record field that is a metric's score.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroDifferences, GaitViewError
+from .errors import GaitViewError
 from .features import FeatureName
 from .report import DEFAULT_ALPHA, METRIC_DIRECTION
 from .signal_core import SideLabel
@@ -65,13 +66,12 @@ def wilcoxon_signed_rank(s: PairedSample) -> tuple[float, float, float]:
     W+ and W- sum the midranks of the positive and negative |differences|
     after dropping zero differences. n alone selects the p: exact over all
     2^n sign assignments for n <= EXACT_N_MAX, else the normal approximation
-    with tie and continuity corrections, both of W = min(W+, W-).
+    with tie and continuity corrections, both of W = min(W+, W-). With no
+    nonzero difference, W+ = W- = 0 and the exact p is 1.
     """
     d = np.asarray(s.values_a, dtype=float) - np.asarray(s.values_b, dtype=float)
     d = d[d != 0.0]
     n = d.size
-    if n == 0:
-        raise AllZeroDifferences("all paired differences are zero")
     ranks = _midranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
@@ -151,10 +151,7 @@ def compare_views(
         raise ValueError(f"unknown metric {metric!r}")
     a, b = tuple(frontal), tuple(lateral)
     sample = PairedSample(a, b)
-    try:
-        w_plus, w_minus, p = wilcoxon_signed_rank(sample)
-    except AllZeroDifferences:
-        w_plus, w_minus, p = 0.0, 0.0, 1.0
+    w_plus, w_minus, p = wilcoxon_signed_rank(sample)
     delta, label = cliffs_delta(sample)
     mean_a, mean_b = float(np.mean(a)), float(np.mean(b))
     sd_a = float(np.std(a, ddof=1)) if len(a) > 1 else 0.0

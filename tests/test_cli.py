@@ -347,6 +347,23 @@ class TestAnalyzeCommand:
         assert f"(subject 2, trial 1, lateral, {short}): " in err
         assert "signal length 15 must exceed padding length 15" in err
 
+    def test_files_of_a_trial_are_checked_in_view_order(self, tmp_path, capsys):
+        # subject 2's files keep frames 0..10, too few to filter, and its lateral file,
+        # read last, has a bad time cell: the mocap3d file is named, not the lateral one
+        manifest = run_synth(tmp_path / "d", subjects=2)
+        for view in ("mocap3d", "frontal", "lateral"):
+            path = tmp_path / "d" / f"s02_{view}.csv"
+            header, *rows = path.read_text().splitlines(keepends=True)
+            rows = [row for row in rows if int(row.split(",")[0]) <= 10]
+            if view == "lateral":
+                cells = rows[0].split(",")
+                rows[0] = ",".join([cells[0], "bad", *cells[2:]])
+            path.write_text(header + "".join(rows))
+        mocap3d = tmp_path / "d" / "s02_mocap3d.csv"
+        assert run_analyze(manifest, tmp_path / "out") == 1
+        assert (f"(subject 2, trial 1, mocap3d, {mocap3d}): signal length 11 must exceed "
+                "padding length 15") in capsys.readouterr().err
+
     @pytest.mark.parametrize("kept, message", [
         (lambda f: f < 100, "time span 0..0.99 s differs from the mocap3d file's 0..{end} s "
                             "by more than the coarser of the two files' median steps (0.01 s)"),
@@ -979,7 +996,11 @@ class TestRecommendCommand:
         ("dtw_left,1,0,2,0,0.01,0.5,medium,sideways", 9, "unknown winner 'sideways'"),
         ("dtx_left,1,0,2,0,0.01,0.5,medium,frontal", 1, "unknown metric 'dtx_left'"),
         ("dtw_up,1,0,2,0,0.01,0.5,medium,frontal", 1, "unknown metric 'dtw_up'"),
-    ], ids=["short", "extra_cell", "p_abc", "p_nan", "p_negative", "winner", "metric", "side"])
+        # a second vote of one metric and side
+        ("dtw_right,1,0,2,0,0.01,0.5,medium,frontal", 1,
+         "second dtw_right row; the first is line 2"),
+    ], ids=["short", "extra_cell", "p_abc", "p_nan", "p_negative", "winner", "metric", "side",
+            "repeated"])
     def test_malformed_stats_row_exit_1(self, tmp_path, capsys, row, column, message):
         path = tmp_path / "stats_step_length.csv"
         path.write_text(",".join(STATS_HEADER) + "\n"

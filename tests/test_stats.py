@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from gaitview.errors import AllZeroDifferences, GaitViewError
+from gaitview.errors import GaitViewError
 from gaitview.features import FeatureName
 from gaitview.pipeline import RunConfig, _write_outputs
 from gaitview.report import recommend
@@ -41,9 +41,8 @@ class TestWilcoxonExamples:
         s2 = PairedSample((1.0, 2.0), (0.0, 0.0))
         assert wilcoxon_signed_rank(s) == wilcoxon_signed_rank(s2)
 
-    def test_all_zero_rejected(self):
-        with pytest.raises(AllZeroDifferences):
-            wilcoxon_signed_rank(PairedSample((3.0, 3.0), (3.0, 3.0)))
+    def test_all_zero_differences_p_one(self):
+        assert wilcoxon_signed_rank(PairedSample((3.0, 3.0), (3.0, 3.0))) == (0.0, 0.0, 1.0)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(GaitViewError, match="^need at least one pair$"):
