@@ -1,10 +1,10 @@
 """Command-line entry point: synth | analyze | recommend | version.
 
-This module only parses arguments and settings; pipeline runs analyze and
-report runs recommend. Every gaitview module that imports numpy is
-registered here to execute on first attribute access (LazyLoader), so
-recommend, version and --help start without numpy, while analyze and synth
-load what they use. The modules stay in sys.modules under their own names,
+This module only converts arguments and --config values to their types;
+RunConfig checks analyze's settings and recommend its alpha. Every module
+that imports numpy is registered to execute on first attribute access
+(LazyLoader), so recommend, version and --help start without numpy, while
+analyze and synth load what they use. The modules stay in sys.modules under their own names,
 so wrapping or patching a module attribute reaches every caller.
 """
 from __future__ import annotations
@@ -17,7 +17,6 @@ from pathlib import Path
 
 from . import __version__, report
 from .errors import GaitViewError
-from .report import ALL_METRICS
 
 
 def _register_lazily(name: str):
@@ -41,7 +40,6 @@ signal_core, ingest, features, preprocess, metrics, stats, dimred, synth, pipeli
     _register_lazily, ("signal_core", "ingest", "features", "preprocess", "metrics", "stats",
                        "dimred", "synth", "pipeline"))
 
-PCA_SCOPES = ("pooled", "per-subject")
 OUT_DIR_ENV = "GAITVIEW_OUT"
 
 
@@ -73,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rec = sub.add_parser("recommend", help="per-parameter view recommendation")
     p_rec.add_argument("--analyzed", required=True, help="directory written by analyze")
-    p_rec.add_argument("--alpha", type=_alpha, default=report.DEFAULT_ALPHA)
+    p_rec.add_argument("--alpha", type=float, default=report.DEFAULT_ALPHA)
 
     sub.add_parser("version", help="print version and exit")
     return parser
@@ -89,40 +87,18 @@ def _boolean(raw: str) -> bool:
     return _BOOLEANS[raw.lower()]
 
 
-def _pca_scope(raw: str) -> str:
-    if raw not in PCA_SCOPES:
-        raise argparse.ArgumentTypeError(f"expected one of {'/'.join(PCA_SCOPES)}, got {raw!r}")
-    return raw
-
-
-def _bounded(convert, accepts, bounds: str):
-    """Parser of a flag and its --config key that rejects values outside bounds."""
-    def parse(raw: str):
-        value = convert(raw)
-        if not accepts(value):
-            raise argparse.ArgumentTypeError(f"must be {bounds}, got {raw}")
-        return value
-    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
-    return parse
-
-
-_alpha = _bounded(float, lambda v: 0 < v < 1, "in (0, 1)")
-_pca_threshold = _bounded(float, lambda v: 0 < v <= 1, "in (0, 1]")
-_conf_threshold = _bounded(float, lambda v: 0 <= v <= 1, "in [0, 1]")
-_max_gap = _bounded(int, lambda v: v >= 0, ">= 0")
-
-# --config keys (a dash reads as an underscore) and the parser of each value;
+# --config keys (a dash reads as an underscore) and the type of each value;
 # each key is also the analyze flag --<key>, but for the negated booleans
 CONFIG_KEYS = {
-    "out": str, "alpha": _alpha, "pca_threshold": _pca_threshold, "pca_scope": _pca_scope,
+    "out": str, "alpha": float, "pca_threshold": float, "pca_scope": str,
     "cutoff_hz": float, "filter_order": int,
     "apply_filter": _boolean, "normalize": _boolean, "histogram_bins": int,
-    "log_base": float, "smoothing_epsilon": float, "conf_threshold": _conf_threshold,
-    "max_gap": _max_gap, "features": str, "metrics": str, "marker_map": str,
+    "log_base": float, "smoothing_epsilon": float, "conf_threshold": float,
+    "max_gap": int, "features": str, "metrics": str, "marker_map": str,
 }
 _NEGATED_FLAGS = {"apply_filter": "--no-filter", "normalize": "--no-normalize"}
 _HELP = {"features": "comma-separated feature names", "metrics": "comma-separated metric names",
-         "marker_map": "role = marker config file"}
+         "marker_map": "role = marker config file", "pca_scope": "pooled or per-subject"}
 
 
 def _config_key(key: str) -> str:
@@ -130,8 +106,8 @@ def _config_key(key: str) -> str:
 
 
 def _read_config(path) -> dict:
-    """--config file -> {key: parsed value}. An unknown key, or a value its
-    key cannot take, raises GaitViewError naming the file and the key; a key
+    """--config file -> {key: typed value}. An unknown key, or a value not of
+    its key's type, raises GaitViewError naming the file and the key; a key
     set twice (in either spelling) raises ParseError naming the second line."""
     settings = {}
     for raw_key, raw in ingest.read_key_values(path, _config_key).items():
@@ -140,33 +116,9 @@ def _read_config(path) -> dict:
             raise GaitViewError(f"{path}: unknown key {raw_key!r}")
         try:
             settings[key] = CONFIG_KEYS[key](raw)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
+        except ValueError as exc:
             raise GaitViewError(f"{path}: {raw_key}: {exc}") from None
     return settings
-
-
-def _names(raw: str, noun: str, valid: tuple[str, ...]) -> tuple[str, ...]:
-    """A comma-separated features/metrics value -> its names; an empty,
-    unknown or repeated name raises ValueError."""
-    names = [name.strip() for name in raw.split(",")]
-    for name in names:
-        if not name:
-            raise ValueError(f"empty name in {raw!r}")
-        if name not in valid:
-            raise ValueError(f"unknown {noun} {name!r}, expected one of {'/'.join(valid)}")
-        if names.count(name) > 1:
-            raise ValueError(f"{name!r} is listed twice")
-    return tuple(names)
-
-
-# values parsed once flags and --config are merged; an error names the key, and the
-# --config file when the value came from it
-_RESOLVED = {
-    "features": lambda raw: tuple(map(features.FeatureName, _names(
-        raw, "feature", tuple(feature.value for feature in features.FeatureName)))),
-    "metrics": lambda raw: _names(raw, "metric", ALL_METRICS),
-    "marker_map": lambda raw: ingest.read_key_values(raw),
-}
 
 
 def _take(settings: dict, cls) -> dict:
@@ -175,36 +127,36 @@ def _take(settings: dict, cls) -> dict:
     return {name: settings.pop(name) for name in cls.__dataclass_fields__ if name in settings}
 
 
-def _run_config_from_args(args) -> pipeline.RunConfig:
-    """Each setting from its flag, else from --config; a setting neither
-    gives keeps the default of the dataclass that holds it. A setting
-    rejected when read with others names the --config file if one of them
-    came from it."""
-    settings = _read_config(args.config) if args.config else {}
-    # flags win; the --out default reads GAITVIEW_OUT, so it wins over the file's out
-    flags = {key: value for key, value in vars(args).items()
-             if key in CONFIG_KEYS and value is not None}
-    from_file = settings.keys() - flags.keys()
-    settings.update(flags)
-    out = settings.pop("out", None)
-    if not out:
-        raise GaitViewError("no output directory: pass --out or set " + OUT_DIR_ENV)
-
-    def build(keys, make, what=""):
-        """make(), with an error naming the --config file when one of keys came from it."""
+def _run_config(manifest, out="", **settings) -> pipeline.RunConfig:
+    """RunConfig of typed settings, each checked there: features and metrics
+    are split at commas, and marker_map is the file to read."""
+    for key in settings.keys() & {"features", "metrics"}:
+        settings[key] = tuple(name.strip() for name in settings[key].split(","))
+    if "marker_map" in settings:
         try:
-            return make()
-        except (GaitViewError, ValueError, OSError) as exc:
-            source = f"{args.config}: " if from_file.intersection(keys) else ""
-            raise GaitViewError(f"{source}{what}{exc}") from None
+            settings["marker_map"] = ingest.read_key_values(settings["marker_map"])
+        except (GaitViewError, OSError) as exc:
+            raise GaitViewError(f"marker_map: {exc}") from None
+    metric_cfg = metrics.MetricConfig(**_take(settings, metrics.MetricConfig))
+    return pipeline.RunConfig(Path(manifest), Path(out), metric_cfg=metric_cfg, **settings)
 
-    given = _take(settings, metrics.MetricConfig)
-    metric_cfg = build(given, lambda: metrics.MetricConfig(**given))
-    for key, resolve in _RESOLVED.items():
-        if key in settings:
-            settings[key] = build((key,), lambda: resolve(settings[key]), f"{key}: ")
-    return build(("cutoff_hz", "filter_order"), lambda: pipeline.RunConfig(
-        manifest=Path(args.manifest), out_dir=Path(out), metric_cfg=metric_cfg, **settings))
+
+def _run_config_from_args(args) -> pipeline.RunConfig:
+    """Each setting from its flag, else from --config, else its dataclass
+    default. The file's settings are checked alone first, so an error names
+    the file exactly when the value came from it."""
+    settings = {} if args.config is None else _read_config(args.config)
+    if args.config is not None:
+        try:
+            _run_config(args.manifest, **settings)
+        except (GaitViewError, ValueError, OSError) as exc:
+            raise GaitViewError(f"{args.config}: {exc}") from None
+    # flags win; the --out default reads GAITVIEW_OUT, so it wins over the file's out
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in CONFIG_KEYS and value is not None)
+    if not settings.get("out"):
+        raise GaitViewError("no output directory: pass --out or set " + OUT_DIR_ENV)
+    return _run_config(args.manifest, **settings)
 
 
 def main(argv=None) -> int:
@@ -224,8 +176,6 @@ def main(argv=None) -> int:
             return 0
         if args.command == "analyze":
             cfg = _run_config_from_args(args)
-            if not cfg.manifest.exists():
-                raise GaitViewError(f"manifest not found: {cfg.manifest}")
             pipeline.run_analysis(cfg)
             print(f"analysis written to {cfg.out_dir}")
             return 0

@@ -19,6 +19,12 @@ from .errors import GaitViewError
 DEFAULT_VARIANCE_THRESHOLD = 0.95
 
 
+def check_threshold(threshold: float) -> None:
+    """Reject an explained-variance threshold outside (0, 1], nan included."""
+    if not 0 < threshold <= 1:
+        raise ValueError(f"pca_threshold must be in (0, 1], got {threshold}")
+
+
 @dataclass
 class FeatureMatrix:
     values: np.ndarray
@@ -43,8 +49,7 @@ class PcaResult:
 def pca_fit(m: FeatureMatrix, threshold: float = DEFAULT_VARIANCE_THRESHOLD) -> PcaResult:
     """Fit PCA; k is the smallest count whose cumulative variance ratio
     reaches the threshold."""
-    if not (0.0 < threshold <= 1.0):
-        raise ValueError("threshold must be in (0, 1]")
+    check_threshold(threshold)
     centered = m.values - m.values.mean(axis=0)
     _, s, _ = np.linalg.svd(centered, full_matrices=False)
     total = float(np.sum(s**2))

@@ -406,6 +406,14 @@ def write_marker_csv(seq: MarkerSequence, target) -> None:
     _write(seq, target)
 
 
+def check_gap_setting(conf_threshold: float, max_gap: int) -> None:
+    """Reject a confidence threshold outside [0, 1] (nan included) or a negative max_gap."""
+    if not 0 <= conf_threshold <= 1:
+        raise ValueError(f"conf_threshold must be in [0, 1], got {conf_threshold}")
+    if max_gap < 0:
+        raise ValueError(f"max_gap must be >= 0, got {max_gap}")
+
+
 def fill_gaps(
     seq: PoseSequence,
     conf_threshold: float = DEFAULT_CONF_THRESHOLD,
@@ -418,10 +426,7 @@ def fill_gaps(
     the first or last frame, raise GaitViewError (the first by keypoint name,
     then by frame).
     """
-    if max_gap < 0:
-        raise ValueError("max_gap must be >= 0")
-    if not (0.0 <= conf_threshold <= 1.0):
-        raise ValueError("conf_threshold must be in [0, 1]")
+    check_gap_setting(conf_threshold, max_gap)
     n = len(seq)
     values = seq.values.copy()
     good = values[..., 2] >= conf_threshold  # False where absent (NaN)
@@ -450,7 +455,7 @@ def read_key_values(source, key_of=None) -> dict[str, str]:
     ``#`` starts a comment. A key given a second time (as key_of maps it, if
     given) raises ParseError at its line."""
     path = source if isinstance(source, (str, Path)) else None
-    text = read_text(path) if path else source.read()
+    text = read_text(path) if path is not None else source.read()
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):

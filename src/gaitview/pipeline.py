@@ -36,13 +36,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dimred import DEFAULT_VARIANCE_THRESHOLD, FeatureMatrix, pca_fit, pca_matrix
+from .dimred import DEFAULT_VARIANCE_THRESHOLD, FeatureMatrix, check_threshold, pca_fit, pca_matrix
 from .errors import GaitViewError, ParseError, read_text
 from .features import FEATURE_SIDES, FeatureName, extract_all, signal_key_name
 from .ingest import (
     DEFAULT_CONF_THRESHOLD,
     DEFAULT_MAX_GAP,
     KEYPOINT_NAMES,
+    check_gap_setting,
     fill_gaps,
     parse_marker_csv,
     parse_pose_csv,
@@ -50,8 +51,8 @@ from .ingest import (
 from .metrics import MetricConfig, MetricRecord, compute_records
 from .preprocess import FilterSpec, check_setting, smooth
 from .report import (
-    ALL_METRICS, DEFAULT_ALPHA, METRIC_DIRECTION, PCA_HEADER, RECOMMENDATIONS, RECORDS_HEADER,
-    STATS_HEADER, _write_csv,
+    ALL_METRICS, DEFAULT_ALPHA, FEATURES, METRIC_DIRECTION, PCA_HEADER, RECOMMENDATIONS,
+    RECORDS_HEADER, STATS_HEADER, _write_csv, check_alpha,
 )
 from .signal_core import SideLabel, TrialId, ViewLabel
 from .stats import StatResult, compare_views
@@ -59,15 +60,20 @@ from .stats import StatResult, compare_views
 _TRIAL_VIEWS = (ViewLabel.MOCAP3D, ViewLabel.FRONTAL, ViewLabel.LATERAL)  # files of a trial
 # relative, every sample step vs. its file's median: passes 30 fps's 33/34 ms, not a dropped frame
 TIME_TOLERANCE = 0.1
+PCA_SCOPES = ("pooled", "per-subject")
 
 
 @dataclass
 class RunConfig:
+    """Every analyze setting, each checked here, before any file is read, by
+    the module that uses it; a bad value raises an error naming its key.
+    features may be given as names; they are kept as FeatureName."""
+
     manifest: Path
     out_dir: Path
     alpha: float = DEFAULT_ALPHA
     pca_threshold: float = DEFAULT_VARIANCE_THRESHOLD
-    pca_scope: str = "pooled"  # or "per-subject"
+    pca_scope: str = "pooled"
     apply_filter: bool = True
     cutoff_hz: float = 7.0  # each file's filter is designed at that file's rate
     filter_order: int = 4  # net order, as FilterSpec's
@@ -79,7 +85,15 @@ class RunConfig:
     marker_map: dict[str, str] | None = None
 
     def __post_init__(self):
-        check_setting(self.cutoff_hz, self.filter_order)  # before any file is read
+        check_alpha(self.alpha)
+        check_threshold(self.pca_threshold)
+        if self.pca_scope not in PCA_SCOPES:
+            raise ValueError(f"pca_scope: expected one of {'/'.join(PCA_SCOPES)}, "
+                             f"got {self.pca_scope!r}")
+        check_setting(self.cutoff_hz, self.filter_order)
+        check_gap_setting(self.conf_threshold, self.max_gap)
+        self.features = tuple(map(FeatureName, _names("features", self.features, FEATURES)))
+        self.metrics = _names("metrics", self.metrics, ALL_METRICS)
 
     def fingerprint(self) -> str:
         """sha256 of every setting but the manifest and output paths.
@@ -92,6 +106,22 @@ class RunConfig:
         payload = dataclasses.asdict(self)
         del payload["manifest"], payload["out_dir"]
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _names(key: str, names, valid: tuple[str, ...]) -> tuple:
+    """names as a tuple; none, or a name empty, not in valid or listed twice, raises ValueError."""
+    names = tuple(names)
+    if not names:
+        raise ValueError(f"{key}: none given")
+    for name in names:
+        if name == "":  # named in the comma-separated form of --metrics "dtw,,kld"
+            raise ValueError(f"{key}: empty name in {','.join(names)!r}")
+        if name not in valid:
+            raise ValueError(f"{key}: unknown {key[:-1]} {name!r}, expected one of "
+                             f"{'/'.join(valid)}")
+        if names.count(name) > 1:
+            raise ValueError(f"{key}: {name!r} is listed twice")
+    return names
 
 
 def _fmt(value: float) -> str:
@@ -267,6 +297,8 @@ def run_analysis(cfg: RunConfig) -> None:
     files. One trial's sequences are in memory at a time: per-subject PCA is
     fitted as each trial is scored, and pooled PCA keeps each view's float
     matrices until every trial is in, then stacks them in trial order."""
+    if not cfg.manifest.exists():
+        raise GaitViewError(f"manifest not found: {cfg.manifest}")
     manifest = load_manifest(cfg.manifest)
     if not manifest:
         raise GaitViewError(f"manifest {cfg.manifest} lists no subjects")

@@ -20,6 +20,12 @@ METRIC_DIRECTION = {"dtw": "lower", "mcc": "higher", "kld": "lower", "ie": None}
 ALL_METRICS = tuple(METRIC_DIRECTION)
 DEFAULT_ALPHA = 0.05  # significance level of analyze's winners and recommend's votes
 
+
+def check_alpha(alpha: float) -> None:
+    """Reject a significance level outside (0, 1), nan included."""
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
 STATS_HEADER = [
     "metric", "frontal_mean", "frontal_sd", "lateral_mean", "lateral_sd",
     "p_value", "cliffs_delta", "effect_label", "winner",
@@ -93,6 +99,7 @@ def recommend(analyzed_dir, alpha: float = DEFAULT_ALPHA) -> list[dict]:
     present; any other file is ignored. Writes recommendations.csv into the
     analyzed dir once every stats file has been read.
     """
+    check_alpha(alpha)
     analyzed = Path(analyzed_dir)
     stats_files = [(feature, analyzed / f"stats_{feature}.csv") for feature in sorted(FEATURES)]
     stats_files = [(feature, path) for feature, path in stats_files if path.exists()]

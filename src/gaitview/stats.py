@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GaitViewError
 from .features import FeatureName
-from .report import DEFAULT_ALPHA, METRIC_DIRECTION
+from .report import DEFAULT_ALPHA, METRIC_DIRECTION, check_alpha
 from .signal_core import SideLabel
 
 EXACT_N_MAX = 25
@@ -149,6 +149,7 @@ def compare_views(
     """
     if metric not in METRIC_DIRECTION:
         raise ValueError(f"unknown metric {metric!r}")
+    check_alpha(alpha)
     a, b = tuple(frontal), tuple(lateral)
     sample = PairedSample(a, b)
     w_plus, w_minus, p = wilcoxon_signed_rank(sample)

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitview.cli import main
-from gaitview.pipeline import RunConfig, _radar_data, _rate
+from gaitview.pipeline import RunConfig, _radar_data, _rate, run_analysis
 from gaitview.report import PCA_HEADER, RECORDS_HEADER, STATS_HEADER, recommend
 from gaitview import preprocess
 from gaitview.features import FeatureName
@@ -318,6 +318,13 @@ class TestAnalyzeCommand:
         rc = run_analyze(tmp_path / "nope.csv", tmp_path / "out")
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_missing_manifest_named_to_a_library_caller(self, tmp_path):
+        manifest = tmp_path / "nope.csv"
+        message = re.escape(f"manifest not found: {manifest}")
+        with pytest.raises(GaitViewError, match=f"^{message}$"):
+            run_analysis(RunConfig(manifest, tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
     def test_missing_3d_file_exit_1(self, tmp_path, capsys):
         manifest = run_synth(tmp_path / "d", subjects=1)
@@ -699,23 +706,25 @@ class TestSettings:
 
     @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.05"])
     def test_alpha_outside_unit_interval_rejected(self, dataset, analyzed, tmp_path, capsys,
-                                                  value):
-        message = f"must be in (0, 1), got {value}"
-        with pytest.raises(SystemExit) as exit_info:
-            run_analyze(dataset, tmp_path / "o", "--alpha", value)
-        assert exit_info.value.code == 2
-        assert f"argument --alpha: {message}" in capsys.readouterr().err
+                                                  monkeypatch, value):
+        def unread(*args, **kwargs):
+            raise AssertionError("an input file was read")
+
+        for reader in ("pipeline.parse_marker_csv", "pipeline.parse_pose_csv",
+                       "report._read_stats"):
+            monkeypatch.setattr(f"gaitview.{reader}", unread)
+        message = f"alpha must be in (0, 1), got {float(value)}"
+        assert run_analyze(dataset, tmp_path / "o", "--alpha", value) == 1
+        assert f"error: {message}" in capsys.readouterr().err
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"alpha = {value}\n")
         assert run_analyze(dataset, tmp_path / "o", "--config", str(cfg)) == 1
-        assert f"error: {cfg}: alpha: {message}" in capsys.readouterr().err
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
         copy = tmp_path / "analysis"
         shutil.copytree(analyzed, copy)
-        with pytest.raises(SystemExit) as exit_info:
-            main(["recommend", "--analyzed", str(copy), "--alpha", value])
-        assert exit_info.value.code == 2
-        assert f"argument --alpha: {message}" in capsys.readouterr().err
+        assert main(["recommend", "--analyzed", str(copy), "--alpha", value]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
         assert not (copy / "recommendations.csv").exists()
 
     @pytest.mark.parametrize("key, value, message", [
@@ -733,14 +742,16 @@ class TestSettings:
 
         monkeypatch.setattr("gaitview.pipeline.parse_marker_csv", unread)
         monkeypatch.setattr("gaitview.pipeline.parse_pose_csv", unread)
-        with pytest.raises(SystemExit) as exit_info:
-            run_analyze(dataset, tmp_path / "o", f"--{key}", value)
-        assert exit_info.value.code == 2
-        assert f"argument --{key}: {message}" in capsys.readouterr().err
+        # RunConfig names the key as its field: "pca_threshold must be in (0, 1], got 0.0"
+        name = key.replace("-", "_")
+        assert run_analyze(dataset, tmp_path / "o", f"--{key}", value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}") and message in err
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {value}\n")
         assert run_analyze(dataset, tmp_path / "o", "--config", str(cfg)) == 1
-        assert f"error: {cfg}: {key}: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: {name}") and message in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag, value, message", [
@@ -818,6 +829,43 @@ class TestSettings:
         assert designs == []
         meta = json.loads((tmp_path / "flags" / "run_metadata.json").read_text())
         assert meta["normalize"] is False
+
+    @pytest.mark.parametrize("key, value", [
+        ("pca_scope", "per_subject"), ("alpha", 1.5), ("alpha", float("nan")),
+        ("pca_threshold", 0), ("conf_threshold", 2), ("max_gap", -1),
+        ("metrics", ()), ("metrics", ("rmse",)), ("metrics", ("dtw", "dtw")),
+        ("features", ()), ("features", ("bogus",)),
+        ("features", (FeatureName.STEP_LENGTH, FeatureName.STEP_LENGTH)),
+    ])
+    def test_library_caller_gets_the_same_checks(self, key, value):
+        # each value was accepted, or failed only once an input file was read
+        with pytest.raises(ValueError, match=f"^{key}"):
+            RunConfig(Path("manifest.csv"), Path("out"), **{key: value})
+
+    def test_config_value_overridden_by_a_flag_is_still_checked(self, dataset, tmp_path,
+                                                               capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("histogram-bins = 1\n")
+        assert run_analyze(dataset, tmp_path / "o", "--config", str(cfg),
+                           "--histogram-bins", "64") == 1
+        assert capsys.readouterr().err == f"error: {cfg}: histogram_bins must be >= 2\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("option, message", [
+        ("--marker-map", "marker_map: [Errno 2] No such file or directory: ''"),
+        ("--config", "[Errno 2] No such file or directory: ''"),
+    ])
+    def test_empty_file_option_is_a_file_that_cannot_be_read(self, dataset, tmp_path,
+                                                             option, message):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run(
+            [sys.executable, "-m", "gaitview.cli", "analyze", "--manifest", str(dataset),
+             "--out", str(tmp_path / "o"), option, ""],
+            env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (1, f"error: {message}\n")
+        assert not (tmp_path / "o").exists()
 
     def test_settings_at_their_bounds_accepted(self, dataset, tmp_path):
         assert run_analyze(dataset, tmp_path / "o", "--pca-threshold", "1",
@@ -1015,6 +1063,14 @@ class TestRecommendCommand:
         expected = recommend(copy)
         shutil.copy(copy / "stats_step_length.csv", copy / "stats_step_length_old.csv")
         assert recommend(copy) == expected
+
+    def test_alpha_outside_unit_interval_rejected_before_reading(self, analyzed, tmp_path):
+        copy = tmp_path / "analysis"
+        shutil.copytree(analyzed, copy)
+        (copy / "recommendations.csv").unlink(missing_ok=True)
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\), got 5$"):
+            recommend(copy, alpha=5)
+        assert not (copy / "recommendations.csv").exists()
 
     def test_not_analyzed_dir(self, tmp_path):
         with pytest.raises(GaitViewError,

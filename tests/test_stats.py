@@ -223,6 +223,11 @@ class TestCompareViews:
         with pytest.raises(GaitViewError, match="^need at least one pair$"):
             compare_views([], [], FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL, "kld")
 
+    def test_alpha_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\), got 7$"):
+            compare_views([1.0, 2.0], [3.0, 4.0], FeatureName.STEP_LENGTH, SideLabel.LEFT, "dtw",
+                          alpha=7)
+
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
             compare_views([], [], FeatureName.STEP_LENGTH, SideLabel.LEFT, "rmse")
