@@ -15,10 +15,11 @@
 # --metrics and --features on the seed-42 cohort, each followed by recommend
 # (--alpha 0.01 after the subset run). Each analyze runs a second time with
 # every CSV number written at full precision (`repr` in place of the report
-# writer's _fmt, in gaitview.pipeline or, before the pipeline module, gaitview.cli),
-# since a 6-digit report hides a change in the last bits of a value. The
-# names of the report files that differ in either run must equal the list on
-# the `Reports changed:` line this commit adds to CHANGES.md:
+# writer's _fmt: gaitview.pipeline's where that module writes the reports,
+# else gaitview.report's), since a 6-digit report hides a change in the last
+# bits of a value. The names of the report files that differ in either run
+# must equal the list on the `Reports changed:` line this commit adds to
+# CHANGES.md:
 # `Reports changed: none`, or comma-separated file names such as
 # `Reports changed: radar.json, stats_step_length.csv`.
 #
@@ -37,7 +38,7 @@ run() {  # <side> <command ...>: the side's gaitview, its own source first on th
 }
 
 full_precision='import sys; from gaitview import cli
-writer = next(m for m in (cli, getattr(cli, "pipeline", None)) if hasattr(m, "_fmt"))
+writer = next(m for m in (cli.pipeline, cli.report) if hasattr(m, "_fmt"))
 writer._fmt = repr
 sys.exit(cli.main(sys.argv[1:]))'
 

@@ -106,9 +106,10 @@ def _config_key(key: str) -> str:
 
 
 def _read_config(path) -> dict:
-    """--config file -> {key: typed value}. An unknown key, or a value not of
-    its key's type, raises GaitViewError naming the file and the key; a key
-    set twice (in either spelling) raises ParseError naming the second line."""
+    """--config file -> {key: typed value}; a relative marker_map is taken
+    from the file's directory. An unknown key, or a value not of its key's
+    type, raises GaitViewError naming the file and the key; a key set twice
+    (in either spelling) raises ParseError naming the second line."""
     settings = {}
     for raw_key, raw in ingest.read_key_values(path, _config_key).items():
         key = _config_key(raw_key)
@@ -118,6 +119,8 @@ def _read_config(path) -> dict:
             settings[key] = CONFIG_KEYS[key](raw)
         except ValueError as exc:
             raise GaitViewError(f"{path}: {raw_key}: {exc}") from None
+    if "marker_map" in settings:
+        settings["marker_map"] = Path(path).parent / settings["marker_map"]
     return settings
 
 

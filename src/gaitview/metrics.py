@@ -185,30 +185,26 @@ def compute_records(
 
     Each 2D signal is resampled to the 3D length first; with cfg.normalize
     every signal is z-normalized once before the metrics run, and the 3D
-    signal and its entropy are prepared once for all views. A failure names
-    the view being scored.
+    signal and its entropy are prepared once, before any view. A failure
+    names the view being scored, mocap3d while the 3D signal is prepared.
     """
     cfg = cfg or MetricConfig()
-    sig3 = ie3 = None
-    records = []
-    for view, signal_2d in signals_2d.items():
-        try:
+    records, view = [], ViewLabel.MOCAP3D
+    try:
+        sig3 = znormalize(signal_3d) if cfg.normalize else signal_3d
+        ie3 = information_entropy(sig3, cfg)
+        for view, signal_2d in signals_2d.items():
             sig2 = resample_linear(signal_2d, len(signal_3d))
             if cfg.normalize:
                 sig2 = znormalize(sig2)
-            if sig3 is None:
-                sig3 = znormalize(signal_3d) if cfg.normalize else signal_3d
             dtw = dtw_distance(sig3, sig2)
             mcc, lag = max_cross_correlation(sig3, sig2)
             kld = kl_divergence(sig3, sig2, cfg)
-            ie2 = information_entropy(sig2, cfg)
-            if ie3 is None:
-                ie3 = information_entropy(sig3, cfg)
-        except Exception as exc:
-            raise GaitViewError(f"(subject {trial.subject_index}, trial {trial.trial_index}, "
-                                f"{feature.value}, {side.value}, {view.value}): {exc}") from exc
-        records.append(MetricRecord(
-            trial=trial, feature=feature, side=side, view=view,
-            dtw=dtw, mcc=mcc, mcc_lag=lag, kld=kld, ie_2d=ie2, ie_3d=ie3,
-        ))
+            records.append(MetricRecord(
+                trial=trial, feature=feature, side=side, view=view, dtw=dtw, mcc=mcc,
+                mcc_lag=lag, kld=kld, ie_2d=information_entropy(sig2, cfg), ie_3d=ie3,
+            ))
+    except Exception as exc:
+        raise GaitViewError(f"(subject {trial.subject_index}, trial {trial.trial_index}, "
+                            f"{feature.value}, {side.value}, {view.value}): {exc}") from exc
     return records

@@ -1,7 +1,6 @@
 """The analyze pipeline: ingest -> gap fill -> zero-phase filter -> feature
 extraction -> metrics -> paired stats -> PCA, ending in deterministic CSV/JSON
-reports (6 significant digits in CSV, full precision in JSON, sorted keys and
-fixed row order, so identical inputs give byte-identical outputs).
+reports, so identical inputs give byte-identical outputs.
 
 The manifest is checked whole before any file is read. One function,
 _score_trial, takes a trial from its files to its records: the files are
@@ -11,15 +10,8 @@ trial, view and file it came from. One trial's sequences are in memory at
 a time: each becomes the float matrix PCA reads, and per-subject PCA is
 fitted on the spot, while pooled PCA keeps each view's matrices and stacks
 them once every trial is in. hashlib, and with it OpenSSL's libcrypto,
-loads only for run_metadata.json's config_hash.
-
-The reports are replaced as a set: analyze writes them all into a
-temporary directory inside the output directory, checks that none of their
-names there is taken by a directory or another non-file, then moves them
-in and deletes the stats_<feature>.csv and recommendations.csv an earlier
-run left that this run did not write. A run that fails before the move
-leaves the output directory as it was, and files gaitview does not own are
-never touched.
+loads only for run_metadata.json's config_hash. report.write_reports
+writes the report files.
 """
 from __future__ import annotations
 
@@ -28,8 +20,6 @@ import csv
 import dataclasses
 import io
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,10 +41,9 @@ from .ingest import (
 from .metrics import MetricConfig, MetricRecord, compute_records
 from .preprocess import FilterSpec, check_setting, smooth
 from .report import (
-    ALL_METRICS, DEFAULT_ALPHA, FEATURES, METRIC_DIRECTION, PCA_HEADER, RECOMMENDATIONS,
-    RECORDS_HEADER, STATS_HEADER, _write_csv, check_alpha,
+    ALL_METRICS, DEFAULT_ALPHA, FEATURES, METRIC_DIRECTION, check_alpha, write_reports,
 )
-from .signal_core import SideLabel, TrialId, ViewLabel
+from .signal_core import TrialId, ViewLabel
 from .stats import StatResult, compare_views
 
 _TRIAL_VIEWS = (ViewLabel.MOCAP3D, ViewLabel.FRONTAL, ViewLabel.LATERAL)  # files of a trial
@@ -122,10 +111,6 @@ def _names(key: str, names, valid: tuple[str, ...]) -> tuple:
         if names.count(name) > 1:
             raise ValueError(f"{key}: {name!r} is listed twice")
     return names
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6g}"
 
 
 def load_manifest(path: Path) -> dict[TrialId, dict[str, Path]]:
@@ -325,16 +310,13 @@ def run_analysis(cfg: RunConfig) -> None:
     groups: dict[tuple, list[MetricRecord]] = {}
     for rec in records:
         groups.setdefault((rec.feature, rec.side, rec.view), []).append(rec)
-    stat_results: list[StatResult] = []
-    for feature in cfg.features:
-        for side in FEATURE_SIDES[feature]:
-            for metric in cfg.metrics:
-                attr = "ie_2d" if metric == "ie" else metric  # IE compares the 2D entropies
-                frontal, lateral = ([getattr(r, attr) for r in groups[feature, side, view]]
-                                    for view in (ViewLabel.FRONTAL, ViewLabel.LATERAL))
-                stat_results.append(
-                    compare_views(frontal, lateral, feature, side, metric, cfg.alpha))
-    _write_outputs(cfg, records, stat_results, pca_rows, _radar_data(groups, cfg))
+    stat_results, radar = _view_comparisons(groups, cfg)
+    write_reports(cfg.out_dir, records, stat_results, pca_rows, radar, {
+        "gaitview_version": __version__, "config_hash": cfg.fingerprint(),
+        "manifest": str(cfg.manifest), "alpha": cfg.alpha, "pca_threshold": cfg.pca_threshold,
+        "normalize": cfg.metric_cfg.normalize, "histogram_bins": cfg.metric_cfg.histogram_bins,
+        "cutoff_hz": cfg.cutoff_hz, "filter_order": cfg.filter_order,
+    })
 
 
 def _pca_row(group: str, values: np.ndarray, threshold: float) -> tuple[str, int, int, float]:
@@ -343,82 +325,25 @@ def _pca_row(group: str, values: np.ndarray, threshold: float) -> tuple[str, int
     return group, values.shape[1], result.k, result.explained_ratio
 
 
-def _radar_data(groups, cfg) -> dict:
-    """Per (feature, side) and metric: view means of the records grouped by
-    (feature, side, view), min-max normalized so the better-direction
-    extreme is exactly 1 and the worse exactly 0."""
-    radar: dict[str, dict[str, dict[str, float]]] = {}
+def _view_comparisons(groups, cfg) -> tuple[list[StatResult], dict]:
+    """Per (feature, side) and metric of cfg, from the records grouped by
+    (feature, side, view): the paired comparison of the frontal and lateral
+    scores, and the radar axis, whose view means are min-max normalized so
+    the better-direction extreme is exactly 1 and the worse exactly 0."""
+    stat_results, radar = [], {}
     for feature in cfg.features:
         for side in FEATURE_SIDES[feature]:
             axes = radar[signal_key_name(feature, side)] = {}
+            pair = [groups[feature, side, view] for view in (ViewLabel.FRONTAL, ViewLabel.LATERAL)]
             for metric in cfg.metrics:
-                # IE has no better direction in reports; for the radar we use closeness
-                # of the 2D entropy to the 3D entropy as the fidelity axis, lower is better
-                f, l = (float(np.mean([abs(r.ie_2d - r.ie_3d) if metric == "ie"
-                                       else getattr(r, metric)
-                                       for r in groups[feature, side, view]]))
-                        for view in (ViewLabel.FRONTAL, ViewLabel.LATERAL))
+                attr = "ie_2d" if metric == "ie" else metric  # IE compares the 2D entropies
+                scores = [[getattr(r, attr) for r in recs] for recs in pair]
+                stat_results.append(compare_views(*scores, feature, side, metric, cfg.alpha))
+                if metric == "ie":  # IE has no better direction in reports; the radar
+                    # reads the closeness of the 2D entropy to the 3D entropy, lower is better
+                    scores = [[abs(r.ie_2d - r.ie_3d) for r in recs] for recs in pair]
+                f, l = (float(np.mean(values)) for values in scores)
                 sign = -1.0 if METRIC_DIRECTION[metric] == "higher" else 1.0
                 frontal = 0.5 if f == l else float(sign * f < sign * l)
                 axes[metric] = {"frontal": frontal, "lateral": 1.0 - frontal}
-    return radar
-
-
-def _write_outputs(cfg, records, stat_results, pca_rows, radar):
-    """Write every report into a temporary directory inside the output
-    directory, then move them into it and delete the stats_<feature>.csv
-    and recommendations.csv of an earlier run that this run did not write.
-    A report that cannot be written, or a target name taken by a directory
-    or another non-file, fails before the first move, and the temporary
-    directory goes on every exit path."""
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=".gaitview-", dir=out) as tmp:
-        tmp = Path(tmp)
-        _write_csv(tmp / "metric_records.csv", RECORDS_HEADER, (
-            [r.trial.subject_index, r.trial.trial_index, r.feature.value, r.side.value,
-             r.view.value, _fmt(r.dtw), _fmt(r.mcc), r.mcc_lag, _fmt(r.kld),
-             _fmt(r.ie_2d), _fmt(r.ie_3d)]
-            for r in sorted(records, key=lambda r: (
-                r.trial.subject_index, r.trial.trial_index,
-                r.feature.value, r.side.value, r.view.value))
-        ))
-        for feature in sorted({res.feature for res in stat_results}, key=lambda f: f.value):
-            rows = sorted((r for r in stat_results if r.feature is feature),
-                          key=lambda r: (r.metric, r.side.value))
-            _write_csv(tmp / f"stats_{feature.value}.csv", STATS_HEADER, (
-                [r.metric if r.side is SideLabel.BILATERAL else f"{r.metric}_{r.side.value}",
-                 _fmt(r.mean_sd_a[0]), _fmt(r.mean_sd_a[1]),
-                 _fmt(r.mean_sd_b[0]), _fmt(r.mean_sd_b[1]),
-                 _fmt(r.p_value), _fmt(r.cliffs_delta), r.effect_label, r.winner]
-                for r in rows
-            ))
-        _write_csv(tmp / "pca_summary.csv", PCA_HEADER,
-                   ([name, dim, k, _fmt(ratio)] for name, dim, k, ratio in sorted(pca_rows)))
-        meta = {
-            "gaitview_version": __version__,
-            "config_hash": cfg.fingerprint(),
-            "manifest": str(cfg.manifest),
-            "alpha": cfg.alpha,
-            "pca_threshold": cfg.pca_threshold,
-            "normalize": cfg.metric_cfg.normalize,
-            "histogram_bins": cfg.metric_cfg.histogram_bins,
-            "cutoff_hz": cfg.cutoff_hz,
-            "filter_order": cfg.filter_order,
-        }
-        for name, data in (("radar.json", radar), ("run_metadata.json", meta)):
-            (tmp / name).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n",
-                                    encoding="utf-8")
-
-        written = sorted(path.name for path in tmp.iterdir())
-        # reports of an earlier run that this run did not write, which recommend would read
-        stale = [name for name in [f"stats_{f.value}.csv" for f in FeatureName] + [RECOMMENDATIONS]
-                 if name not in written]
-        for name in written + stale:
-            if (out / name).exists() and not (out / name).is_file():
-                raise GaitViewError(f"{out / name} is not a file; the reports in {out} "
-                                    "are left as they were")
-        for name in written:
-            os.replace(tmp / name, out / name)
-    for name in stale:
-        (out / name).unlink(missing_ok=True)
+    return stat_results, radar

@@ -1,5 +1,14 @@
-"""Report schema and `gaitview recommend`: stdlib only, so recommend starts
-without numpy.
+"""Report schema, the report files and `gaitview recommend`: stdlib only, so
+recommend starts without numpy.
+
+write_reports writes every report file of an analyze run, from the numbers
+the pipeline module computes. The reports are replaced as a set: they are
+all written into a temporary directory inside the output directory, none of
+their names there may be taken by a directory or another non-file, then
+they are moved in and the stats_<feature>.csv and recommendations.csv an
+earlier run left that this run did not write are deleted. A run that fails
+before the move leaves the output directory as it was, and files gaitview
+does not own are never touched.
 
 recommend reads the stats_<feature>.csv files of the four FEATURES from a
 finished analyze run and rejects any row it cannot vote with, naming the
@@ -36,7 +45,12 @@ RECORDS_HEADER = [
 ]
 PCA_HEADER = ["group", "initial_dim", "k", "explained_ratio"]
 RECOMMENDATIONS = "recommendations.csv"
+STATS_FILE = "stats_{}.csv"  # of a feature: stats_step_length.csv
 WINNERS = ("frontal", "lateral", "tie", "")  # "": IE, which has no winner
+
+
+def _fmt(value: float) -> str:
+    return f"{value:.6g}"
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -44,6 +58,62 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_reports(out_dir, records, stat_results, pca_rows, radar: dict, metadata: dict) -> None:
+    """Replace the reports in out_dir as a set: CSV numbers to 6 significant
+    digits, JSON at full precision, sorted keys and a fixed row order. The
+    temporary directory goes on every exit path; recommend needs none of
+    json, os and tempfile, so they are imported here."""
+    import json
+    import os
+    import tempfile
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".gaitview-", dir=out) as tmp:
+        tmp = Path(tmp)
+        _write_csv(tmp / "metric_records.csv", RECORDS_HEADER, (
+            [r.trial.subject_index, r.trial.trial_index, r.feature.value, r.side.value,
+             r.view.value, _fmt(r.dtw), _fmt(r.mcc), r.mcc_lag, _fmt(r.kld),
+             _fmt(r.ie_2d), _fmt(r.ie_3d)]
+            for r in sorted(records, key=lambda r: (
+                r.trial.subject_index, r.trial.trial_index,
+                r.feature.value, r.side.value, r.view.value))
+        ))
+        for feature in sorted({res.feature.value for res in stat_results}):
+            rows = sorted((r for r in stat_results if r.feature.value == feature),
+                          key=lambda r: (r.metric, r.side.value))
+            _write_csv(tmp / STATS_FILE.format(feature), STATS_HEADER, (
+                [_metric_cell(r.metric, r.side.value),
+                 _fmt(r.mean_sd_a[0]), _fmt(r.mean_sd_a[1]),
+                 _fmt(r.mean_sd_b[0]), _fmt(r.mean_sd_b[1]),
+                 _fmt(r.p_value), _fmt(r.cliffs_delta), r.effect_label, r.winner]
+                for r in rows
+            ))
+        _write_csv(tmp / "pca_summary.csv", PCA_HEADER,
+                   ([name, dim, k, _fmt(ratio)] for name, dim, k, ratio in sorted(pca_rows)))
+        for name, data in (("radar.json", radar), ("run_metadata.json", metadata)):
+            (tmp / name).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n",
+                                    encoding="utf-8")
+
+        written = sorted(path.name for path in tmp.iterdir())
+        # reports of an earlier run that this run did not write, which recommend would read
+        stale = [name for name in [STATS_FILE.format(f) for f in FEATURES] + [RECOMMENDATIONS]
+                 if name not in written]
+        for name in written + stale:
+            if (out / name).exists() and not (out / name).is_file():
+                raise GaitViewError(f"{out / name} is not a file; the reports in {out} "
+                                    "are left as they were")
+        for name in written:
+            os.replace(tmp / name, out / name)
+    for name in stale:
+        (out / name).unlink(missing_ok=True)
+
+
+def _metric_cell(metric: str, side: str) -> str:
+    """A stats row's metric cell, as _read_stats splits it: dtw if bilateral, else dtw_left."""
+    return metric if side == "bilateral" else f"{metric}_{side}"
 
 
 def _read_stats(path: Path):
@@ -101,7 +171,8 @@ def recommend(analyzed_dir, alpha: float = DEFAULT_ALPHA) -> list[dict]:
     """
     check_alpha(alpha)
     analyzed = Path(analyzed_dir)
-    stats_files = [(feature, analyzed / f"stats_{feature}.csv") for feature in sorted(FEATURES)]
+    stats_files = [(feature, analyzed / STATS_FILE.format(feature))
+                   for feature in sorted(FEATURES)]
     stats_files = [(feature, path) for feature, path in stats_files if path.exists()]
     if not stats_files:
         raise GaitViewError(f"no stats_<feature>.csv files in {analyzed}")

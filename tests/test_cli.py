@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitview.cli import main
-from gaitview.pipeline import RunConfig, _radar_data, _rate, run_analysis
+from gaitview.pipeline import RunConfig, _rate, _view_comparisons, run_analysis
 from gaitview.report import PCA_HEADER, RECORDS_HEADER, STATS_HEADER, recommend
 from gaitview import preprocess
 from gaitview.features import FeatureName
@@ -595,7 +595,7 @@ class TestRadarData:
             for view, rows in values.items()
         }
         cfg = RunConfig(Path("m.csv"), Path("out"), features=(FeatureName.TRUNK_ROTATION,))
-        assert _radar_data(groups, cfg) == {"trunk_rotation": {
+        assert _view_comparisons(groups, cfg)[1] == {"trunk_rotation": {
             "dtw": {"frontal": 1.0, "lateral": 0.0},  # lower wins: 2.0 < 4.0
             "mcc": {"frontal": 0.0, "lateral": 1.0},  # higher wins: 0.9 > 0.2
             "kld": {"frontal": 0.5, "lateral": 0.5},  # equal means: 0.6 = 0.6
@@ -686,7 +686,9 @@ class TestSettings:
         if config is not None:  # a value from the file also names the file
             (tmp_path / "run.cfg").write_text(config + "\n")
             flags = ["--config", str(tmp_path / "run.cfg")]
-            message = f"{tmp_path / 'run.cfg'}: {message}"
+            # the file's marker map is looked up beside it
+            message = f"{tmp_path / 'run.cfg'}: {message}".replace(
+                "'missing.map'", f"'{tmp_path / 'missing.map'}'")
         assert run_analyze(dataset, tmp_path / "o", *flags) == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -866,6 +868,18 @@ class TestSettings:
             env=env, capture_output=True, text=True)
         assert (done.returncode, done.stderr) == (1, f"error: {message}\n")
         assert not (tmp_path / "o").exists()
+
+    def test_config_marker_map_is_relative_to_the_config_file(self, dataset, tmp_path,
+                                                               monkeypatch):
+        (tmp_path / "cfgdir").mkdir()
+        (tmp_path / "cfgdir" / "roles.map").write_text("l_hip = l_hip\nr_hip = r_hip\n")
+        (tmp_path / "cfgdir" / "run.cfg").write_text("marker-map = roles.map\n")
+        monkeypatch.chdir(tmp_path)
+        assert run_analyze(dataset, "from_file", "--config", "cfgdir/run.cfg") == 0
+        assert run_analyze(dataset, "from_flag", "--marker-map", "cfgdir/roles.map") == 0
+        hashes = [json.loads((tmp_path / out / "run_metadata.json").read_text())["config_hash"]
+                  for out in ("from_file", "from_flag")]
+        assert hashes[0] == hashes[1] != RunConfig(dataset, tmp_path).fingerprint()
 
     def test_settings_at_their_bounds_accepted(self, dataset, tmp_path):
         assert run_analyze(dataset, tmp_path / "o", "--pca-threshold", "1",

@@ -275,12 +275,20 @@ class TestComputeRecord:
 
     def test_errors_wrapped(self):
         with pytest.raises(GaitViewError, match=r"^\(subject 3, trial 2, knee_rotation, right, "
-                                                r"frontal\): signal has zero variance$") as info:
+                                                r"mocap3d\): signal has zero variance$") as info:
             compute_records(
                 TrialId(3, 2), FeatureName.KNEE_ROTATION, SideLabel.RIGHT,
                 ts([1.0] * 50), {ViewLabel.FRONTAL: ts([1.0] * 50)},
             )
         assert str(info.value.__cause__) == "signal has zero variance"
+
+    def test_3d_signal_that_cannot_be_prepared_names_mocap3d(self):
+        good = {view: ts(np.sin(np.linspace(0, 6 + k, 60)))
+                for k, view in enumerate((ViewLabel.FRONTAL, ViewLabel.LATERAL))}
+        with pytest.raises(GaitViewError, match=r"^\(subject 1, trial 1, trunk_rotation, "
+                                                r"bilateral, mocap3d\): signal has zero variance$"):
+            compute_records(TrialId(1, 1), FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL,
+                            ts([2.0] * 50), good)
 
     def test_views_share_one_prepared_3d_signal(self, monkeypatch):
         rng = np.random.default_rng(4)

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +8,13 @@ from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from gaitview.errors import GaitViewError
-from gaitview.features import FeatureName
-from gaitview.pipeline import RunConfig, _write_outputs
-from gaitview.report import recommend
+from gaitview.features import FEATURE_SIDES, FeatureName
+from gaitview.report import ALL_METRICS, DEFAULT_ALPHA, _read_stats, recommend, write_reports
 from gaitview.signal_core import SideLabel
 from gaitview.stats import (
     EXACT_N_MAX,
     PairedSample,
+    StatResult,
     _approx_p,
     _exact_p,
     _midranks,
@@ -183,7 +186,7 @@ class TestCompareViews:
         assert res.mean_sd_a[0] > res.mean_sd_b[0]
         assert res.p_value == 310 / 2**18 and res.cliffs_delta < -0.88
         assert res.winner == "frontal"
-        _write_outputs(RunConfig(tmp_path / "manifest.csv", tmp_path), [], [res], [], {})
+        write_reports(tmp_path, [], [res], [], {}, {})
         assert recommend(tmp_path) == [{"feature": "step_length", "side": "left",
                                         "recommended_view": "frontal",
                                         "rationale": "dtw:frontal"}]
@@ -235,3 +238,56 @@ class TestCompareViews:
     def test_sample_sd_uses_ddof1(self):
         res = compare_views([1.0, 3.0], [5.0, 5.0], FeatureName.STEP_LENGTH, SideLabel.LEFT, "dtw")
         assert abs(res.mean_sd_a[1] - np.std([1.0, 3.0], ddof=1)) < 1e-15
+
+
+# every (feature, side, metric) a stats file can hold
+STAT_KEYS = [(feature, side, metric) for feature in FeatureName
+             for side in FEATURE_SIDES[feature] for metric in ALL_METRICS]
+
+
+@st.composite
+def stat_results(draw):
+    """StatResults of distinct (feature, side, metric), in drawn order; p
+    values in [0, 1] with 0, 1 and values below 1e-6, and a winner valid for
+    the metric."""
+    numbers = st.floats(-1e6, 1e6)
+    p_values = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1e-6), st.floats(0.0, 1.0))
+    results = []
+    for feature, side, metric in draw(st.lists(st.sampled_from(STAT_KEYS), min_size=1,
+                                               unique=True)):
+        winner = "" if metric == "ie" else draw(st.sampled_from(["frontal", "lateral", "tie"]))
+        results.append(StatResult(
+            feature, side, metric, (draw(numbers), draw(numbers)), (draw(numbers), draw(numbers)),
+            draw(p_values), draw(st.floats(-1.0, 1.0)),
+            draw(st.sampled_from(["negligible", "small", "medium", "large"])), winner))
+    return results
+
+
+class TestStatsFileRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(stat_results())
+    def test_written_rows_read_back(self, results):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_reports(tmp, [], results, [], {}, {})
+            for feature in FeatureName:
+                path = tmp / f"stats_{feature.value}.csv"
+                rows = sorted((r for r in results if r.feature is feature),
+                              key=lambda r: (r.metric, r.side.value))
+                assert path.exists() == bool(rows)
+                if rows:
+                    assert list(_read_stats(path)) == [
+                        (r.metric, "" if r.side is SideLabel.BILATERAL else r.side.value,
+                         float(f"{r.p_value:.6g}"), r.winner)
+                        for r in rows]
+            # IE has no better direction, so a side with IE alone gets no row
+            voting = {(r.feature.value, r.side.value) for r in results if r.metric != "ie"}
+            recommended = recommend(tmp)
+            assert sorted((row["feature"], row["side"]) for row in recommended) == sorted(voting)
+            for row in recommended:
+                lead = sum(1 if r.winner == "frontal" else -1 for r in results
+                           if (r.feature.value, r.side.value) == (row["feature"], row["side"])
+                           and r.metric != "ie" and r.winner != "tie"
+                           and float(f"{r.p_value:.6g}") < DEFAULT_ALPHA)
+                assert row["recommended_view"] == ("frontal" if lead > 0 else
+                                                   "lateral" if lead < 0 else "tie")
