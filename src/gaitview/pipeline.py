@@ -9,9 +9,9 @@ at its own rate, then reduced to features; an error names the subject,
 trial, view and file it came from. One trial's sequences are in memory at
 a time: each becomes the float matrix PCA reads, and per-subject PCA is
 fitted on the spot, while pooled PCA keeps each view's matrices and stacks
-them once every trial is in. hashlib, and with it OpenSSL's libcrypto,
-loads only for run_metadata.json's config_hash. report.write_reports
-writes the report files.
+them once every trial is in, fitting the mocap3d matrix, the widest,
+last. analyze loads no OpenSSL: config_hash comes from CPython's built-in
+sha256. report.write_reports writes the report files.
 """
 from __future__ import annotations
 
@@ -87,14 +87,20 @@ class RunConfig:
     def fingerprint(self) -> str:
         """sha256 of every setting but the manifest and output paths.
 
-        hashlib is imported here, not with the module: it maps OpenSSL's
-        libcrypto, about 3.6 MB, which analyze then adds only once the
-        trials and the PCA are done."""
-        import hashlib
+        The digest comes from CPython's built-in sha256 module, as random
+        takes its sha512: hashlib would map OpenSSL's libcrypto, about
+        3.7 MB that would set analyze's peak memory."""
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:
+            try:
+                from _sha2 import sha256  # 3.12+
+            except ImportError:
+                from hashlib import sha256  # an interpreter built without them
 
         payload = dataclasses.asdict(self)
         del payload["manifest"], payload["out_dir"]
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        return sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def _names(key: str, names, valid: tuple[str, ...]) -> tuple:
@@ -301,9 +307,10 @@ def run_analysis(cfg: RunConfig) -> None:
             with _naming(trial, view, manifest[trial][view.value]):
                 pca_rows.append(_pca_row(f"{view.value}_s{trial.subject_index:02d}",
                                          values, cfg.pca_threshold))
-    if cfg.pca_scope == "pooled":  # each view's list of parts is freed before its SVD
+    if cfg.pca_scope == "pooled":  # each view's list of parts is freed before its SVD, and
+        # mocap3d's matrix, the widest, is fitted last, once the pose views' parts are gone
         pca_rows = [_pca_row(view.value, np.concatenate(parts.pop(view)), cfg.pca_threshold)
-                    for view in _TRIAL_VIEWS]
+                    for view in reversed(_TRIAL_VIEWS)]
 
     # (feature, side, view) -> records in trial order; load_manifest gives every
     # subject each view, so two views' lists pair subject by subject

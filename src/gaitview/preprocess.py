@@ -139,7 +139,7 @@ def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.
         np.add(state, sums_k, out=sums_k)
         np.multiply(y_k, a_rest, out=fed_back)
         np.subtract(carried_k, fed_back, out=lower)
-    return sums[:, 0]
+    return sums[:, 0].copy()  # a view would keep every product alive through the next pass
 
 
 def smooth(seqs, specs) -> list:

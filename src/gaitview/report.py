@@ -166,8 +166,10 @@ def recommend(analyzed_dir, alpha: float = DEFAULT_ALPHA) -> list[dict]:
 
     Majority vote of significant winners of the metrics with a better
     direction (not IE), from the stats_<feature>.csv of each of FEATURES
-    present; any other file is ignored. Writes recommendations.csv into the
-    analyzed dir once every stats file has been read.
+    present; any other file is ignored. Every (feature, side) with a stats
+    row gets a row, so a side with IE rows alone is a tie with no rationale.
+    Writes recommendations.csv into the analyzed dir once every stats file
+    has been read.
     """
     check_alpha(alpha)
     analyzed = Path(analyzed_dir)
@@ -180,10 +182,9 @@ def recommend(analyzed_dir, alpha: float = DEFAULT_ALPHA) -> list[dict]:
     for feature, path in stats_files:
         votes: dict[str, list[tuple[str, str]]] = {}
         for metric, side, p_value, winner in _read_stats(path):
-            if METRIC_DIRECTION[metric] is None:
-                continue
             side_votes = votes.setdefault(side or "bilateral", [])
-            if p_value < alpha and winner in ("frontal", "lateral"):
+            if (METRIC_DIRECTION[metric] is not None and p_value < alpha
+                    and winner in ("frontal", "lateral")):
                 side_votes.append((metric, winner))
         for side in sorted(votes):
             contributing = votes[side]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import hashlib
 import json
@@ -22,7 +23,7 @@ from gaitview.report import PCA_HEADER, RECORDS_HEADER, STATS_HEADER, recommend
 from gaitview import preprocess
 from gaitview.features import FeatureName
 from gaitview.errors import GaitViewError
-from gaitview.metrics import MetricRecord
+from gaitview.metrics import MetricConfig, MetricRecord
 from gaitview.signal_core import SideLabel, TrialId, ViewLabel
 from gaitview.synth import GaitModelParams, make_paired_dataset
 
@@ -144,13 +145,23 @@ print(gaitview.cli.pipeline.ViewLabel is first.ViewLabel)
 
 class TestMemory:
     def test_pipeline_import_leaves_out_openssl(self):
-        # hashlib maps OpenSSL's libcrypto (3.6 MB of peak memory); only
-        # RunConfig.fingerprint needs it, after the trials are scored
+        # hashlib maps OpenSSL's libcrypto (3.7 MB of peak memory); no module
+        # of gaitview imports it, RunConfig.fingerprint included
         assert probe("""
 import sys
 import gaitview.pipeline
 print("_hashlib" in sys.modules)
 """) == ["False"]
+
+    def test_analyze_leaves_out_openssl(self, dataset, tmp_path):
+        # config_hash came from hashlib, whose libcrypto then set the peak memory
+        # of a cohort of short trials
+        assert probe("""
+import sys
+from gaitview.cli import main
+assert main(sys.argv[1:]) == 0
+print("_hashlib" in sys.modules)
+""", "analyze", "--manifest", str(dataset), "--out", str(tmp_path / "out"))[-1] == "False"
 
     def test_per_subject_peak_does_not_grow_with_the_cohort(self, tmp_path):
         # every trial's sequences were kept until the end: 16 subjects peaked
@@ -660,6 +671,32 @@ class TestSettings:
             marker_map={"l_hip": "LASI", "r_hip": "RASI"},
         ).fingerprint() == "4e1cf954326c1f621fea05dc6b19e8694635aac5f7fb8fbd5c3edd6bb0785dd6"
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        alpha=st.floats(0.001, 0.999), pca_threshold=st.floats(0.01, 1.0),
+        pca_scope=st.sampled_from(["pooled", "per-subject"]), apply_filter=st.booleans(),
+        cutoff_hz=st.floats(0.1, 1e4), filter_order=st.integers(1, 6).map(lambda n: 2 * n),
+        metric_cfg=st.builds(MetricConfig, st.booleans(), st.integers(2, 1024),
+                             st.floats(1.01, 100.0), st.floats(1e-300, 1.0)),
+        conf_threshold=st.floats(0.0, 1.0), max_gap=st.integers(0, 10**6),
+        features=st.lists(st.sampled_from(list(FeatureName)), min_size=1, unique=True),
+        metrics=st.lists(st.sampled_from(["dtw", "mcc", "kld", "ie"]), min_size=1, unique=True),
+        marker_map=st.none() | st.dictionaries(st.text(min_size=1), st.text(min_size=1)),
+        unbuilt=st.booleans(),
+    )
+    def test_config_hash_is_sha256_of_the_settings(self, unbuilt, **values):
+        # the built-in sha256 module gives hashlib's digest, and an interpreter
+        # without it falls back on hashlib
+        cfg = RunConfig(Path("data/manifest.csv"), Path("results"), **values)
+        payload = dataclasses.asdict(cfg)
+        del payload["manifest"], payload["out_dir"]
+        expected = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        with pytest.MonkeyPatch.context() as patch:
+            if unbuilt:  # None in sys.modules makes the import raise ImportError
+                patch.setitem(sys.modules, "_sha256", None)
+                patch.setitem(sys.modules, "_sha2", None)
+            assert cfg.fingerprint() == expected
+
     @pytest.mark.parametrize("flags, config, message", [
         (["--features", "trunk_rotation,trunk_rotation"], None,
          "features: 'trunk_rotation' is listed twice"),
@@ -1101,6 +1138,19 @@ class TestRecommendCommand:
         assert main(["recommend", "--analyzed", str(copy)]) == 1
         assert (f"error: {stats}: 'utf-8' codec can't decode byte 0xff in position {size}"
                 in capsys.readouterr().err)
+
+    def test_ie_only_stats_give_tie_rows(self, dataset, tmp_path):
+        # IE has no better direction: an IE-only analysis gave a header and no row
+        out = tmp_path / "ie"
+        assert run_analyze(dataset, out, "--metrics", "ie") == 0
+        assert main(["recommend", "--analyzed", str(out)]) == 0
+        with open(out / "recommendations.csv", newline="") as fh:
+            rows = [tuple(row.values()) for row in csv.DictReader(fh)]
+        assert rows == [(feature, side, "tie", "") for feature, side in [
+            ("knee_rotation", "left"), ("knee_rotation", "right"),
+            ("step_length", "left"), ("step_length", "right"),
+            ("trunk_rotation", "bilateral"), ("wrist_hipmid", "left"),
+            ("wrist_hipmid", "right")]]
 
     def test_recommend_cli_error_path(self, tmp_path, capsys):
         rc = main(["recommend", "--analyzed", str(tmp_path)])

@@ -280,10 +280,10 @@ class TestStatsFileRoundTrip:
                         (r.metric, "" if r.side is SideLabel.BILATERAL else r.side.value,
                          float(f"{r.p_value:.6g}"), r.winner)
                         for r in rows]
-            # IE has no better direction, so a side with IE alone gets no row
-            voting = {(r.feature.value, r.side.value) for r in results if r.metric != "ie"}
+            # every side gets a row; one with IE alone, which has no better direction, ties
+            sides = {(r.feature.value, r.side.value) for r in results}
             recommended = recommend(tmp)
-            assert sorted((row["feature"], row["side"]) for row in recommended) == sorted(voting)
+            assert sorted((row["feature"], row["side"]) for row in recommended) == sorted(sides)
             for row in recommended:
                 lead = sum(1 if r.winner == "frontal" else -1 for r in results
                            if (r.feature.value, r.side.value) == (row["feature"], row["side"])
