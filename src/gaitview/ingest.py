@@ -18,10 +18,11 @@ build one from the other.
 Parsers are pure: a file either yields a sequence or raises a positioned
 error; there is no partial silent output. Each file is read with one bulk
 ``np.loadtxt`` call and checked with vectorised masks; the error of the
-first bad row wins, as if the rows were checked one by one. Numbers are
-plain ASCII decimals as numpy reads them (no ``_`` separators), and frame
-indices fit in 64 bits. The text is scanned row by row only on failure,
-to name the line, the column and the cell.
+first bad row wins, as if the rows were checked one by one. A number
+cell may have whitespace around it; the rest is a plain ASCII decimal as
+numpy reads it (no ``_`` separators), and a frame index fits in 64 bits.
+Only when the bulk read fails is the text scanned, once and row by row
+up to the first unreadable cell, to name the line, the column and the cell.
 """
 from __future__ import annotations
 
@@ -203,7 +204,7 @@ def _check_header(row, expected, line):
 
 _TABLE = np.dtype([("frame", "i8"), ("time", "f8"), ("name", "O"),
                    ("x", "f8"), ("y", "f8"), ("third", "f8")])
-_NUMERIC = ((0, "i8"), (1, "f8"), (3, "f8"), (4, "f8"), (5, "f8"))  # (field, dtype)
+_NUMERIC = ((0, int), (1, float), (3, float), (4, float), (5, float))  # (field, type)
 
 
 def _rows(text: str):
@@ -213,80 +214,57 @@ def _rows(text: str):
     return ((line, cells) for line, cells in enumerate(rows, start=2) if cells)
 
 
-def _row_texts(text: str) -> list[str]:
-    """The text of every data row, in the order _rows numbers them; a row
-    spans more than one line when a quoted cell holds a line break."""
-    lines = io.StringIO(text).readlines()
-    reader = csv.reader(lines)
-    next(reader)
-    texts, start = [], reader.line_num
-    for cells in reader:
-        if cells:
-            texts.append("".join(lines[start:reader.line_num]))
-        start = reader.line_num
-    return texts
-
-
-def _load(text: str, skiprows: int = 1):
-    """Every data row of CSV text as a _TABLE array (skiprows: the header)."""
-    return np.loadtxt(io.StringIO(text), dtype=_TABLE, delimiter=",", skiprows=skiprows,
+def _load(text: str):
+    """Every data row of CSV text as a _TABLE array, in one np.loadtxt call."""
+    return np.loadtxt(io.StringIO(text), dtype=_TABLE, delimiter=",", skiprows=1,
                       comments=None, quotechar='"', ndmin=1)
+
+
+def _number(cell: str, convert):
+    """convert(cell) if np.loadtxt reads the cell as that type, else None:
+    stripped of whitespace, the cell is ASCII without ``_``, convert (int
+    or float) reads it, and an integer fits in int64."""
+    cell = cell.strip()
+    if not cell.isascii() or "_" in cell:
+        return None
+    try:
+        value = convert(cell)
+    except ValueError:
+        return None
+    return value if convert is float or -2**63 <= value < 2**63 else None
 
 
 def _read(text: str):
     """The data rows of a CSV as a _TABLE array, and an (n, 7) mask of what
     np.loadtxt cannot read in them: the field count, then each field.
 
-    A file np.loadtxt reads whole gives an all-False mask. Otherwise a
-    bisection finds the longest prefix np.loadtxt reads; each probe reads
-    only the rows after the prefix found so far, so the probes read fewer
-    rows than the file holds. The rows after the prefix are read cell by
-    cell up to the first unreadable one, which ends the table with 0 or NaN
-    in its unreadable fields; this error path only feeds the checks of
-    _parse.
+    A file np.loadtxt reads whole gives an all-False mask. Otherwise one
+    scan of the rows, with no bisection and no further np.loadtxt call,
+    converts each numeric cell with _number up to the first row that has an
+    unreadable cell. That row ends the table, with 0 or NaN in its
+    unreadable fields; this error path only feeds the checks of _parse.
     """
     if next(_rows(text), None) is None:
         return np.zeros(0, dtype=_TABLE), np.zeros((0, 7), dtype=bool)
     try:
         table = _load(text)
     except ValueError:
-        rows = _row_texts(text)
-        good, bad = 0, len(rows)  # np.loadtxt reads rows[:good], not rows[:bad]
-        prefix = [np.zeros(0, dtype=_TABLE)]
-        while bad - good > 1:
-            mid = (good + bad) // 2
-            try:
-                prefix.append(_load("".join(rows[good:mid]), skiprows=0))
-                good = mid
-            except ValueError:
-                bad = mid
-        rest = []
-        for _, cells in itertools.islice(_rows(text), good, None):
+        rows = []
+        for _, cells in _rows(text):
             row = [0, np.nan, cells[2] if len(cells) > 2 else "", np.nan, np.nan, np.nan]
             flags = [len(cells) != 6] + [False] * 6
-            for j, dtype in _NUMERIC if len(cells) == 6 else ():
-                value = _cell(cells[j], dtype)
+            for j, convert in _NUMERIC if len(cells) == 6 else ():
+                value = _number(cells[j], convert)
                 flags[j + 1] = value is None
                 if value is not None:
                     row[j] = value
-            rest.append(tuple(row))
+            rows.append(tuple(row))
             if any(flags):
-                table = np.concatenate(prefix + [np.array(rest, dtype=_TABLE)])
-                unreadable = np.zeros((len(table), 7), dtype=bool)
+                unreadable = np.zeros((len(rows), 7), dtype=bool)
                 unreadable[-1] = flags
-                return table, unreadable
+                return np.array(rows, dtype=_TABLE), unreadable
         raise
     return table, np.zeros((len(table), 7), dtype=bool)
-
-
-def _cell(text: str, dtype: str):
-    """The number np.loadtxt reads from one cell, or None if it reads none."""
-    if not text.strip():
-        return None
-    try:
-        return np.loadtxt([text], dtype=[("v", dtype)], delimiter=",", comments=None)["v"].item()
-    except ValueError:
-        return None
 
 
 def _parse(source, cls) -> dict:

@@ -17,6 +17,7 @@ import csv
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -130,11 +131,20 @@ def wilcoxon_two_tail_p(ranks, w: float) -> float:
     return min(1.0, float(p))
 
 
+# the documented number rule: an ASCII decimal with whitespace around it
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_DECIMAL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf|infinity|nan)",
+                      re.ASCII | re.IGNORECASE)
+
+
 def _number(convert, value: str, line: int, column: int, what: str):
-    try:
-        out = convert(value)
-    except ValueError:
-        raise ParseError(line, column, f"invalid {what}: {value!r}") from None
+    """convert (int or float) of a cell that matches the rule; an int must
+    also fit in int64."""
+    text = value.strip()
+    grammar = _INTEGER if convert is int else _DECIMAL
+    if not grammar.fullmatch(text) or convert is int and not -2**63 <= int(text) < 2**63:
+        raise ParseError(line, column, f"invalid {what}: {value!r}")
+    out = convert(text)
     if not math.isfinite(out):
         raise ParseError(line, column, f"non-finite {what}: {value!r}")
     return out
@@ -142,9 +152,10 @@ def _number(convert, value: str, line: int, column: int, what: str):
 
 def parse_rows(text: str, pose: bool) -> list[tuple[int, float, dict]]:
     """(frame index, time, {name: (x, y, third)}) of a pose or marker CSV,
-    sorted by frame index, read one row at a time with Python's int() and
-    float(); raises what the parser must raise on the first bad row, then
-    on a changing marker set, then on a frame time that does not increase."""
+    sorted by frame index, read one row at a time; a number must match an
+    ASCII decimal grammar before int() or float() reads it. Raises what the
+    parser must raise on the first bad row, then on a changing marker set,
+    then on a frame time that does not increase."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
@@ -160,10 +171,7 @@ def parse_rows(text: str, pose: bool) -> list[tuple[int, float, dict]]:
             continue
         if len(row) != 6:
             raise ParseError(line, len(row) + 1, f"expected 6 fields, got {len(row)}")
-        try:
-            frame = int(row[0])
-        except ValueError:
-            raise ParseError(line, 1, f"invalid frame index: {row[0]!r}") from None
+        frame = _number(int, row[0], line, 1, "frame index")
         time_s = _number(float, row[1], line, 2, "time")
         name = row[2].strip()
         if pose and name not in KEYPOINT_NAMES:

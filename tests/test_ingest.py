@@ -2,12 +2,14 @@ import csv
 import io
 import math
 import string
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gaitview import ingest
 from gaitview.errors import GaitViewError, ParseError
 from gaitview.ingest import (
     KEYPOINT_NAMES,
@@ -202,6 +204,33 @@ class TestParseMarker:
         # np.loadtxt the whole file each time add up to about 24,000
         assert sum(handed) <= 2 * len(rows) + 5
 
+    def test_bad_last_row_scans_the_rows_once(self, monkeypatch):
+        rows = [f"{f},{f / 100},m{k},1,2,3" for f in range(400) for k in range(5)]
+        rows[-1] = rows[-1].replace(",3.99,", ",3.9x,")
+        yielded = []
+        reader = csv.reader
+
+        def counting(*args, **kwargs):
+            for cells in reader(*args, **kwargs):
+                yielded.append(cells)
+                yield cells
+
+        monkeypatch.setattr(ingest, "csv", types.SimpleNamespace(reader=counting))
+        with pytest.raises(ParseError) as err:
+            parse_marker_csv(io.StringIO(MARKER_HEADER + "\n".join(rows) + "\n"))
+        assert (err.value.line, err.value.column) == (len(rows) + 1, 2)
+        # the header, one scan of the rows and the lookup of the error line;
+        # a scan that restarts the reader for each row yields about 2,000,000
+        assert len(yielded) <= 2 * len(rows) + 5
+
+    def test_quoted_line_break_before_a_number(self):
+        # np.loadtxt and the reference strip the line break and read 7
+        text = MARKER_HEADER + '0,0.0,a,1,2,3\n"\n7",0.01,a,1,2,zz\n'
+        with pytest.raises(ParseError, match=r"^line 3, column 6: invalid z: 'zz'$"):
+            parse_marker_csv(io.StringIO(text))
+        with pytest.raises(ParseError, match=r"^line 3, column 6: invalid z: 'zz'$"):
+            parse_rows(text, False)
+
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 frame_indices = st.lists(st.integers(-10, 10_000), min_size=0, max_size=6, unique=True).map(sorted)
@@ -318,16 +347,48 @@ def csv_rows(draw, pose):
 
 
 # cells a corruption writes: unreadable, non-finite, out of range, unknown
-# names and readable numbers; ASCII without "_", where the parser reads
-# numbers as Python's int() and float() do
+# names and readable numbers, quoted line breaks, and numbers that int()
+# and float() read but the parser rejects ("_" separators, non-ASCII digits,
+# frame indices past int64). csv.writer leaves a lone "\r" unquoted, which
+# csv.reader cannot read back, so a "\r" comes with a character it quotes.
 corrupt_cells = st.one_of(
     st.sampled_from(["abc", "", " ", "1.2.3", "0x1F", "nan", "-inf", "1e400", "NaN", " 7 ",
-                     "+3", "1.5", "-0.25", "left_toe", " nose ", "head"]),
-    st.text("0123456789.eE+- ,\"'xnaif", max_size=5),
+                     "+3", "1.5", "-0.25", "left_toe", " nose ", "head", "1_000", "1_0.5",
+                     "\u0663", "\uff11", "9223372036854775807", "9223372036854775808",
+                     "-9223372036854775808", "-9223372036854775809"]),
+    st.text("0123456789.eE+- ,\"'xnaif\n\r", max_size=5).filter(
+        lambda cell: "\r" not in cell or any(c in cell for c in ',"\n')),
     finite.map(repr),
     st.integers(-5, 20).map(str),
     st.sampled_from(KEYPOINT_NAMES),
 )
+
+
+SPACES = [c for c in map(chr, range(0x110000)) if c.isspace()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    corrupt_cells,
+    st.sampled_from(["inf", "+Inf", "-INFINITY", "infinity", "iNfInItY", "nan", "-nan", "+NaN",
+                     "in", "infin", "nann", "1_0", "\u0665"]),
+    st.tuples(st.sampled_from(SPACES), st.one_of(st.integers(-5, 20).map(str), finite.map(repr)),
+              st.sampled_from(SPACES)).map("".join),
+), st.sampled_from([0, 1, 3, 4, 5]))
+def test_scan_reads_a_cell_as_loadtxt_does(cell, column):
+    """The error path's verdict on a cell equals the bulk read of a file holding it."""
+    row = ["0", "0.0", "a", "1", "2", "3"]
+    row[column] = cell
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(row)  # quotes every cell holding "\r"
+    text = MARKER_HEADER + buf.getvalue()
+    (_, cells), = ingest._rows(text)
+    scanned = ingest._number(cells[column], int if column == 0 else float)
+    try:
+        loaded = ingest._load(text)[0][column].item()
+    except ValueError:
+        loaded = None
+    assert repr(scanned) == repr(loaded)
 
 
 def outcome(parse, text):
