@@ -14,9 +14,8 @@
 # on every cohort, with per-subject PCA on cohort_gaps, and with a subset of
 # --metrics and --features on the seed-42 cohort, each followed by recommend
 # (--alpha 0.01 after the subset run). Each analyze runs a second time with
-# every CSV number written at full precision (`repr` in place of the report
-# writer's _fmt: gaitview.pipeline's where that module writes the reports,
-# else gaitview.report's), since a 6-digit report hides a change in the last
+# every CSV number written at full precision (`repr` in place of
+# gaitview.report's _fmt), since a 6-digit report hides a change in the last
 # bits of a value. The names of the report files that differ in either run
 # must equal the list on the `Reports changed:` line this commit adds to
 # CHANGES.md:
@@ -38,8 +37,7 @@ run() {  # <side> <command ...>: the side's gaitview, its own source first on th
 }
 
 full_precision='import sys; from gaitview import cli
-writer = next(m for m in (cli.pipeline, cli.report) if hasattr(m, "_fmt"))
-writer._fmt = repr
+cli.report._fmt = repr
 sys.exit(cli.main(sys.argv[1:]))'
 
 analyze() {  # <side> <out> <analyze args ...>: the reports, then at full precision

@@ -21,12 +21,11 @@ error; there is no partial silent output. Each file is read with one bulk
 first bad row wins, as if the rows were checked one by one. A number
 cell may have whitespace around it; the rest is a plain ASCII decimal as
 numpy reads it (no ``_`` separators), and a frame index fits in 64 bits.
-Only when the bulk read fails is the text scanned, once and row by row
-up to the first unreadable cell, to name the line, the column and the cell.
+When the bulk read fails, one row scan finds the first unreadable cell,
+or CR inside a line (lines end in LF or CRLF), to name its line and column.
 """
 from __future__ import annotations
 
-import contextlib
 import copy
 import csv
 import io
@@ -187,31 +186,28 @@ class MarkerSequence(_Sequence):
     view = ViewLabel.MOCAP3D
 
 
-def _open(source, mode: str):
-    """Open a path; a file object passes through and is left open."""
-    if isinstance(source, (str, Path)):
-        return open(source, mode, encoding="utf-8", newline="")
-    return contextlib.nullcontext(source)
-
-
-def _check_header(row, expected, line):
-    if row is None:
-        raise ParseError(line, 1, "empty file, missing header")
-    got = [c.strip() for c in row]
-    if got != expected:
-        raise ParseError(line, 1, f"bad header {got!r}, expected {expected!r}")
-
-
 _TABLE = np.dtype([("frame", "i8"), ("time", "f8"), ("name", "O"),
                    ("x", "f8"), ("y", "f8"), ("third", "f8")])
 _NUMERIC = ((0, int), (1, float), (3, float), (4, float), (5, float))  # (field, type)
 
 
-def _rows(text: str):
-    """(line, cells) of every data row, numbered as csv rows from 2."""
-    rows = csv.reader(io.StringIO(text))
-    next(rows)
-    return ((line, cells) for line, cells in enumerate(rows, start=2) if cells)
+def _rows(text: str, header: list[str]):
+    """(line, cells) of every data row, numbered as csv rows from 2, once the
+    header row is checked against header. A row that csv.reader cannot read
+    (a carriage return outside quotes that does not end its line) raises
+    ParseError at csv's line."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        got = next(reader, None)
+        if got is None:
+            raise ParseError(1, 1, "empty file, missing header")
+        got = [c.strip() for c in got]
+        if got != header:
+            raise ParseError(1, 1, f"bad header {got!r}, expected {header!r}")
+        yield from ((line, cells) for line, cells in enumerate(reader, start=2) if cells)
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, 1, "carriage return within the line; lines must end "
+                         "in LF or CRLF" if "new-line" in str(exc) else str(exc)) from None
 
 
 def _load(text: str):
@@ -234,45 +230,49 @@ def _number(cell: str, convert):
     return value if convert is float or -2**63 <= value < 2**63 else None
 
 
-def _read(text: str):
+def _read(text: str, header: list[str]):
     """The data rows of a CSV as a _TABLE array, and an (n, 7) mask of what
     np.loadtxt cannot read in them: the field count, then each field.
 
     A file np.loadtxt reads whole gives an all-False mask. Otherwise one
     scan of the rows, with no bisection and no further np.loadtxt call,
     converts each numeric cell with _number up to the first row that has an
-    unreadable cell. That row ends the table, with 0 or NaN in its
-    unreadable fields; this error path only feeds the checks of _parse.
+    unreadable cell or that csv.reader cannot read. That row ends the table,
+    with 0 or NaN in its unreadable fields; this error path only feeds the
+    checks of _parse. A scan that reads every row gives the table as read:
+    np.loadtxt, unlike csv.reader, rejects a CR CR LF line end.
     """
-    if next(_rows(text), None) is None:
+    if next(_rows(text, header), None) is None:
         return np.zeros(0, dtype=_TABLE), np.zeros((0, 7), dtype=bool)
     try:
         table = _load(text)
     except ValueError:
         rows = []
-        for _, cells in _rows(text):
-            row = [0, np.nan, cells[2] if len(cells) > 2 else "", np.nan, np.nan, np.nan]
-            flags = [len(cells) != 6] + [False] * 6
-            for j, convert in _NUMERIC if len(cells) == 6 else ():
-                value = _number(cells[j], convert)
-                flags[j + 1] = value is None
-                if value is not None:
-                    row[j] = value
-            rows.append(tuple(row))
-            if any(flags):
-                unreadable = np.zeros((len(rows), 7), dtype=bool)
-                unreadable[-1] = flags
-                return np.array(rows, dtype=_TABLE), unreadable
-        raise
+        try:
+            for _, cells in _rows(text, header):
+                row = [0, np.nan, cells[2] if len(cells) > 2 else "", np.nan, np.nan, np.nan]
+                flags = [len(cells) != 6] + [False] * 6
+                for j, convert in _NUMERIC if len(cells) == 6 else ():
+                    value = _number(cells[j], convert)
+                    flags[j + 1] = value is None
+                    if value is not None:
+                        row[j] = value
+                rows.append(tuple(row))
+                if any(flags):
+                    break
+        except ParseError:  # flagged: rereading the rows raises it again for _parse
+            rows.append((0, np.nan, "", np.nan, np.nan, np.nan))
+            flags = [True] + [False] * 6
+        unreadable = np.zeros((len(rows), 7), dtype=bool)
+        unreadable[-1] = flags
+        return np.array(rows, dtype=_TABLE), unreadable
     return table, np.zeros((len(table), 7), dtype=bool)
 
 
 def _parse(source, cls) -> dict:
     """Dense arrays of a pose or marker CSV, frames sorted by index."""
-    with _open(source, "r") as handle:
-        text = handle.read()
-    _check_header(next(csv.reader(io.StringIO(text)), None), cls.header, 1)
-    table, unreadable = _read(text)
+    text = read_text(source) if isinstance(source, (str, Path)) else source.read()
+    table, unreadable = _read(text, cls.header)
     n, pose = len(table), cls is PoseSequence
     frame, time, x, y, third = (table[c] for c in ("frame", "time", "x", "y", "third"))
     raw = table["name"].tolist()
@@ -322,7 +322,8 @@ def _parse(source, cls) -> dict:
     bad = np.flatnonzero(code)
     if bad.size:
         i = bad[0]
-        raise checks[code[i] - 1][1](i, *next(itertools.islice(_rows(text), i, None)))
+        line, cells = next(itertools.islice(_rows(text, cls.header), i, None))
+        raise checks[code[i] - 1][1](i, line, cells)
 
     present = np.zeros((len(frame_ids), len(names)), dtype=bool)
     present[frame_ix, name_ix] = True
@@ -334,7 +335,7 @@ def _parse(source, cls) -> dict:
     stalled = np.flatnonzero(frame_time[1:] <= frame_time[:-1]) + 1
     if stalled.size:
         k = stalled[0]
-        line = next(itertools.islice(_rows(text), first[k], None))[0]
+        line = next(itertools.islice(_rows(text, cls.header), first[k], None))[0]
         raise ParseError(
             line, 2, f"time {float(frame_time[k])!r} of frame {frame_ids[k]} does not "
                      f"increase on {float(frame_time[k - 1])!r} of frame {frame_ids[k - 1]}",
@@ -370,8 +371,11 @@ def _write(seq, target) -> None:
         for name, (x, y, third) in zip(names, points)
         if x == x  # NaN: an absent point
     )
-    with _open(target, "w") as handle:
-        handle.write(",".join(seq.header) + "\n" + rows)
+    text = ",".join(seq.header) + "\n" + rows
+    if isinstance(target, (str, Path)):
+        Path(target).write_text(text, encoding="utf-8", newline="")
+    else:
+        target.write(text)
 
 
 def write_pose_csv(seq: PoseSequence, target) -> None:

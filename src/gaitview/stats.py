@@ -4,8 +4,8 @@ Wilcoxon signed-rank (exact by sign-assignment enumeration up to n = 25
 nonzero differences, normal approximation with tie and continuity
 corrections above; no nonzero difference gives p = 1), Cliff's
 delta with Small/Medium/Large labels at |delta| thresholds 0.33 and 0.474.
-compare_views takes each view's scores as a list, paired by position; the
-caller picks the record field that is a metric's score.
+Each takes the two views' scores as sequences paired by position, and so
+does compare_views; its caller picks the record field that is a score.
 """
 from __future__ import annotations
 
@@ -22,18 +22,6 @@ from .signal_core import SideLabel
 EXACT_N_MAX = 25
 DELTA_MEDIUM = 0.33
 DELTA_LARGE = 0.474
-
-
-@dataclass(frozen=True)
-class PairedSample:
-    values_a: tuple[float, ...]
-    values_b: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values_a) != len(self.values_b):
-            raise ValueError("paired samples must have equal length")
-        if len(self.values_a) < 1:
-            raise GaitViewError("need at least one pair")
 
 
 @dataclass(frozen=True)
@@ -60,8 +48,18 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def wilcoxon_signed_rank(s: PairedSample) -> tuple[float, float, float]:
-    """Two-sided Wilcoxon signed-rank test; returns (W+, W-, p).
+def _paired(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two paired score sequences as float64 arrays (a float64 array is not copied)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.size != b.size:
+        raise ValueError("paired samples must have equal length")
+    if a.size < 1:
+        raise GaitViewError("need at least one pair")
+    return a, b
+
+
+def wilcoxon_signed_rank(a, b) -> tuple[float, float, float]:
+    """Two-sided Wilcoxon signed-rank test of paired a and b; returns (W+, W-, p).
 
     W+ and W- sum the midranks of the positive and negative |differences|
     after dropping zero differences. n alone selects the p: exact over all
@@ -69,7 +67,7 @@ def wilcoxon_signed_rank(s: PairedSample) -> tuple[float, float, float]:
     with tie and continuity corrections, both of W = min(W+, W-). With no
     nonzero difference, W+ = W- = 0 and the exact p is 1.
     """
-    d = np.asarray(s.values_a, dtype=float) - np.asarray(s.values_b, dtype=float)
+    d = np.subtract(*_paired(a, b))
     d = d[d != 0.0]
     n = d.size
     ranks = _midranks(np.abs(d))
@@ -105,9 +103,8 @@ def _approx_p(ranks: np.ndarray, w: float, n: int) -> float:
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
     _, tie_counts = np.unique(ranks, return_counts=True)
-    var -= float(np.sum(tie_counts**3 - tie_counts)) / 48.0
-    if var <= 0:
-        return 1.0
+    # ties of sizes t summing to n have sum(t^3 - t) <= n^3 - n, so var >= n(n+1)^2/16 > 0
+    var -= float(np.sum(tie_counts**3 - tie_counts)) / 48.0  # exact: multiples of 1/8
     z = (w - mean + 0.5) / math.sqrt(var)  # continuity correction; W <= mean
     p = 1.0 + math.erf(z / math.sqrt(2.0))
     return min(1.0, float(p))
@@ -122,10 +119,9 @@ def effect_label(delta: float) -> str:
     return "small"
 
 
-def cliffs_delta(s: PairedSample) -> tuple[float, str]:
-    """Cliff's delta over all cross pairs, with its effect-size label."""
-    a = np.asarray(s.values_a, dtype=float)
-    b = np.asarray(s.values_b, dtype=float)
+def cliffs_delta(a, b) -> tuple[float, str]:
+    """Cliff's delta of a over b across all cross pairs, with its effect-size label."""
+    a, b = _paired(a, b)
     diff = a[:, None] - b[None, :]
     wins = int(np.count_nonzero(diff > 0))
     losses = int(np.count_nonzero(diff < 0))
@@ -150,13 +146,12 @@ def compare_views(
     if metric not in METRIC_DIRECTION:
         raise ValueError(f"unknown metric {metric!r}")
     check_alpha(alpha)
-    a, b = tuple(frontal), tuple(lateral)
-    sample = PairedSample(a, b)
-    w_plus, w_minus, p = wilcoxon_signed_rank(sample)
-    delta, label = cliffs_delta(sample)
+    a, b = _paired(frontal, lateral)
+    w_plus, w_minus, p = wilcoxon_signed_rank(a, b)
+    delta, label = cliffs_delta(a, b)
     mean_a, mean_b = float(np.mean(a)), float(np.mean(b))
-    sd_a = float(np.std(a, ddof=1)) if len(a) > 1 else 0.0
-    sd_b = float(np.std(b, ddof=1)) if len(b) > 1 else 0.0
+    sd_a = float(np.std(a, ddof=1)) if a.size > 1 else 0.0
+    sd_b = float(np.std(b, ddof=1)) if b.size > 1 else 0.0
     direction = METRIC_DIRECTION[metric]
     if direction is None:
         winner = ""

@@ -7,9 +7,11 @@ checked by explicit enumeration of every monotone warping path, the
 Wilcoxon exact p by enumeration of all 2^n sign assignments and by a
 count that sums both tails of the W+ distribution, the CSV
 parser by a reader that checks one row at a time and keeps a dict of
-points per frame, gap repair by a loop over every keypoint's runs, the
-CSV writer by csv.writer, and the synthetic gait model and its camera
-projection by loops that compute one frame, marker and keypoint at a time.
+points per frame (a regular expression of csv's records finds a bare
+carriage return, where the parser catches csv.Error), gap repair by a
+loop over every keypoint's runs, the CSV writer by csv.writer, and the
+synthetic gait model and its camera projection by loops that compute one
+frame, marker and keypoint at a time.
 """
 from __future__ import annotations
 
@@ -150,16 +152,42 @@ def _number(convert, value: str, line: int, column: int, what: str):
     return out
 
 
+# a CSV record as csv.reader reads it: fields that are quoted (a doubled quote
+# is a quote, text after the closing quote joins the field) or not, then a line
+# end, which may follow a run of carriage returns
+_FIELD = r'(?:"(?:[^"]|"")*(?:"|\Z))?[^,\r\n]*'
+_RECORD = re.compile(rf"{_FIELD}(?:,{_FIELD})*")
+_LINE_END = re.compile(r"\r*(?:\n|\Z)")
+_BARE_CR = "carriage return within the line; lines must end in LF or CRLF"
+
+
+def _readable_records(text: str) -> tuple[str, int | None]:
+    """The text of the records before the first one that holds a carriage
+    return outside quotes not ending its line, and that return's line
+    (None if no record holds one)."""
+    start = 0
+    while start < len(text):
+        end = _RECORD.match(text, start).end()
+        line_end = _LINE_END.match(text, end)
+        if line_end is None:
+            return text[:start], text.count("\n", 0, end) + 1
+        start = line_end.end()
+    return text, None
+
+
 def parse_rows(text: str, pose: bool) -> list[tuple[int, float, dict]]:
     """(frame index, time, {name: (x, y, third)}) of a pose or marker CSV,
     sorted by frame index, read one row at a time; a number must match an
     ASCII decimal grammar before int() or float() reads it. Raises what the
-    parser must raise on the first bad row, then on a changing marker set,
-    then on a frame time that does not increase."""
+    parser must raise on the first bad row (a bare carriage return makes
+    its record bad), then on a changing marker set, then on a frame time
+    that does not increase."""
+    text, bare_cr_line = _readable_records(text)
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
-        raise ParseError(1, 1, "empty file, missing header")
+        raise ParseError(bare_cr_line or 1, 1,
+                         _BARE_CR if bare_cr_line else "empty file, missing header")
     expected = POSE_HEADER if pose else MARKER_HEADER
     if [c.strip() for c in header] != expected:
         raise ParseError(1, 1, f"bad header {[c.strip() for c in header]!r}, "
@@ -190,6 +218,8 @@ def parse_rows(text: str, pose: bool) -> list[tuple[int, float, dict]]:
         if name in points:
             raise GaitViewError(f"line {line}: duplicate (frame {frame}, {point} {name!r})")
         points[name] = (x, y, third)
+    if bare_cr_line:
+        raise ParseError(bare_cr_line, 1, _BARE_CR)
     ordered = sorted(frames.items())
     for index, (_, points, _) in ordered[1:]:
         if not pose and set(points) != set(ordered[0][1][1]):

@@ -24,7 +24,7 @@ from gaitview.preprocess import FilterSpec, filtfilt_array
 from gaitview.report import STATS_HEADER
 from gaitview.signal_core import znormalize
 from gaitview.stats import (
-    PairedSample, _approx_p, _midranks, cliffs_delta, effect_label, wilcoxon_signed_rank,
+    _approx_p, _midranks, cliffs_delta, effect_label, wilcoxon_signed_rank,
 )
 
 from oracles import dtw_bruteforce, wilcoxon_enumerate
@@ -166,19 +166,19 @@ def test_criterion_07_wilcoxon_exactness(capsys):
         d = np.round(rng.normal(size=n), 2)
         if np.all(d == 0.0):
             continue
-        s = PairedSample(tuple(d), tuple(np.zeros(n)))
-        _, _, p = wilcoxon_signed_rank(s)
+        s = (tuple(d), tuple(np.zeros(n)))
+        _, _, p = wilcoxon_signed_rank(*s)
         if p != wilcoxon_enumerate(d.tolist()):
             ok = False
             break
-    s5 = PairedSample((1.0, 2.0, 3.0, 4.0, 5.0), (0.0,) * 5)
-    _, _, p5 = wilcoxon_signed_rank(s5)
+    s5 = ((1.0, 2.0, 3.0, 4.0, 5.0), (0.0,) * 5)
+    _, _, p5 = wilcoxon_signed_rank(*s5)
     ok = ok and p5 == 0.0625
     worst = 0.0
     for _ in range(100):
         a = rng.normal(rng.uniform(0, 0.6), 1.0, size=18)
-        s = PairedSample(tuple(a), tuple(np.zeros(18)))
-        w_plus, w_minus, p_exact = wilcoxon_signed_rank(s)
+        s = (tuple(a), tuple(np.zeros(18)))
+        w_plus, w_minus, p_exact = wilcoxon_signed_rank(*s)
         p_approx = _approx_p(_midranks(np.abs(a)), min(w_plus, w_minus), 18)
         worst = max(worst, abs(p_exact - p_approx))
     ok = ok and worst < 0.02
@@ -196,14 +196,14 @@ def test_criterion_08_cliffs_delta(capsys):
         n = int(rng.integers(2, 15))
         a = rng.normal(size=n)
         b = rng.normal(size=n)
-        d_ab, _ = cliffs_delta(PairedSample(tuple(a), tuple(b)))
-        d_ba, _ = cliffs_delta(PairedSample(tuple(b), tuple(a)))
+        d_ab, _ = cliffs_delta(tuple(a), tuple(b))
+        d_ba, _ = cliffs_delta(tuple(b), tuple(a))
         if d_ab != -d_ba:
             ok = False
             break
         # strictly increasing transform preserves every pairwise comparison
         g = lambda v: np.exp(v) + 3.0 * v
-        d_g, _ = cliffs_delta(PairedSample(tuple(g(a)), tuple(g(b))))
+        d_g, _ = cliffs_delta(tuple(g(a)), tuple(g(b)))
         if d_g != d_ab:
             ok = False
             break

@@ -365,6 +365,15 @@ class TestAnalyzeCommand:
         assert f"(subject 2, trial 1, lateral, {short}): " in err
         assert "signal length 15 must exceed padding length 15" in err
 
+    def test_carriage_return_line_ends_name_the_file(self, tmp_path, capsys):
+        # classic-Mac line ends: the whole file is csv's line 1
+        manifest = run_synth(tmp_path / "d", subjects=2)
+        path = tmp_path / "d" / "s01_mocap3d.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        assert run_analyze(manifest, tmp_path / "out") == 1
+        assert (f"(subject 1, trial 1, mocap3d, {path}): line 1, column 1: carriage return "
+                "within the line; lines must end in LF or CRLF") in capsys.readouterr().err
+
     def test_files_of_a_trial_are_checked_in_view_order(self, tmp_path, capsys):
         # subject 2's files keep frames 0..10, too few to filter, and its lateral file,
         # read last, has a bad time cell: the mocap3d file is named, not the lateral one

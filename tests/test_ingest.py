@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import string
 import types
 
@@ -215,7 +216,7 @@ class TestParseMarker:
                 yielded.append(cells)
                 yield cells
 
-        monkeypatch.setattr(ingest, "csv", types.SimpleNamespace(reader=counting))
+        monkeypatch.setattr(ingest, "csv", types.SimpleNamespace(reader=counting, Error=csv.Error))
         with pytest.raises(ParseError) as err:
             parse_marker_csv(io.StringIO(MARKER_HEADER + "\n".join(rows) + "\n"))
         assert (err.value.line, err.value.column) == (len(rows) + 1, 2)
@@ -230,6 +231,49 @@ class TestParseMarker:
             parse_marker_csv(io.StringIO(text))
         with pytest.raises(ParseError, match=r"^line 3, column 6: invalid z: 'zz'$"):
             parse_rows(text, False)
+
+
+BARE_CR = "carriage return within the line; lines must end in LF or CRLF"
+# the parser and the row-by-row reference, on marker CSV text
+MARKER_PARSERS = (lambda t: parse_marker_csv(io.StringIO(t)), lambda t: parse_rows(t, False))
+
+
+class TestCarriageReturns:
+    """LF and CRLF end a line; a carriage return inside a line is a parse error at its line."""
+
+    @pytest.mark.parametrize("text, line", [
+        (MARKER_HEADER.replace("\n", "\r") + "0,0.0,a,1,2,3\r1,0.01,a,1,2,3\r", 1),
+        (MARKER_HEADER + "0,0.0,a,1,2,3\n1,0.01,a,1,2,3\n2,0.02,a,1,2\r,3\n", 4),
+        (MARKER_HEADER + '0,0.0,a,1,2,3\n1,0.01,"a\n",1,2\r,3\n', 4),  # csv's line, not its row
+    ])
+    def test_bare_carriage_return_names_its_line(self, text, line):
+        for parse in MARKER_PARSERS:
+            with pytest.raises(ParseError, match=f"^line {line}, column 1: {BARE_CR}$"):
+                parse(text)
+
+    def test_earlier_bad_row_wins(self):
+        text = MARKER_HEADER + "0,0.0,a,1,2,nan\n1,0.01,a,1,2,3\n2,0.02,a,1,2\r,3\n"
+        for parse in MARKER_PARSERS:
+            with pytest.raises(ParseError, match=r"^line 2, column 6: non-finite z: 'nan'$"):
+                parse(text)
+
+    def test_bare_carriage_return_before_later_errors(self):
+        # the rows after it are not read: its row ends the table
+        text = POSE_HEADER + "0,0.0,nose,1,2\r,0.9\n0,0.0,nose,1,2,7\n"
+        with pytest.raises(ParseError, match=f"^line 2, column 1: {BARE_CR}$"):
+            parse_pose_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r\r\n"])
+    def test_crlf_line_ends_read_as_lf(self, end):
+        body = "0,0.0,a,1,2,3\n1,0.01,a,1,2,3\n"
+        assert parse_marker_csv(io.StringIO((MARKER_HEADER + body).replace("\n", end))) == \
+            parse_marker_csv(io.StringIO(MARKER_HEADER + body))
+
+    def test_not_utf8_file_is_named(self, tmp_path):
+        path = tmp_path / "s01_mocap3d.csv"
+        path.write_bytes(MARKER_HEADER.encode() + b"0,0.0,\xe9,1,2,3\n")
+        with pytest.raises(GaitViewError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
+            parse_marker_csv(path)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -347,17 +391,16 @@ def csv_rows(draw, pose):
 
 
 # cells a corruption writes: unreadable, non-finite, out of range, unknown
-# names and readable numbers, quoted line breaks, and numbers that int()
-# and float() read but the parser rejects ("_" separators, non-ASCII digits,
-# frame indices past int64). csv.writer leaves a lone "\r" unquoted, which
-# csv.reader cannot read back, so a "\r" comes with a character it quotes.
+# names and readable numbers, quoted line breaks, bare carriage returns
+# (csv.writer leaves a lone "\r" unquoted), and numbers that int() and
+# float() read but the parser rejects ("_" separators, non-ASCII digits,
+# frame indices past int64).
 corrupt_cells = st.one_of(
     st.sampled_from(["abc", "", " ", "1.2.3", "0x1F", "nan", "-inf", "1e400", "NaN", " 7 ",
                      "+3", "1.5", "-0.25", "left_toe", " nose ", "head", "1_000", "1_0.5",
                      "\u0663", "\uff11", "9223372036854775807", "9223372036854775808",
                      "-9223372036854775808", "-9223372036854775809"]),
-    st.text("0123456789.eE+- ,\"'xnaif\n\r", max_size=5).filter(
-        lambda cell: "\r" not in cell or any(c in cell for c in ',"\n')),
+    st.text("0123456789.eE+- ,\"'xnaif\n\r", max_size=5),
     finite.map(repr),
     st.integers(-5, 20).map(str),
     st.sampled_from(KEYPOINT_NAMES),
@@ -382,7 +425,7 @@ def test_scan_reads_a_cell_as_loadtxt_does(cell, column):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\r\n").writerow(row)  # quotes every cell holding "\r"
     text = MARKER_HEADER + buf.getvalue()
-    (_, cells), = ingest._rows(text)
+    (_, cells), = ingest._rows(text, ingest.MARKER_HEADER)
     scanned = ingest._number(cells[column], int if column == 0 else float)
     try:
         loaded = ingest._load(text)[0][column].item()

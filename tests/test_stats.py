@@ -13,7 +13,6 @@ from gaitview.report import ALL_METRICS, DEFAULT_ALPHA, _read_stats, recommend, 
 from gaitview.signal_core import SideLabel
 from gaitview.stats import (
     EXACT_N_MAX,
-    PairedSample,
     StatResult,
     _approx_p,
     _exact_p,
@@ -29,27 +28,27 @@ from oracles import wilcoxon_enumerate, wilcoxon_two_tail_p
 
 class TestWilcoxonExamples:
     def test_all_positive_n5(self):
-        s = PairedSample((1.0, 2.0, 3.0, 4.0, 5.0), (0.0, 0.0, 0.0, 0.0, 0.0))
-        w_plus, w_minus, p = wilcoxon_signed_rank(s)
+        s = ((1.0, 2.0, 3.0, 4.0, 5.0), (0.0, 0.0, 0.0, 0.0, 0.0))
+        w_plus, w_minus, p = wilcoxon_signed_rank(*s)
         assert min(w_plus, w_minus) == 0.0
         assert p == 2 / 32  # two one-sided extremes out of 2^5
 
     def test_balanced_differences_p_one(self):
-        s = PairedSample((1.0, -1.0, 2.0, -2.0), (0.0, 0.0, 0.0, 0.0))
-        _, _, p = wilcoxon_signed_rank(s)
+        s = ((1.0, -1.0, 2.0, -2.0), (0.0, 0.0, 0.0, 0.0))
+        _, _, p = wilcoxon_signed_rank(*s)
         assert p == 1.0
 
     def test_zero_differences_dropped(self):
-        s = PairedSample((1.0, 2.0, 5.0, 5.0), (0.0, 0.0, 5.0, 5.0))
-        s2 = PairedSample((1.0, 2.0), (0.0, 0.0))
-        assert wilcoxon_signed_rank(s) == wilcoxon_signed_rank(s2)
+        s = ((1.0, 2.0, 5.0, 5.0), (0.0, 0.0, 5.0, 5.0))
+        s2 = ((1.0, 2.0), (0.0, 0.0))
+        assert wilcoxon_signed_rank(*s) == wilcoxon_signed_rank(*s2)
 
     def test_all_zero_differences_p_one(self):
-        assert wilcoxon_signed_rank(PairedSample((3.0, 3.0), (3.0, 3.0))) == (0.0, 0.0, 1.0)
+        assert wilcoxon_signed_rank((3.0, 3.0), (3.0, 3.0)) == (0.0, 0.0, 1.0)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(GaitViewError, match="^need at least one pair$"):
-            PairedSample((), ())
+            wilcoxon_signed_rank((), ())
 
 
 class TestWilcoxonAgainstEnumeration:
@@ -61,8 +60,8 @@ class TestWilcoxonAgainstEnumeration:
             b = np.round(rng.normal(size=n), 2)
             if np.all(a == b):
                 continue
-            s = PairedSample(tuple(a), tuple(b))
-            _, _, p = wilcoxon_signed_rank(s)
+            s = (tuple(a), tuple(b))
+            _, _, p = wilcoxon_signed_rank(*s)
             p_ref = wilcoxon_enumerate((a - b).tolist())
             assert abs(p - p_ref) < 1e-12
 
@@ -70,7 +69,7 @@ class TestWilcoxonAgainstEnumeration:
         # repeated |d| values force midranks
         a = (1.0, 1.0, 2.0, 2.0, 3.0, -1.0)
         b = tuple(0.0 for _ in a)
-        _, _, p = wilcoxon_signed_rank(PairedSample(a, b))
+        _, _, p = wilcoxon_signed_rank(a, b)
         p_ref = wilcoxon_enumerate([x - y for x, y in zip(a, b)])
         assert abs(p - p_ref) < 1e-12
 
@@ -80,8 +79,8 @@ class TestWilcoxonAgainstEnumeration:
         for _ in range(15):
             a = rng.normal(0.3, 1.0, size=18)
             b = rng.normal(0.0, 1.0, size=18)
-            s = PairedSample(tuple(a), tuple(b))
-            w_plus, w_minus, p_exact = wilcoxon_signed_rank(s)
+            s = (tuple(a), tuple(b))
+            w_plus, w_minus, p_exact = wilcoxon_signed_rank(*s)
             p_approx = _approx_p(_midranks(np.abs(a - b)), min(w_plus, w_minus), 18)
             worst = max(worst, abs(p_exact - p_approx))
         assert worst < 0.02
@@ -91,7 +90,7 @@ class TestWilcoxonAgainstEnumeration:
         rng = np.random.default_rng(23)
         for n in (EXACT_N_MAX, EXACT_N_MAX + 1):
             d = rng.normal(size=n)
-            w_plus, w_minus, p = wilcoxon_signed_rank(PairedSample(tuple(d), (0.0,) * n))
+            w_plus, w_minus, p = wilcoxon_signed_rank(tuple(d), (0.0,) * n)
             ranks, w = _midranks(np.abs(d)), min(w_plus, w_minus)
             exact, approx = _exact_p(ranks, w), _approx_p(ranks, w, n)
             assert exact != approx
@@ -127,6 +126,40 @@ class TestExactTail:
             assert p == 1.0
 
 
+@st.composite
+def paired_scores(draw):
+    """Two paired score lists, n = 1..40, drawn from few values: ties within
+    each list and zero differences between them."""
+    n = draw(st.integers(1, 40))
+    scores = st.lists(st.integers(0, 4).map(lambda k: k / 4.0), min_size=n, max_size=n)
+    return draw(scores), draw(scores)
+
+
+class TestSequenceInputs:
+    @settings(max_examples=200)
+    @given(paired_scores())
+    def test_list_tuple_and_array_agree(self, pair):
+        a, b = pair
+        for test in (wilcoxon_signed_rank, cliffs_delta):
+            expected = test(a, b)
+            assert test(tuple(a), tuple(b)) == expected
+            assert test(np.array(a), np.array(b)) == expected
+
+    @given(st.integers(EXACT_N_MAX + 1, 60), st.data())
+    def test_all_tied_differences_give_a_normal_p(self, n, data):
+        # one tie group of all n: the smallest variance the tie correction can leave
+        negatives = data.draw(st.integers(0, n))
+        d = np.array([-2.5] * negatives + [2.5] * (n - negatives))
+        ranks = _midranks(np.abs(d))
+        w = float(min(ranks[d > 0].sum(), ranks[d < 0].sum()))
+        p = _approx_p(ranks, w, n)
+        assert np.isfinite(p) and 0.0 < p <= 1.0
+        assert wilcoxon_signed_rank(d, np.zeros(n))[2] == p
+        reference = sstats.wilcoxon(d, zero_method="wilcox", correction=True,
+                                    method="approx").pvalue
+        assert abs(p - reference) <= 1e-12 * reference + 2.0**-50  # 1 + erf rounds at 1
+
+
 class TestMidranks:
     @given(st.lists(st.integers(-4, 4).map(lambda k: k / 2.0), min_size=1, max_size=40))
     def test_equals_scipy_rankdata(self, values):
@@ -139,22 +172,22 @@ class TestCliffsDelta:
     def test_complete_dominance(self):
         a = tuple(float(i) for i in range(10))
         b = tuple(float(i) + 100.0 for i in range(10))
-        delta, label = cliffs_delta(PairedSample(a, b))
+        delta, label = cliffs_delta(a, b)
         assert abs(delta) == 1.0
         assert delta == -1.0  # every a below every b
         assert label == "large"
 
     def test_identical_samples_zero(self):
         v = (1.0, 2.0, 3.0)
-        delta, label = cliffs_delta(PairedSample(v, v))
+        delta, label = cliffs_delta(v, v)
         assert delta == 0.0
         assert label == "small"
 
     def test_hand_computed(self):
         # a={1,3}, b={2}: wins 1, losses 1 -> 0; a={3,4}, b={2}: delta 1
-        delta, _ = cliffs_delta(PairedSample((1.0, 3.0), (2.0, 2.0)))
+        delta, _ = cliffs_delta((1.0, 3.0), (2.0, 2.0))
         assert delta == 0.0
-        delta, _ = cliffs_delta(PairedSample((3.0, 4.0), (2.0, 2.0)))
+        delta, _ = cliffs_delta((3.0, 4.0), (2.0, 2.0))
         assert delta == 1.0
 
     def test_threshold_boundaries(self):
@@ -180,8 +213,8 @@ class TestCompareViews:
     def test_winner_follows_signed_ranks_not_means(self, tmp_path):
         # frontal is lower (better) in 17 of 18 subjects; one outlier makes its mean higher
         frontal, lateral = [10.0] * 17 + [200.0], [11.0] * 17 + [100.0]
-        sample = PairedSample(tuple(frontal), tuple(lateral))
-        assert wilcoxon_signed_rank(sample)[:2] == (18.0, 153.0)  # W+, W- of frontal - lateral
+        sample = (tuple(frontal), tuple(lateral))
+        assert wilcoxon_signed_rank(*sample)[:2] == (18.0, 153.0)  # W+, W- of frontal - lateral
         res = compare_views(frontal, lateral, FeatureName.STEP_LENGTH, SideLabel.LEFT, "dtw")
         assert res.mean_sd_a[0] > res.mean_sd_b[0]
         assert res.p_value == 310 / 2**18 and res.cliffs_delta < -0.88
