@@ -191,12 +191,23 @@ _TABLE = np.dtype([("frame", "i8"), ("time", "f8"), ("name", "O"),
 _NUMERIC = ((0, int), (1, float), (3, float), (4, float), (5, float))  # (field, type)
 
 
+def _lines(text: str):
+    """The lines of text, each with its "\n"; as io.StringIO(text) iterates
+    them, without copying the text into a buffer of 4 bytes per character."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def _rows(text: str, header: list[str]):
     """(line, cells) of every data row, numbered as csv rows from 2, once the
-    header row is checked against header. A row that csv.reader cannot read
-    (a carriage return outside quotes that does not end its line) raises
-    ParseError at csv's line."""
-    reader = csv.reader(io.StringIO(text))
+    header row is checked against header. The lines are split after LF only
+    and read lazily. A row that csv.reader cannot read (a carriage return
+    outside quotes that does not end its line) raises ParseError at csv's
+    line."""
+    reader = csv.reader(_lines(text))
     try:
         got = next(reader, None)
         if got is None:
@@ -211,9 +222,13 @@ def _rows(text: str, header: list[str]):
 
 
 def _load(text: str):
-    """Every data row of CSV text as a _TABLE array, in one np.loadtxt call."""
-    return np.loadtxt(io.StringIO(text), dtype=_TABLE, delimiter=",", skiprows=1,
-                      comments=None, quotechar='"', ndmin=1)
+    """Every data row of CSV text as a _TABLE array, in one np.loadtxt call.
+
+    np.loadtxt reads the text's UTF-8 bytes, one byte per ASCII character,
+    and decodes each line as UTF-8 (a bytes source is latin-1 by default).
+    """
+    return np.loadtxt(io.BytesIO(text.encode("utf-8")), dtype=_TABLE, delimiter=",",
+                      skiprows=1, comments=None, quotechar='"', ndmin=1, encoding="utf-8")
 
 
 def _number(cell: str, convert):

@@ -28,6 +28,8 @@ import numpy as np
 
 from .errors import GaitViewError
 
+_LFILTER_BLOCK = 64  # samples whose b[i]*x products _lfilter holds at once
+
 
 def check_setting(cutoff_hz: float, order: int) -> None:
     """Reject a cutoff or a net order that no sample rate makes valid."""
@@ -99,17 +101,22 @@ def filtfilt_array(values: np.ndarray, spec: FilterSpec) -> np.ndarray:
     output, and each pass starts from the steady-state response to its
     first sample (lfilter_zi), as in
     scipy.signal.filtfilt(b, a, values, axis=0, padtype="odd", padlen=pad_len).
+    The odd-extended block is the one array allocated: both passes filter
+    it in place, the backward pass through its reversed view.
     """
     values = np.asarray(values, dtype=np.float64)
     n, pad = values.shape[0], spec.pad_len
     spec.check_length(n)
     x = values.reshape(n, -1)
-    ext = np.concatenate((2 * x[:1] - x[pad:0:-1], x, 2 * x[-1:] - x[-2:-(pad + 2):-1]))
+    ext = np.empty((n + 2 * pad, x.shape[1]))
+    ext[:pad] = 2 * x[:1] - x[pad:0:-1]
+    ext[pad:-pad] = x
+    ext[-pad:] = 2 * x[-1:] - x[-2:-(pad + 2):-1]
     b, a = butterworth_coeffs(spec)
     zi = _steady_state(b, a)[:, None]
-    y = _lfilter(b, a, ext, zi * ext[:1])
-    y = _lfilter(b, a, y[::-1], zi * y[-1:])[::-1]
-    return y[pad:-pad].reshape(values.shape)
+    for y in (ext, ext[::-1]):
+        _lfilter(b, a, y, zi * y[:1])
+    return ext[pad:-pad].reshape(values.shape)
 
 
 def _steady_state(b: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -121,25 +128,30 @@ def _steady_state(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.eye(len(a) - 1) - companion.T, b[1:] - a[1:] * b[0])
 
 
-def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
-    """Transposed direct form II along axis 0 of x (samples, columns) from
-    the state zi (len(a) - 1, columns), with a[0] == 1.
+def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi: np.ndarray) -> None:
+    """Filter x (samples, columns) in place along axis 0: transposed direct
+    form II from the state zi (len(a) - 1, columns), with a[0] == 1.
 
     Per sample this is scipy's lfilter loop, column by column:
     y = z[0] + b[0]*x; z[i] = (z[i+1] + x*b[i+1]) - y*a[i+1]; the last state
     has no z[i+1], which the trailing -0.0 of the state (x + -0.0 == x for
     every x) supplies without changing a bit. One add of the state to every
-    b[i]*x gives y (row 0) and the sums carried into the new state.
+    b[i]*x gives y (row 0) and the sums carried into the new state. The
+    products are taken for _LFILTER_BLOCK samples at a time, before those
+    samples are overwritten by y.
     """
-    sums = b[:, None] * x[:, None, :]  # (samples, taps, columns): every b[i]*x up front
     state = np.concatenate((zi, np.full((1, x.shape[1]), -0.0)))
     lower, a_rest = state[:-1], a[1:, None]
     fed_back = np.empty_like(lower)
-    for sums_k, y_k, carried_k in zip(sums, sums[:, 0], sums[:, 1:]):
-        np.add(state, sums_k, out=sums_k)
-        np.multiply(y_k, a_rest, out=fed_back)
-        np.subtract(carried_k, fed_back, out=lower)
-    return sums[:, 0].copy()  # a view would keep every product alive through the next pass
+    products = np.empty((_LFILTER_BLOCK, len(b), x.shape[1]))
+    for start in range(0, len(x), _LFILTER_BLOCK):
+        block = x[start:start + _LFILTER_BLOCK]
+        sums = np.multiply(b[:, None], block[:, None, :], out=products[:len(block)])
+        for sums_k, y_k, carried_k in zip(sums, sums[:, 0], sums[:, 1:]):
+            np.add(state, sums_k, out=sums_k)
+            np.multiply(y_k, a_rest, out=fed_back)
+            np.subtract(carried_k, fed_back, out=lower)
+        block[...] = sums[:, 0]
 
 
 def smooth(seqs, specs) -> list:
@@ -148,23 +160,27 @@ def smooth(seqs, specs) -> list:
 
     Tracks not present in every frame pass through unchanged (run fill_gaps
     first). Sequences of one length and one spec are filtered together:
-    their tracks are concatenated column-wise into one filtfilt_array call,
-    so each (length, spec) costs one filter design. Columns never interact,
-    so every value equals that of filtering the sequence alone. Returns new
-    sequences in the order given. A sequence with tracks no longer than
-    its spec's pad_len raises GaitViewError.
+    their tracks are copied, sequence by sequence, into the columns of one
+    (frames, columns) block for one filtfilt_array call, so each
+    (length, spec) costs one filter design, and each sequence's columns are
+    written back into a copy of its values. Columns never interact, so every
+    value equals that of filtering the sequence alone. Returns new sequences
+    in the order given; the input values are not changed. A sequence with
+    tracks no longer than its spec's pad_len raises GaitViewError.
     """
     where = [(slice(None), seq.complete, slice(seq.dims)) for seq in seqs]
-    tracks = [seq.values[at] for seq, at in zip(seqs, where)]  # (frames, points, dims)
+    widths = [np.count_nonzero(at[1]) * seq.dims for seq, at in zip(seqs, where)]
     groups: dict[tuple[int, FilterSpec], list[int]] = {}
-    for i, (track, spec) in enumerate(zip(tracks, specs)):
-        if track.size:
-            groups.setdefault((len(track), spec), []).append(i)
+    for i, (seq, spec) in enumerate(zip(seqs, specs)):
+        if widths[i]:
+            groups.setdefault((len(seq), spec), []).append(i)
     out = [seq.values.copy() for seq in seqs]
-    for (_, spec), members in groups.items():
-        columns = [tracks[i].reshape(len(tracks[i]), -1) for i in members]
-        filtered = filtfilt_array(np.concatenate(columns, axis=1), spec)
-        ends = np.cumsum([c.shape[1] for c in columns])[:-1]
-        for i, block in zip(members, np.split(filtered, ends, axis=1)):
-            out[i][where[i]] = block.reshape(tracks[i].shape)
+    for (n, spec), members in groups.items():
+        ends = np.cumsum([widths[i] for i in members]).tolist()
+        block = np.empty((n, ends[-1]))
+        for i, end in zip(members, ends):
+            block[:, end - widths[i]:end] = seqs[i].values[where[i]].reshape(n, -1)
+        filtered = filtfilt_array(block, spec)
+        for i, end in zip(members, ends):
+            out[i][where[i]] = filtered[:, end - widths[i]:end].reshape(n, -1, seqs[i].dims)
     return [seq.with_values(values) for seq, values in zip(seqs, out)]

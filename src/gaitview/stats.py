@@ -106,8 +106,7 @@ def _approx_p(ranks: np.ndarray, w: float, n: int) -> float:
     # ties of sizes t summing to n have sum(t^3 - t) <= n^3 - n, so var >= n(n+1)^2/16 > 0
     var -= float(np.sum(tie_counts**3 - tie_counts)) / 48.0  # exact: multiples of 1/8
     z = (w - mean + 0.5) / math.sqrt(var)  # continuity correction; W <= mean
-    p = 1.0 + math.erf(z / math.sqrt(2.0))
-    return min(1.0, float(p))
+    return min(1.0, math.erfc(-z / math.sqrt(2.0)))  # 2 * Phi(z), precise in the tail
 
 
 def effect_label(delta: float) -> str:

@@ -22,6 +22,7 @@ from gaitview.pipeline import RunConfig, _rate, _view_comparisons, run_analysis
 from gaitview.report import PCA_HEADER, RECORDS_HEADER, STATS_HEADER, recommend
 from gaitview import preprocess
 from gaitview.features import FeatureName
+from gaitview.ingest import parse_marker_csv, parse_pose_csv
 from gaitview.errors import GaitViewError
 from gaitview.metrics import MetricConfig, MetricRecord
 from gaitview.signal_core import SideLabel, TrialId, ViewLabel
@@ -89,6 +90,19 @@ def probe(script, *argv):
     done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout.splitlines()
+
+
+def traced_peak(call, *args):
+    """The peak traced memory of call(*args) above the memory in use when it
+    starts, after a collection, and the call's result."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call(*args)
+        return tracemalloc.get_traced_memory()[1] - start, result
+    finally:
+        tracemalloc.stop()
 
 
 def modules_after(*argv):
@@ -183,6 +197,28 @@ print("_hashlib" in sys.modules)
         finally:
             tracemalloc.stop()
         assert peaks[16] - peaks[8] < 100_000, peaks
+
+    @pytest.fixture(scope="class")
+    def long_trial(self, tmp_path_factory):
+        """The directory of a 1-subject synth cohort of 2000-frame trials."""
+        return run_synth(tmp_path_factory.mktemp("long"), subjects=1, frames=2000).parent
+
+    def test_parse_peak_stays_below_five_and_a_half_files(self, long_trial):
+        # the text was copied into two io.StringIO buffers of 4 bytes a
+        # character: 6.9 times the file
+        path = long_trial / "s01_frontal.csv"
+        peak, _ = traced_peak(parse_pose_csv, path)
+        assert peak < 5.5 * path.stat().st_size, peak / path.stat().st_size
+
+    def test_smooth_peak_stays_below_four_trials(self, long_trial):
+        # the tracks, their concatenation, the padded block, both passes and
+        # the (samples, taps, columns) products: 7.9 times the trial's values
+        seqs = [parse_marker_csv(long_trial / "s01_mocap3d.csv"),
+                *(parse_pose_csv(long_trial / f"s01_{view}.csv") for view in ("frontal", "lateral"))]
+        specs = [preprocess.FilterSpec(7.0, _rate(seq.times), 4) for seq in seqs]
+        peak, _ = traced_peak(preprocess.smooth, seqs, specs)
+        size = sum(seq.values.nbytes for seq in seqs)
+        assert peak < 4 * size, peak / size
 
 
 class TestSynthCommand:

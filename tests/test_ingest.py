@@ -191,7 +191,8 @@ class TestParseMarker:
         loadtxt = np.loadtxt
 
         def counting(source, *args, skiprows=0, **kwargs):
-            lines = source.getvalue().splitlines() if isinstance(source, io.StringIO) else source
+            buffered = isinstance(source, (io.StringIO, io.BytesIO))
+            lines = source.getvalue().splitlines() if buffered else source
             handed.append(len(lines) - skiprows)
             return loadtxt(source, *args, skiprows=skiprows, **kwargs)
 
@@ -274,6 +275,28 @@ class TestCarriageReturns:
         path.write_bytes(MARKER_HEADER.encode() + b"0,0.0,\xe9,1,2,3\n")
         with pytest.raises(GaitViewError, match=f"^{re.escape(str(path))}: 'utf-8' codec"):
             parse_marker_csv(path)
+
+
+class TestTextDecoding:
+    """Rows are split after LF only, as io.StringIO iterates them, and the
+    bulk read decodes each line as UTF-8."""
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet="a,\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_lines_as_stringio_iterates_them(self, text):
+        assert list(ingest._lines(text)) == list(io.StringIO(text))
+
+    @pytest.mark.parametrize("name", ["höft_l", "Ψ", "a\u2028b", "a\x85b", "c\x0bd"])
+    def test_non_ascii_marker_name_as_written(self, name, tmp_path):
+        text = MARKER_HEADER + f"0,0.0,{name},1,2,3\n1,0.01,{name},1,2,3\n"
+        path = tmp_path / "s01_mocap3d.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        for source in (path, io.StringIO(text)):
+            assert parse_marker_csv(source).names == (name,)
+
+    def test_non_ascii_keypoint_named_as_written(self):
+        with pytest.raises(GaitViewError, match="^line 2: unknown keypoint 'höft_l'$"):
+            parse_pose_csv(io.StringIO(POSE_HEADER + "0,0.0,höft_l,1,2,0.5\n"))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

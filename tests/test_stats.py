@@ -157,7 +157,15 @@ class TestSequenceInputs:
         assert wilcoxon_signed_rank(d, np.zeros(n))[2] == p
         reference = sstats.wilcoxon(d, zero_method="wilcox", correction=True,
                                     method="approx").pvalue
-        assert abs(p - reference) <= 1e-12 * reference + 2.0**-50  # 1 + erf rounds at 1
+        assert abs(p - reference) <= 1e-12 * reference
+
+    @pytest.mark.parametrize("n", [60, 100])
+    def test_same_sign_differences_keep_a_relative_precision(self, n):
+        # 1 + erf(z / sqrt 2) cancelled in the tail: n = 100 gave p = 0.0
+        a = np.arange(1.0, n + 1)
+        p = wilcoxon_signed_rank(a, np.zeros(n))[2]
+        reference = sstats.wilcoxon(a, np.zeros(n), correction=True, method="approx").pvalue
+        assert abs(p - reference) <= 1e-12 * reference
 
 
 class TestMidranks:
