@@ -6,6 +6,12 @@ that imports numpy is registered to execute on first attribute access
 (LazyLoader), so recommend, version and --help start without numpy, while
 analyze and synth load what they use. The modules stay in sys.modules under their own names,
 so wrapping or patching a module attribute reaches every caller.
+
+main runs OpenBLAS on one thread (OPENBLAS_NUM_THREADS=1), set before any
+command loads numpy, unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set
+already: pooled PCA's SVD, the one operation large enough to be threaded,
+gains nothing from more threads, whose idle spinning costs CPU time. A
+library caller of pipeline.run_analysis keeps numpy's own setting.
 """
 from __future__ import annotations
 
@@ -163,6 +169,8 @@ def _run_config_from_args(args) -> pipeline.RunConfig:
 
 
 def main(argv=None) -> int:
+    if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads OpenBLAS
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -4,9 +4,11 @@ pca_matrix flattens a pose or marker sequence into one row per frame of
 the named points' coordinates; the caller names the points (the pipeline:
 the 17 keypoints, or a mocap3d file's markers). Columns are
 mean-centered but not variance-scaled (covariance PCA: coordinate features
-share units within a source). A fit reports how many components reach the
-threshold and the variance ratio they explain, the two numbers
-pca_summary.csv holds; no basis is kept.
+share units within a source). pca_fit centers the matrix in place, so a
+fit holds the matrix, LAPACK's copy of it and U, not a centered copy as
+well. A fit reports how many components reach the threshold and the
+variance ratio they explain, the two numbers pca_summary.csv holds; no
+basis is kept.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ class FeatureMatrix:
             raise ValueError(f"need >= 2 rows and >= 1 column, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("feature matrix contains non-finite entries")
-        self.values = arr
+        self.values = arr if arr.flags.writeable else arr.copy()  # pca_fit centers it in place
 
 
 @dataclass(frozen=True)
@@ -48,10 +50,15 @@ class PcaResult:
 
 def pca_fit(m: FeatureMatrix, threshold: float = DEFAULT_VARIANCE_THRESHOLD) -> PcaResult:
     """Fit PCA; k is the smallest count whose cumulative variance ratio
-    reaches the threshold."""
+    reaches the threshold.
+
+    m.values is centered in place (the same subtraction as values - mean),
+    so a FeatureMatrix is fitted once; a writeable float64 array it was
+    made from shares its values and is centered too."""
     check_threshold(threshold)
-    centered = m.values - m.values.mean(axis=0)
-    _, s, _ = np.linalg.svd(centered, full_matrices=False)
+    values = m.values
+    values -= values.mean(axis=0)
+    _, s, _ = np.linalg.svd(values, full_matrices=False)
     total = float(np.sum(s**2))
     if total == 0.0:
         raise GaitViewError("all-constant matrix has no variance")

@@ -327,7 +327,8 @@ def run_analysis(cfg: RunConfig) -> None:
 
 
 def _pca_row(group: str, values: np.ndarray, threshold: float) -> tuple[str, int, int, float]:
-    """(group, initial_dim, k, explained_ratio) of one PCA group's matrix."""
+    """(group, initial_dim, k, explained_ratio) of one PCA group's matrix,
+    which the fit centers in place: nothing reads it again."""
     result = pca_fit(FeatureMatrix(values), threshold)
     return group, values.shape[1], result.k, result.explained_ratio
 

@@ -3,8 +3,11 @@
 These deliberately share no logic with the main implementations (the
 parser reference takes only their error classes and schema names, the
 gait loops only synth's marker roles and face offsets): DTW is
-checked by explicit enumeration of every monotone warping path, the
-Wilcoxon exact p by enumeration of all 2^n sign assignments and by a
+checked by explicit enumeration of every monotone warping path on short
+signals and by the cell-by-cell recurrence on long ones, a metric_records.csv
+row by numpy's interp, mean, std, correlate and histogram around that
+recurrence, PCA by an out-of-place fit that adds the variance ratios one
+at a time, the Wilcoxon exact p by enumeration of all 2^n sign assignments and by a
 count that sums both tails of the W+ distribution, the CSV
 parser by a reader that checks one row at a time and keeps a dict of
 points per frame (a regular expression of csv's records finds a bare
@@ -68,6 +71,72 @@ def dtw_bruteforce(x, y) -> float:
         if i + 1 < n and j + 1 < m:
             stack.append((i + 1, j + 1, acc + abs(x[i + 1] - y[j + 1])))
     return best
+
+
+def pca_reference(x, threshold: float) -> tuple[int, float] | None:
+    """(k, explained ratio) of covariance PCA of x, or None if x has no
+    variance: the singular values of x - x.mean(axis=0), taken out of
+    place, and k the first count whose running sum of variance ratios,
+    added one at a time, reaches threshold - 1e-12 (else every component)."""
+    _, s, _ = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+    total = float(np.sum(s**2))
+    if total == 0.0:
+        return None
+    explained = 0.0
+    for k, ratio in enumerate((s**2 / total).tolist(), start=1):
+        explained += ratio
+        if explained >= threshold - 1e-12:
+            return k, explained
+    return s.size, explained
+
+
+def dtw_recurrence(x, y) -> float:
+    """Textbook O(nm) DTW: D(i, j) = |x_i - y_j| + min(D(i-1, j), D(i, j-1),
+    D(i-1, j-1)), one cell at a time, a row of Python floats at a time."""
+    y = list(y)
+    prev = [0.0] + [math.inf] * len(y)  # D(-1, j): only D(-1, -1) = 0 is reachable
+    for xi in x:
+        cur = [math.inf]  # D(i, -1)
+        for j, yj in enumerate(y):
+            cur.append(abs(xi - yj) + min(prev[j], prev[j + 1], cur[j]))
+        prev = cur
+    return prev[-1]
+
+
+def record_reference(signal_3d, signal_2d, bins: int, epsilon: float, log_base: float) -> dict:
+    """One metric_records.csv row's numbers for a 3D signal and a 2D one,
+    normalized: the 2D signal resampled onto the 3D length by np.interp
+    over [0, 1], both z-normalized by np.mean and np.std, the recurrence
+    above, the lag of the largest np.correlate product (ties to the
+    smallest |lag|, then the negative one), and np.histogram counts over
+    equal-width edges: the pooled range for KLD (every bin given epsilon
+    mass, then renormalized; never below 0) and each signal's own range for
+    IE (0 for a constant signal)."""
+    n = len(signal_3d)
+    y = np.interp(np.linspace(0.0, 1.0, n), np.linspace(0.0, 1.0, len(signal_2d)), signal_2d)
+    x = (signal_3d - np.mean(signal_3d)) / np.std(signal_3d)
+    y = (y - np.mean(y)) / np.std(y)
+    products = np.correlate(y, x, mode="full").tolist()  # index k holds lag k - (n - 1)
+    best = max(range(2 * n - 1), key=lambda k: (products[k], -abs(k - n + 1), -(k - n + 1)))
+
+    def mass(values, edges):
+        raw = [c / len(values) + epsilon for c in np.histogram(values, bins=edges)[0].tolist()]
+        total = sum(raw)
+        return [m / total for m in raw]
+
+    def entropy(values):
+        lo, hi = values.min(), values.max()
+        if lo == hi:
+            return 0.0
+        counts = np.histogram(values, bins=np.linspace(lo, hi, bins + 1))[0].tolist()
+        shares = [c / len(values) for c in counts if c]
+        return -sum(p * math.log(p) for p in shares) / math.log(log_base)
+
+    edges = np.linspace(min(x.min(), y.min()), max(x.max(), y.max()), bins + 1)
+    kld = sum(p * math.log(p / q) for p, q in zip(mass(x, edges), mass(y, edges)))
+    return {"dtw": dtw_recurrence(x.tolist(), y.tolist()), "mcc": products[best],
+            "mcc_lag": best - (n - 1), "kld": max(kld / math.log(log_base), 0.0),
+            "ie_2d": entropy(y), "ie_3d": entropy(x)}
 
 
 def wilcoxon_enumerate(differences) -> float:

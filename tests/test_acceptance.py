@@ -220,14 +220,14 @@ def test_criterion_09_pca(capsys):
         res = pca_fit(FeatureMatrix(u @ v), threshold=0.95)
         if res.k != k or abs(res.explained_ratio - 1.0) > 1e-9:
             ok = False
-    full = FeatureMatrix(rng.normal(size=(40, 6)))
-    res = pca_fit(full, threshold=1.0)
+    full = rng.normal(size=(40, 6))  # a fit centers its matrix in place: one copy per fit
+    res = pca_fit(FeatureMatrix(full.copy()), threshold=1.0)
     ok = ok and res.k == 6 and abs(res.explained_ratio - 1.0) < 1e-9
     # the covariance eigenvalues, largest first, give the same k and ratio
-    eig = np.linalg.eigvalsh(np.cov(full.values, rowvar=False))[::-1]
+    eig = np.linalg.eigvalsh(np.cov(full, rowvar=False))[::-1]
     cumulative = np.cumsum(eig) / eig.sum()
     for threshold in (0.3, 0.5, 0.8, 0.95):
-        res = pca_fit(full, threshold=threshold)
+        res = pca_fit(FeatureMatrix(full.copy()), threshold=threshold)
         k = int(np.argmax(cumulative >= threshold)) + 1
         ok = ok and res.k == k and abs(res.explained_ratio - cumulative[k - 1]) < 1e-9
     report(capsys, 9, "PCA: rank-k -> k components with ratio 1, full rank needs every "

@@ -131,6 +131,49 @@ class TestStartupWithoutScipy:
         assert modules_after("synth", "--subjects", "1", "--out", out) == ("[]", True)
 
 
+BLAS_PROBE = """
+import os
+import sys
+loaded = []  # whether numpy was loaded as each OPENBLAS_NUM_THREADS was set
+sys.addaudithook(lambda event, args: event == "os.putenv"
+                 and os.fsdecode(args[0]) == "OPENBLAS_NUM_THREADS"
+                 and loaded.append("numpy" in sys.modules))
+from gaitview.cli import main
+assert main(sys.argv[1:]) == 0
+print(loaded, os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules)
+"""
+
+
+class TestBlasThreads:
+    @pytest.fixture
+    def unset(self, monkeypatch):
+        """Both thread variables unset; what main sets is undone afterwards."""
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.setenv(name, "")  # recorded, so teardown restores the original
+            monkeypatch.delenv(name)
+        return monkeypatch
+
+    def test_one_thread_when_unset(self, unset):
+        assert main(["version"]) == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+    def test_users_openblas_setting_kept(self, unset):
+        unset.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert main(["version"]) == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+    def test_users_omp_setting_leaves_openblas_unset(self, unset):
+        unset.setenv("OMP_NUM_THREADS", "2")
+        assert main(["version"]) == 0
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+        assert os.environ["OMP_NUM_THREADS"] == "2"
+
+    def test_set_before_numpy_loads(self, unset, dataset, tmp_path):
+        out = str(tmp_path / "analysis")
+        *_, last = probe(BLAS_PROBE, "analyze", "--manifest", str(dataset), "--out", out)
+        assert last == "[False] 1 True"
+
+
 class TestModuleRegistration:
     def test_every_module_registered_without_numpy(self):
         lines = probe("""
