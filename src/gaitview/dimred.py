@@ -4,11 +4,12 @@ pca_matrix flattens a pose or marker sequence into one row per frame of
 the named points' coordinates; the caller names the points (the pipeline:
 the 17 keypoints, or a mocap3d file's markers). Columns are
 mean-centered but not variance-scaled (covariance PCA: coordinate features
-share units within a source). pca_fit centers the matrix in place, so a
-fit holds the matrix, LAPACK's copy of it and U, not a centered copy as
-well. A fit reports how many components reach the threshold and the
-variance ratio they explain, the two numbers pca_summary.csv holds; no
-basis is kept.
+share units within a source). pca_fit centers the matrix in place and
+asks LAPACK for the singular values alone, so a fit holds two copies of
+the matrix, its own and LAPACK's working copy: no centered copy and no
+singular vectors. A fit reports how many components reach the threshold
+and the variance ratio they explain, the two numbers pca_summary.csv
+holds; no basis is kept.
 """
 from __future__ import annotations
 
@@ -54,11 +55,13 @@ def pca_fit(m: FeatureMatrix, threshold: float = DEFAULT_VARIANCE_THRESHOLD) -> 
 
     m.values is centered in place (the same subtraction as values - mean),
     so a FeatureMatrix is fitted once; a writeable float64 array it was
-    made from shares its values and is centered too."""
+    made from shares its values and is centered too. The singular values
+    come without vectors (LAPACK's values-only routine), the only part of
+    the decomposition that k and the ratio need."""
     check_threshold(threshold)
     values = m.values
     values -= values.mean(axis=0)
-    _, s, _ = np.linalg.svd(values, full_matrices=False)
+    s = np.linalg.svd(values, compute_uv=False)
     total = float(np.sum(s**2))
     if total == 0.0:
         raise GaitViewError("all-constant matrix has no variance")

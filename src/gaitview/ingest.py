@@ -23,6 +23,8 @@ cell may have whitespace around it; the rest is a plain ASCII decimal as
 numpy reads it (no ``_`` separators), and a frame index fits in 64 bits.
 When the bulk read fails, one row scan finds the first unreadable cell,
 or CR inside a line (lines end in LF or CRLF), to name its line and column.
+A file given by its path is streamed into that read, and its text is read
+only when the read or a row check fails, to name the fault.
 """
 from __future__ import annotations
 
@@ -201,13 +203,13 @@ def _lines(text: str):
         start = end
 
 
-def _rows(text: str, header: list[str]):
-    """(line, cells) of every data row, numbered as csv rows from 2, once the
-    header row is checked against header. The lines are split after LF only
-    and read lazily. A row that csv.reader cannot read (a carriage return
-    outside quotes that does not end its line) raises ParseError at csv's
-    line."""
-    reader = csv.reader(_lines(text))
+def _rows(lines, header: list[str]):
+    """(line, cells) of every data row of lines (each with its "\n", as
+    _lines splits them), numbered as csv rows from 2, once the header row is
+    checked against header. The lines are read lazily. A row that csv.reader
+    cannot read (a carriage return outside quotes that does not end its
+    line) raises ParseError at csv's line."""
+    reader = csv.reader(lines)
     try:
         got = next(reader, None)
         if got is None:
@@ -221,14 +223,20 @@ def _rows(text: str, header: list[str]):
                          "in LF or CRLF" if "new-line" in str(exc) else str(exc)) from None
 
 
-def _load(text: str):
-    """Every data row of CSV text as a _TABLE array, in one np.loadtxt call.
+def _load(stream):
+    """Every data row of a CSV's UTF-8 bytes as a _TABLE array, in one
+    np.loadtxt call.
 
-    np.loadtxt reads the text's UTF-8 bytes, one byte per ASCII character,
-    and decodes each line as UTF-8 (a bytes source is latin-1 by default).
+    np.loadtxt iterates the binary stream's lines, split after LF only, and
+    decodes each one as UTF-8 (a bytes source is latin-1 by default).
     """
-    return np.loadtxt(io.BytesIO(text.encode("utf-8")), dtype=_TABLE, delimiter=",",
-                      skiprows=1, comments=None, quotechar='"', ndmin=1, encoding="utf-8")
+    return np.loadtxt(stream, dtype=_TABLE, delimiter=",", skiprows=1, comments=None,
+                      quotechar='"', ndmin=1, encoding="utf-8")
+
+
+def _whole(table):
+    """table and its all-False mask of unreadable fields (see _read)."""
+    return table, np.zeros((len(table), 7), dtype=bool)
 
 
 def _number(cell: str, convert):
@@ -257,14 +265,14 @@ def _read(text: str, header: list[str]):
     checks of _parse. A scan that reads every row gives the table as read:
     np.loadtxt, unlike csv.reader, rejects a CR CR LF line end.
     """
-    if next(_rows(text, header), None) is None:
-        return np.zeros(0, dtype=_TABLE), np.zeros((0, 7), dtype=bool)
+    if next(_rows(_lines(text), header), None) is None:
+        return _whole(np.zeros(0, dtype=_TABLE))
     try:
-        table = _load(text)
+        table = _load(io.BytesIO(text.encode("utf-8")))
     except ValueError:
         rows = []
         try:
-            for _, cells in _rows(text, header):
+            for _, cells in _rows(_lines(text), header):
                 row = [0, np.nan, cells[2] if len(cells) > 2 else "", np.nan, np.nan, np.nan]
                 flags = [len(cells) != 6] + [False] * 6
                 for j, convert in _NUMERIC if len(cells) == 6 else ():
@@ -281,13 +289,35 @@ def _read(text: str, header: list[str]):
         unreadable = np.zeros((len(rows), 7), dtype=bool)
         unreadable[-1] = flags
         return np.array(rows, dtype=_TABLE), unreadable
-    return table, np.zeros((len(table), 7), dtype=bool)
+    return _whole(table)
+
+
+def _read_file(path, header: list[str]):
+    """_read(read_text(path), header), with the file streamed into
+    np.loadtxt: the bytes _read would hand it, so the same table.
+
+    The header, and any blank lines before the first data row, are decoded
+    line by line. Only when they, a byte that is not UTF-8 or the bulk read
+    fail is the text read, and _read names the fault.
+    """
+    try:
+        with open(path, "rb") as fh:
+            if next(_rows((line.decode("utf-8") for line in fh), header), None) is None:
+                return _whole(np.zeros(0, dtype=_TABLE))
+            fh.seek(0)
+            return _whole(_load(fh))
+    except (ValueError, ParseError):  # UnicodeDecodeError is a ValueError
+        return _read(read_text(path), header)
 
 
 def _parse(source, cls) -> dict:
     """Dense arrays of a pose or marker CSV, frames sorted by index."""
-    text = read_text(source) if isinstance(source, (str, Path)) else source.read()
-    table, unreadable = _read(text, cls.header)
+    if isinstance(source, (str, Path)):
+        text = None
+        table, unreadable = _read_file(source, cls.header)
+    else:
+        text = source.read()
+        table, unreadable = _read(text, cls.header)
     n, pose = len(table), cls is PoseSequence
     frame, time, x, y, third = (table[c] for c in ("frame", "time", "x", "y", "third"))
     raw = table["name"].tolist()
@@ -309,6 +339,10 @@ def _parse(source, cls) -> dict:
 
     def schema(reason):
         return lambda i, line, cells: GaitViewError(f"line {line}: {reason(i)}")
+
+    def row(i):  # (line, cells) of data row i; a file's text is read only here
+        lines = _lines(read_text(source) if text is None else text)
+        return next(itertools.islice(_rows(lines, cls.header), i, None))
 
     # every check of a row, in the order of a reader that checks one row at a time
     checks = [
@@ -337,8 +371,7 @@ def _parse(source, cls) -> dict:
     bad = np.flatnonzero(code)
     if bad.size:
         i = bad[0]
-        line, cells = next(itertools.islice(_rows(text, cls.header), i, None))
-        raise checks[code[i] - 1][1](i, line, cells)
+        raise checks[code[i] - 1][1](i, *row(i))
 
     present = np.zeros((len(frame_ids), len(names)), dtype=bool)
     present[frame_ix, name_ix] = True
@@ -350,10 +383,10 @@ def _parse(source, cls) -> dict:
     stalled = np.flatnonzero(frame_time[1:] <= frame_time[:-1]) + 1
     if stalled.size:
         k = stalled[0]
-        line = next(itertools.islice(_rows(text, cls.header), first[k], None))[0]
         raise ParseError(
-            line, 2, f"time {float(frame_time[k])!r} of frame {frame_ids[k]} does not "
-                     f"increase on {float(frame_time[k - 1])!r} of frame {frame_ids[k - 1]}",
+            row(first[k])[0], 2,
+            f"time {float(frame_time[k])!r} of frame {frame_ids[k]} does not "
+            f"increase on {float(frame_time[k - 1])!r} of frame {frame_ids[k - 1]}",
         )
     values = np.full((len(frame_ids), len(names), 3), np.nan)
     values[frame_ix, name_ix] = np.stack((x, y, third), axis=-1)

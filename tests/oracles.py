@@ -76,9 +76,11 @@ def dtw_bruteforce(x, y) -> float:
 def pca_reference(x, threshold: float) -> tuple[int, float] | None:
     """(k, explained ratio) of covariance PCA of x, or None if x has no
     variance: the singular values of x - x.mean(axis=0), taken out of
-    place, and k the first count whose running sum of variance ratios,
-    added one at a time, reaches threshold - 1e-12 (else every component)."""
-    _, s, _ = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+    place by the values-only LAPACK routine pca_fit uses (with vectors,
+    LAPACK takes another algorithm, whose last bits differ), and k the first
+    count whose running sum of variance ratios, added one at a time,
+    reaches threshold - 1e-12 (else every component)."""
+    s = np.linalg.svd(x - x.mean(axis=0), compute_uv=False)
     total = float(np.sum(s**2))
     if total == 0.0:
         return None

@@ -3,7 +3,10 @@ import io
 import math
 import re
 import string
+import tempfile
 import types
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,51 +41,77 @@ def make_pose(rows) -> PoseSequence:
     return PoseSequence(view=ViewLabel.FRONTAL, frames=frames)
 
 
+def outcome(parse, source):
+    try:
+        return "ok", parse(source)
+    except GaitViewError as exc:
+        return type(exc), str(exc)
+
+
+def parse_both(text, pose=False, view=ViewLabel.FRONTAL):
+    """text parsed as a pose or marker CSV from io.StringIO, or its error
+    raised, once a file of its UTF-8 bytes parses from its path to the same
+    sequence or error message. Warnings are raised as errors in both."""
+    parse = (lambda source: parse_pose_csv(source, view)) if pose else parse_marker_csv
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
+        warnings.simplefilter("error")
+        path = Path(tmp, "trial.csv")
+        path.write_bytes(text.encode("utf-8"))
+        from_file = outcome(parse, path)
+        try:
+            seq = parse(io.StringIO(text))
+        except GaitViewError as exc:
+            assert from_file == (type(exc), str(exc))
+            raise
+    assert from_file == ("ok", seq)
+    return seq
+
+
 class TestParsePose:
     def test_header_only(self):
-        seq = parse_pose_csv(io.StringIO(POSE_HEADER))
+        seq = parse_both(POSE_HEADER, pose=True)
         assert len(seq) == 0
 
     def test_single_row(self):
-        seq = parse_pose_csv(io.StringIO(POSE_HEADER + "0,0.00,left_ankle,100.5,200.25,0.98\n"))
+        seq = parse_both(POSE_HEADER + "0,0.00,left_ankle,100.5,200.25,0.98\n", pose=True)
         assert len(seq) == 1
         assert seq.frames[0].keypoints["left_ankle"] == (100.5, 200.25, 0.98)
 
     def test_confidence_out_of_range(self):
         with pytest.raises(GaitViewError, match=r"^line 2: confidence 1\.5 outside \[0, 1\]$"):
-            parse_pose_csv(io.StringIO(POSE_HEADER + "0,0.0,left_ankle,1,2,1.5\n"))
+            parse_both(POSE_HEADER + "0,0.0,left_ankle,1,2,1.5\n", pose=True)
 
     def test_unknown_keypoint(self):
         with pytest.raises(GaitViewError, match="^line 2: unknown keypoint 'left_toe'$"):
-            parse_pose_csv(io.StringIO(POSE_HEADER + "0,0.0,left_toe,1,2,0.9\n"))
+            parse_both(POSE_HEADER + "0,0.0,left_toe,1,2,0.9\n", pose=True)
 
     def test_duplicate_keypoint(self):
         body = "0,0.0,nose,1,2,0.9\n0,0.0,nose,3,4,0.8\n"
         with pytest.raises(GaitViewError,
                            match=r"^line 3: duplicate \(frame 0, keypoint 'nose'\)$"):
-            parse_pose_csv(io.StringIO(POSE_HEADER + body))
+            parse_both(POSE_HEADER + body, pose=True)
 
     def test_malformed_row_positioned(self):
         with pytest.raises(ParseError) as err:
-            parse_pose_csv(io.StringIO(POSE_HEADER + "0,0.0,nose,abc,2,0.9\n"))
+            parse_both(POSE_HEADER + "0,0.0,nose,abc,2,0.9\n", pose=True)
         assert err.value.line == 2
         assert err.value.column == 4
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
-            parse_pose_csv(io.StringIO("a,b,c\n"))
+            parse_both("a,b,c\n", pose=True)
 
     def test_conflicting_frame_time_positioned(self):
         body = "50,0.5,left_hip,1,2,0.9\n50,99.0,nose,3,4,0.9\n"
         with pytest.raises(ParseError) as err:
-            parse_pose_csv(io.StringIO(POSE_HEADER + body))
+            parse_both(POSE_HEADER + body, pose=True)
         assert (err.value.line, err.value.column) == (3, 2)
         assert "frame 50" in str(err.value)
 
     def test_times_must_increase_with_frame_index(self):
         body = "0,0.00,nose,1,2,0.9\n1,0.01,nose,1,2,0.9\n2,0.01,nose,1,2,0.9\n"
         with pytest.raises(ParseError) as err:
-            parse_pose_csv(io.StringIO(POSE_HEADER + body))
+            parse_both(POSE_HEADER + body, pose=True)
         assert (err.value.line, err.value.column) == (4, 2)
         assert "frame 2 does not increase on 0.01 of frame 1" in str(err.value)
 
@@ -90,20 +119,20 @@ class TestParsePose:
         # rows may come in any order; frame 3 starts on line 2 and is earlier than frame 1
         body = "3,0.01,nose,1,2,0.9\n1,0.02,nose,1,2,0.9\n"
         with pytest.raises(ParseError) as err:
-            parse_pose_csv(io.StringIO(POSE_HEADER + body))
+            parse_both(POSE_HEADER + body, pose=True)
         assert (err.value.line, err.value.column) == (2, 2)
 
     def test_numbers_are_plain_ascii_decimals(self):
         # Python's float() would read both; the bulk reader reads neither
         for cell in ("1_0", "\u0665"):
             with pytest.raises(ParseError) as err:
-                parse_pose_csv(io.StringIO(POSE_HEADER + f"0,0.0,nose,{cell},2,0.9\n"))
+                parse_both(POSE_HEADER + f"0,0.0,nose,{cell},2,0.9\n", pose=True)
             assert (err.value.line, err.value.column) == (2, 4)
             assert f"invalid x: {cell!r}" in str(err.value)
 
     def test_absent_points_are_nan(self):
         body = "0,0.0,nose,1,2,0.9\n0,0.0,left_hip,3,4,0.8\n1,0.01,nose,5,6,0.7\n"
-        seq = parse_pose_csv(io.StringIO(POSE_HEADER + body))
+        seq = parse_both(POSE_HEADER + body, pose=True)
         assert seq.names == ("left_hip", "nose")
         assert seq.values.shape == (2, 2, 3)
         assert np.isnan(seq.values[1, 0]).all()
@@ -112,7 +141,7 @@ class TestParsePose:
 
     def test_frames_sorted(self):
         body = "5,0.05,nose,1,2,0.9\n1,0.01,nose,3,4,0.9\n"
-        seq = parse_pose_csv(io.StringIO(POSE_HEADER + body))
+        seq = parse_both(POSE_HEADER + body, pose=True)
         assert [fr.frame_index for fr in seq.frames] == [1, 5]
 
     def test_round_trip(self):
@@ -123,7 +152,7 @@ class TestParsePose:
         seq = make_pose(rows)
         buf = io.StringIO()
         write_pose_csv(seq, buf)
-        parsed = parse_pose_csv(io.StringIO(buf.getvalue()))
+        parsed = parse_both(buf.getvalue(), pose=True)
         for orig, back in zip(seq.frames, parsed.frames):
             assert back.frame_index == orig.frame_index
             assert back.keypoints == orig.keypoints
@@ -131,11 +160,11 @@ class TestParsePose:
 
 class TestParseMarker:
     def test_header_only(self):
-        assert len(parse_marker_csv(io.StringIO(MARKER_HEADER))) == 0
+        assert len(parse_both(MARKER_HEADER)) == 0
 
     def test_missing_z_column(self):
         with pytest.raises(ParseError):
-            parse_marker_csv(io.StringIO(MARKER_HEADER + "0,0.0,pelvis,1,2\n"))
+            parse_both(MARKER_HEADER + "0,0.0,pelvis,1,2\n")
 
     def test_round_trip(self):
         frames = [
@@ -145,7 +174,7 @@ class TestParseMarker:
         seq = MarkerSequence(frames=frames)
         buf = io.StringIO()
         write_marker_csv(seq, buf)
-        parsed = parse_marker_csv(io.StringIO(buf.getvalue()))
+        parsed = parse_both(buf.getvalue())
         for orig, back in zip(seq.frames, parsed.frames):
             assert back.markers == orig.markers
 
@@ -153,24 +182,24 @@ class TestParseMarker:
         body = "0,0.0,a,1,2,3\n1,0.01,b,1,2,3\n"
         with pytest.raises(GaitViewError,
                            match="^marker set changes at frame 1; must be constant per trial$"):
-            parse_marker_csv(io.StringIO(MARKER_HEADER + body))
+            parse_both(MARKER_HEADER + body)
 
     def test_times_must_increase(self):
         body = "0,0.5,a,1,2,3\n1,0.5,a,1,2,3\n"
         with pytest.raises(ParseError) as err:
-            parse_marker_csv(io.StringIO(MARKER_HEADER + body))
+            parse_both(MARKER_HEADER + body)
         assert (err.value.line, err.value.column) == (3, 2)
 
     def test_conflicting_frame_time(self):
         body = "0,0.0,a,1,2,3\n0,0.01,b,1,2,3\n"
         with pytest.raises(ParseError) as err:
-            parse_marker_csv(io.StringIO(MARKER_HEADER + body))
+            parse_both(MARKER_HEADER + body)
         assert err.value.line == 3
 
     def test_duplicate_marker(self):
         body = "0,0.0,a,1,2,3\n0,0.0,a,4,5,6\n"
         with pytest.raises(GaitViewError, match=r"^line 3: duplicate \(frame 0, marker 'a'\)$"):
-            parse_marker_csv(io.StringIO(MARKER_HEADER + body))
+            parse_both(MARKER_HEADER + body)
 
     def test_bad_last_row_costs_log_rows_reads(self, monkeypatch):
         rows = [f"{f},{f / 100},m{k},1,2,3" for f in range(400) for k in range(5)]
@@ -229,14 +258,14 @@ class TestParseMarker:
         # np.loadtxt and the reference strip the line break and read 7
         text = MARKER_HEADER + '0,0.0,a,1,2,3\n"\n7",0.01,a,1,2,zz\n'
         with pytest.raises(ParseError, match=r"^line 3, column 6: invalid z: 'zz'$"):
-            parse_marker_csv(io.StringIO(text))
+            parse_both(text)
         with pytest.raises(ParseError, match=r"^line 3, column 6: invalid z: 'zz'$"):
             parse_rows(text, False)
 
 
 BARE_CR = "carriage return within the line; lines must end in LF or CRLF"
 # the parser and the row-by-row reference, on marker CSV text
-MARKER_PARSERS = (lambda t: parse_marker_csv(io.StringIO(t)), lambda t: parse_rows(t, False))
+MARKER_PARSERS = (parse_both, lambda t: parse_rows(t, False))
 
 
 class TestCarriageReturns:
@@ -262,13 +291,13 @@ class TestCarriageReturns:
         # the rows after it are not read: its row ends the table
         text = POSE_HEADER + "0,0.0,nose,1,2\r,0.9\n0,0.0,nose,1,2,7\n"
         with pytest.raises(ParseError, match=f"^line 2, column 1: {BARE_CR}$"):
-            parse_pose_csv(io.StringIO(text))
+            parse_both(text, pose=True)
 
     @pytest.mark.parametrize("end", ["\r\n", "\r\r\n"])
     def test_crlf_line_ends_read_as_lf(self, end):
         body = "0,0.0,a,1,2,3\n1,0.01,a,1,2,3\n"
-        assert parse_marker_csv(io.StringIO((MARKER_HEADER + body).replace("\n", end))) == \
-            parse_marker_csv(io.StringIO(MARKER_HEADER + body))
+        assert parse_both((MARKER_HEADER + body).replace("\n", end)) == \
+            parse_both(MARKER_HEADER + body)
 
     def test_not_utf8_file_is_named(self, tmp_path):
         path = tmp_path / "s01_mocap3d.csv"
@@ -296,7 +325,7 @@ class TestTextDecoding:
 
     def test_non_ascii_keypoint_named_as_written(self):
         with pytest.raises(GaitViewError, match="^line 2: unknown keypoint 'höft_l'$"):
-            parse_pose_csv(io.StringIO(POSE_HEADER + "0,0.0,höft_l,1,2,0.5\n"))
+            parse_both(POSE_HEADER + "0,0.0,höft_l,1,2,0.5\n", pose=True)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -341,13 +370,13 @@ class TestRoundTripProperty:
     def test_pose(self, seq):
         buf = io.StringIO()
         write_pose_csv(seq, buf)
-        assert parse_pose_csv(io.StringIO(buf.getvalue()), view=seq.view) == seq
+        assert parse_both(buf.getvalue(), pose=True, view=seq.view) == seq
 
     @given(marker_sequences())
     def test_marker(self, seq):
         buf = io.StringIO()
         write_marker_csv(seq, buf)
-        assert parse_marker_csv(io.StringIO(buf.getvalue())) == seq
+        assert parse_both(buf.getvalue()) == seq
 
 
 @st.composite
@@ -448,33 +477,20 @@ def test_scan_reads_a_cell_as_loadtxt_does(cell, column):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\r\n").writerow(row)  # quotes every cell holding "\r"
     text = MARKER_HEADER + buf.getvalue()
-    (_, cells), = ingest._rows(text, ingest.MARKER_HEADER)
+    (_, cells), = ingest._rows(ingest._lines(text), ingest.MARKER_HEADER)
     scanned = ingest._number(cells[column], int if column == 0 else float)
     try:
-        loaded = ingest._load(text)[0][column].item()
+        loaded = ingest._load(io.BytesIO(text.encode("utf-8")))[0][column].item()
     except ValueError:
         loaded = None
     assert repr(scanned) == repr(loaded)
 
 
-def outcome(parse, text):
-    try:
-        return "ok", parse(text)
-    except GaitViewError as exc:
-        return type(exc), str(exc)
-
-
-def parse_with_oracle(text, pose, view=ViewLabel.LATERAL):
+def parse_with_oracle(text, pose, view=ViewLabel.FRONTAL):
     frames = parse_rows(text, pose)
     if pose:
         return PoseSequence(view, [PoseFrame(*fr) for fr in frames])
     return MarkerSequence([MarkerFrame(*fr) for fr in frames])
-
-
-def parse_dense(text, pose, view=ViewLabel.LATERAL):
-    if pose:
-        return parse_pose_csv(io.StringIO(text), view)
-    return parse_marker_csv(io.StringIO(text))
 
 
 class TestParseOracle:
@@ -484,7 +500,7 @@ class TestParseOracle:
     @given(st.data(), st.booleans())
     def test_equals_row_reader(self, data, pose):
         text = render(POSE_HEADER if pose else MARKER_HEADER, data.draw(csv_rows(pose)))
-        seq = parse_dense(text, pose)
+        seq = parse_both(text, pose)
         assert seq == parse_with_oracle(text, pose)
         assert pose or seq.complete.all()  # every marker in every frame: analyze relies on it
 
@@ -506,8 +522,77 @@ class TestParseOracle:
         else:
             row.insert(column, data.draw(corrupt_cells))
         text = render(POSE_HEADER if pose else MARKER_HEADER, rows)
-        assert outcome(lambda t: parse_dense(t, pose), text) == \
+        assert outcome(lambda t: parse_both(t, pose), text) == \
             outcome(lambda t: parse_with_oracle(t, pose), text)
+
+
+FAULTS = ["none", "bad cell", "extra field", "bare CR", "CR CR LF", "not UTF-8",
+          "non-ASCII name", "blank lines", "header only", "duplicate row", "time conflict"]
+
+
+@st.composite
+def faulty_files(draw):
+    """(pose, bytes) of a pose or marker CSV with at most one fault of FAULTS."""
+    pose = draw(st.booleans())
+    rows = draw(csv_rows(pose))
+    fault = draw(st.sampled_from(FAULTS))
+    at = st.integers(0, max(len(rows) - 1, 0))
+    if fault == "header only":
+        rows = []
+    elif rows and fault == "bad cell":
+        rows[draw(at)][draw(st.integers(0, 5))] = draw(corrupt_cells)
+    elif rows and fault == "extra field":
+        rows[draw(at)].insert(draw(st.integers(0, 6)), draw(corrupt_cells))
+    elif rows and fault == "duplicate row":
+        rows.insert(draw(at), list(rows[draw(at)]))
+    elif rows and fault == "time conflict":
+        row = list(rows[draw(at)])
+        row[1] = repr(float(row[1]) + draw(st.sampled_from([1e-3, -1.0, 100.0])))
+        rows.insert(draw(at), row)
+    elif rows and fault == "non-ASCII name":  # a known marker, an unknown keypoint
+        name = draw(st.sampled_from([row[2] for row in rows]))
+        new = draw(st.sampled_from(["höft_l", "Ψ", "a\u2028b", "a\x85b", "c\x0bd", "\ufeff"]))
+        rows = [row[:2] + [new if row[2] == name else row[2]] + row[3:] for row in rows]
+    text = render(POSE_HEADER if pose else MARKER_HEADER, rows)
+    lines = text.splitlines(keepends=True)  # csv.writer ends its rows in "\n"
+    if fault == "blank lines":
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["\n", "\r\n"])))
+    elif fault == "CR CR LF":
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = lines[k][:-1] + "\r\r\n"
+    elif fault == "bare CR":
+        k = draw(st.integers(0, len(text)))
+        lines = [text[:k], "\r", text[k:]]
+    data = "".join(lines).encode("utf-8")
+    if fault == "not UTF-8":
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3", b"\x80"])) + data[k:]
+    return pose, data
+
+
+class TestBothSources:
+    """A file parsed from its path against its text from a stream."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(faulty_files())
+    def test_path_gives_the_stream_outcome(self, drawn):
+        pose, data = drawn
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # read_text names the file and the byte's position
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp, "s01_lateral.csv")
+                path.write_bytes(data)
+                parse = parse_pose_csv if pose else parse_marker_csv
+                assert outcome(parse, path) == (GaitViewError, f"{path}: {exc}")
+        else:  # parse_both asserts that the path and the stream agree
+            outcome(lambda t: parse_both(t, pose), text)
+
+    @pytest.mark.parametrize("header", [POSE_HEADER, MARKER_HEADER])
+    @pytest.mark.parametrize("blank", ["\n", "\r\n\n"])
+    def test_header_and_blank_lines_give_no_frames(self, header, blank):
+        assert len(parse_both(header + blank, pose=header == POSE_HEADER)) == 0
 
 
 @pytest.mark.parametrize("row", [
@@ -523,9 +608,9 @@ class TestParseOracle:
 ])
 def test_first_failing_check_of_a_row(row):
     text = POSE_HEADER + "0,0.0,nose,1,2,0.9\n" + row + "\n"
-    assert outcome(lambda t: parse_dense(t, True), text) == \
+    assert outcome(lambda t: parse_both(t, True), text) == \
         outcome(lambda t: parse_with_oracle(t, True), text)
-    assert outcome(lambda t: parse_dense(t, True), text)[0] != "ok"
+    assert outcome(lambda t: parse_both(t, True), text)[0] != "ok"
 
 
 @st.composite
