@@ -11,11 +11,9 @@ correction: the projection distortion is exactly what the metrics
 downstream are meant to measure. For 3D data the vertical axis is z and
 the ground plane is x-y.
 
-There are two entry points, running the same private kernels.
-extract_all gathers the ten body points once per sequence, with the
-marker map resolved once, and computes the hip midpoint and walking axis
-once for all seven signals. signal computes one signal and needs only the
-points its feature reads.
+extract_all is the one entry point: it gathers the ten body points once
+per sequence, with the marker map resolved once, and computes the hip
+midpoint and walking axis once for all seven signals.
 """
 from __future__ import annotations
 
@@ -177,18 +175,6 @@ _KERNELS = {
     FeatureName.TRUNK_ROTATION: _trunk_rotation,
     FeatureName.WRIST_HIPMID: _wrist_hipmid,
 }
-
-
-def signal(
-    seq, feature: FeatureName, side: SideLabel, marker_map: dict[str, str] | None = None
-) -> np.ndarray:
-    """One signal of one sequence. Only the roles the feature reads must be
-    present, so a partial body still yields the features it has; errors
-    are raised unwrapped.
-    """
-    if side not in FEATURE_SIDES[feature]:
-        raise ValueError(f"{feature.value} has no {side.value} side")
-    return _finite(_KERNELS[feature](_Body(seq, marker_map), side))
 
 
 def extract_all(seq, marker_map: dict[str, str] | None = None) -> GaitFeatureSet:

@@ -124,12 +124,12 @@ def load_manifest(path: Path) -> dict[TrialId, dict[str, Path]]:
     any file is read.
 
     A row with an empty or missing cell, a cell beyond the header, a
-    subject or trial that is not an integer >= 1, an unknown kind, a
-    repeated (subject, kind), a subject listed under a second trial or a
-    file listed on an earlier row (paths compared once resolved) raises
-    ParseError naming the manifest line and column: one trial per subject
-    is supported. A subject without a mocap3d, frontal or lateral row
-    raises GaitViewError naming the manifest and the subject.
+    subject or trial that is not an integer >= 1 in ASCII digits, an
+    unknown kind, a repeated (subject, kind), a subject listed under a
+    second trial or a file listed on an earlier row (paths compared once
+    resolved) raises ParseError naming the manifest line and column: one
+    trial per subject is supported. A subject without a mocap3d, frontal or
+    lateral row raises GaitViewError naming the manifest and the subject.
     """
     base = path.parent
     kinds = {view.value for view in ViewLabel}
@@ -146,7 +146,7 @@ def load_manifest(path: Path) -> dict[TrialId, dict[str, Path]]:
             return ParseError(reader.line_num, reader.fieldnames.index(column) + 1, reason, path)
 
         def index(row: dict, column: str) -> int:
-            if not row[column].isdecimal() or int(row[column]) < 1:
+            if not (row[column].isascii() and row[column].isdecimal()) or int(row[column]) < 1:
                 raise error(column, f"{column} must be an integer >= 1, got {row[column]!r}")
             return int(row[column])
 

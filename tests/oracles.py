@@ -12,9 +12,11 @@ count that sums both tails of the W+ distribution, the CSV
 parser by a reader that checks one row at a time and keeps a dict of
 points per frame (a regular expression of csv's records finds a bare
 carriage return, where the parser catches csv.Error), gap repair by a
-loop over every keypoint's runs, the CSV writer by csv.writer, and the
-synthetic gait model and its camera projection by loops that compute one
-frame, marker and keypoint at a time.
+loop over every keypoint's runs, the feature signals by a loop that
+computes one frame at a time with the math module (the walking axis from
+a closed-form 2x2 covariance eigenvector, not an SVD), the CSV writer by
+csv.writer, and the synthetic gait model and its camera projection by
+loops that compute one frame, marker and keypoint at a time.
 """
 from __future__ import annotations
 
@@ -331,6 +333,109 @@ def fill_gaps_loop(frames, conf_threshold: float, max_gap: int):
             for j in range(start, end):
                 t = (frames[j][0] - f0) / (f1 - f0)
                 out[j][2][name] = (x0 + t * (x1 - x0), y0 + t * (y1 - y0), conf_threshold)
+    return out
+
+
+def sequence_rows(seq) -> list[tuple[int, float, dict]]:
+    """(frame index, time, {name: (x, y, third)}) of a pose or marker
+    sequence's frames, each holding its present (not NaN) points."""
+    return [(index, time_s, {name: tuple(point) for name, point in zip(seq.names, points)
+                             if point[0] == point[0]})
+            for index, time_s, points in zip(seq.frame_index.tolist(), seq.times.tolist(),
+                                             seq.values.tolist())]
+
+
+# the seven signals of a feature set, in its order: (feature, side)
+FEATURE_SIGNALS = (("step_length", "left"), ("step_length", "right"),
+                   ("knee_rotation", "left"), ("knee_rotation", "right"),
+                   ("trunk_rotation", "bilateral"),
+                   ("wrist_hipmid", "left"), ("wrist_hipmid", "right"))
+
+
+def _walking_axis(hip_mid) -> tuple[float, float]:
+    """Unit eigenvector of the largest eigenvalue of the hip midpoints' 2x2
+    ground-plane covariance, in closed form, pointing along the net
+    displacement."""
+    n = len(hip_mid)
+    mx, my = (math.fsum(p[k] for p in hip_mid) / n for k in (0, 1))
+    sxx = math.fsum((p[0] - mx) ** 2 for p in hip_mid)
+    syy = math.fsum((p[1] - my) ** 2 for p in hip_mid)
+    sxy = math.fsum((p[0] - mx) * (p[1] - my) for p in hip_mid)
+    net = (hip_mid[-1][0] - hip_mid[0][0], hip_mid[-1][1] - hip_mid[0][1])
+    if math.hypot(*net) < 1e-12:
+        raise GaitViewError("hip midpoint shows no net displacement")
+    largest = (sxx + syy) / 2 + math.hypot((sxx - syy) / 2, sxy)
+    # (A - largest I) v = 0, from the row whose diagonal gap is the larger
+    v = (largest - syy, sxy) if sxx >= syy else (sxy, largest - sxx)
+    sign = 1.0 if v[0] * net[0] + v[1] * net[1] >= 0 else -1.0
+    norm = math.hypot(*v)
+    return sign * v[0] / norm, sign * v[1] / norm
+
+
+def features_reference(rows, dims: int, marker_map: dict | None = None) -> dict:
+    """{(feature, side): signal as a list} of (frame index, time, {name:
+    point}) rows, in FEATURE_SIGNALS order, one frame at a time from the
+    definitions in gaitview.features: dims is 2 for pose keypoints (x, y)
+    and 3 for markers (x, y, z, ground plane x-y, names through
+    marker_map). Step length is the signed ground-plane progression of the
+    side's ankle over the other along the walking axis; knee rotation the
+    acos of the normalized dot product of knee->hip and knee->ankle, in
+    degrees; trunk rotation the atan2 angle of the shoulder line against
+    the hip line (both left -> right, ground plane), -180 taken as 180; and
+    wrist-hipmid the math.dist from the wrist to the hip midpoint. The first
+    signal that fails raises GaitViewError '(feature, side): reason': a
+    point absent from a frame, or hips with no net displacement."""
+    point = "keypoint" if dims == 2 else "marker"
+
+    def track(role):
+        name = role if dims == 2 else (marker_map or {}).get(role, role)
+        for index, _, points in rows:
+            if name not in points:
+                raise GaitViewError(f"{point} {name!r} absent in frame {index}")
+        return [points[name][:dims] for _, _, points in rows]
+
+    def hip_mid():
+        return [tuple(0.5 * (a + b) for a, b in zip(l, r))
+                for l, r in zip(track("left_hip"), track("right_hip"))]
+
+    def step_length(side):
+        other = "right" if side == "left" else "left"
+        leading, trailing = track(f"{side}_ankle"), track(f"{other}_ankle")
+        ax, ay = _walking_axis(hip_mid())
+        return [(a[0] - b[0]) * ax + (a[1] - b[1]) * ay for a, b in zip(leading, trailing)]
+
+    def knee_rotation(side):
+        out = []
+        joints = [track(f"{side}_{joint}") for joint in ("hip", "knee", "ankle")]
+        for hip, knee, ankle in zip(*joints):
+            u = [h - k for h, k in zip(hip, knee)]
+            v = [a - k for a, k in zip(ankle, knee)]
+            cosine = sum(p * q for p, q in zip(u, v)) / (
+                math.sqrt(sum(p * p for p in u)) * math.sqrt(sum(q * q for q in v)))
+            out.append(math.degrees(math.acos(max(-1.0, min(1.0, cosine)))))
+        return out
+
+    def trunk_rotation(_):
+        out = []
+        for ls, rs, lh, rh in zip(*map(track, ("left_shoulder", "right_shoulder",
+                                               "left_hip", "right_hip"))):
+            s = (rs[0] - ls[0], rs[1] - ls[1])
+            h = (rh[0] - lh[0], rh[1] - lh[1])
+            angle = math.degrees(math.atan2(h[0] * s[1] - h[1] * s[0], h[0] * s[0] + h[1] * s[1]))
+            out.append(180.0 if angle <= -180.0 else angle)
+        return out
+
+    def wrist_hipmid(side):
+        return [math.dist(w, m) for w, m in zip(track(f"{side}_wrist"), hip_mid())]
+
+    kernels = {"step_length": step_length, "knee_rotation": knee_rotation,
+               "trunk_rotation": trunk_rotation, "wrist_hipmid": wrist_hipmid}
+    out = {}
+    for feature, side in FEATURE_SIGNALS:
+        try:
+            out[feature, side] = kernels[feature](side)
+        except GaitViewError as exc:
+            raise GaitViewError(f"({feature}, {side}): {exc}") from exc
     return out
 
 

@@ -1071,6 +1071,21 @@ class TestManifest:
         assert message in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("row, column, cell", [
+        ("\u0661,1,mocap3d,s01_mocap3d.csv", 1, "subject"),  # ARABIC-INDIC DIGIT ONE
+        ("1,\uff11,mocap3d,s01_mocap3d.csv", 2, "trial"),  # FULLWIDTH DIGIT ONE
+    ], ids=["subject", "trial"])
+    def test_non_ascii_digit_exit_1(self, tmp_path, capsys, row, column, cell):
+        # int() reads any Unicode decimal digit: the run passed, reporting subject 1
+        manifest = run_synth(tmp_path / "d", subjects=2)
+        text = manifest.read_text(encoding="utf-8")
+        manifest.write_text(text.replace("1,1,mocap3d,s01_mocap3d.csv", row), encoding="utf-8")
+        assert run_analyze(manifest, tmp_path / "out") == 1
+        value = row.split(",")[column - 1]
+        assert (f"error: {manifest}: line 2, column {column}: {cell} must be an integer >= 1, "
+                f"got {value!r}" in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("listed", ["s01_frontal.csv", "./s01_frontal.csv"])
     def test_file_listed_twice_exit_1(self, tmp_path, capsys, listed):
         # subject 1's lateral records equalled its frontal ones, and the stats used them

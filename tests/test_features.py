@@ -4,36 +4,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitview.errors import GaitViewError
-from gaitview.features import FEATURE_SIDES, FeatureName, extract_all, signal, signal_key_name
-from gaitview.ingest import KEYPOINT_NAMES, MarkerSequence, PoseFrame, PoseSequence
+from gaitview.features import FEATURE_SIDES, FeatureName, extract_all, signal_key_name
+from gaitview.ingest import MarkerSequence, PoseSequence
 from gaitview.metrics import max_cross_correlation
 from gaitview.signal_core import SideLabel, ViewLabel
 from gaitview.synth import GaitModelParams, generate_gait, preset_cameras, project
 
+from oracles import features_reference, sequence_rows
 
-def pose_seq(frames_kp, view=ViewLabel.LATERAL, fs=100.0):
-    """Build a PoseSequence from a list of {keypoint: (x, y)} dicts."""
+STEP, KNEE, TRUNK, WRIST = FeatureName
+LEFT, RIGHT, BILATERAL = SideLabel
+
+ROLES = [f"{side}_{part}" for part in ("hip", "knee", "ankle", "shoulder", "wrist")
+         for side in ("left", "right")]
+
+
+def body_at(x):
+    """The ten roles of a body at x along a walk in +x, (x, y) px: hips 10
+    and 12 up, knees 5 and 5.5, ankles on the ground with the left one 2
+    ahead, shoulders 20 and 22 and wrists 11."""
+    return {"left_hip": (x, 10.0), "right_hip": (x, 12.0),
+            "left_knee": (x, 5.0), "right_knee": (x, 5.5),
+            "left_ankle": (x + 1.0, 0.0), "right_ankle": (x - 1.0, 0.0),
+            "left_shoulder": (x, 20.0), "right_shoulder": (x, 22.0),
+            "left_wrist": (x + 0.5, 11.0), "right_wrist": (x - 0.5, 11.0)}
+
+
+def walking_pose(n=20, step=1.0, **roles):
+    """Lateral pose of a full body walking step px a frame along x, at
+    100 Hz; each keyword holds its role at an (x, y), or at role(x) if
+    callable, x the body's position."""
     frames = []
-    for i, kp in enumerate(frames_kp):
-        frames.append(PoseFrame(i, i / fs, {k: (x, y, 1.0) for k, (x, y) in kp.items()}))
-    return PoseSequence(view=view, frames=frames)
+    for x in step * np.arange(n):
+        frame = body_at(x)
+        frame.update({role: at(x) if callable(at) else at for role, at in roles.items()})
+        frames.append([(*frame[role], 1.0) for role in ROLES])
+    return PoseSequence(ViewLabel.LATERAL, frame_index=np.arange(n), times=np.arange(n) / 100.0,
+                        names=ROLES, values=frames)
 
 
-def walking_frames(n=20, kp_extra=None):
-    """Minimal straight-line walk along +x with fixed body layout."""
-    out = []
-    for i in range(n):
-        x = float(i)
-        kp = {
-            "left_hip": (x, 10.0),
-            "right_hip": (x, 12.0),
-            "left_ankle": (x + 1.0, 0.0),
-            "right_ankle": (x - 1.0, 0.0),
-        }
-        if kp_extra:
-            kp.update(kp_extra(i))
-        out.append(kp)
-    return out
+def signals(seq, marker_map=None):
+    return extract_all(seq, marker_map).signals
 
 
 class TestSignalNames:
@@ -45,52 +56,35 @@ class TestSignalNames:
         assert sum(len(v) for v in FEATURE_SIDES.values()) == 7
 
 
-STEP, KNEE, TRUNK, WRIST = FeatureName
-LEFT, RIGHT, BILATERAL = SideLabel
-
-
 class TestWalkingAxis:
-    @staticmethod
-    def frames():
-        # the left ankle is 2 ahead of the right along +x and 10 across it,
-        # so the left step length is 2 * axis[0] + 10 * axis[1]
-        return walking_frames(kp_extra=lambda i: {"left_ankle": (i + 1.0, 5.0),
-                                                  "right_ankle": (i - 1.0, -5.0)})
+    # the left ankle is 2 ahead of the right along x and 10 across it,
+    # so the left step length is 2 * axis[0] + 10 * axis[1]
+    ankles = {"left_ankle": lambda x: (x + 1.0, 5.0), "right_ankle": lambda x: (x - 1.0, -5.0)}
 
     def test_straight_walk_plus_x(self):
-        seq = pose_seq(self.frames())
-        assert np.allclose(signal(seq, STEP, LEFT), 2.0, rtol=0, atol=1e-12)
+        left = signals(walking_pose(**self.ankles))[STEP, LEFT]
+        assert np.allclose(left, 2.0, rtol=0, atol=1e-12)
 
     def test_oriented_by_net_displacement(self):
-        seq = pose_seq(self.frames()[::-1])
-        assert np.allclose(signal(seq, STEP, LEFT), -2.0, rtol=0, atol=1e-12)
+        left = signals(walking_pose(step=-1.0, **self.ankles))[STEP, LEFT]
+        assert np.allclose(left, -2.0, rtol=0, atol=1e-12)
 
     def test_stationary_rejected(self):
-        kp = walking_frames(1)[0]
-        seq = pose_seq([dict(kp) for _ in range(10)])
-        with pytest.raises(GaitViewError, match="^hip midpoint shows no net displacement$"):
-            signal(seq, STEP, LEFT)
+        with pytest.raises(GaitViewError, match=r"^\(step_length, left\): hip midpoint shows "
+                                                "no net displacement$"):
+            extract_all(walking_pose(n=10, step=0.0))
 
 
 class TestStepLength:
     def test_signed_and_antisymmetric(self):
-        seq = pose_seq(walking_frames())
-        left = signal(seq, STEP, LEFT)
-        right = signal(seq, STEP, RIGHT)
-        assert np.allclose(left, 2.0, atol=1e-12)
-        assert np.allclose(right, -left, atol=1e-12)
+        out = signals(walking_pose())
+        assert np.allclose(out[STEP, LEFT], 2.0, atol=1e-12)
+        assert np.allclose(out[STEP, RIGHT], -out[STEP, LEFT], atol=1e-12)
 
     def test_only_axis_component_counts(self):
         # lateral ankle offset is orthogonal to the walking axis
-        def extra(i):
-            return {
-                "left_ankle": (float(i) + 3.0, 7.0),
-                "right_ankle": (float(i), -4.0),
-            }
-
-        seq = pose_seq(walking_frames(kp_extra=extra))
-        left = signal(seq, STEP, LEFT)
-        assert np.allclose(left, 3.0, atol=1e-12)
+        seq = walking_pose(left_ankle=lambda x: (x + 3.0, 7.0), right_ankle=lambda x: (x, -4.0))
+        assert np.allclose(signals(seq)[STEP, LEFT], 3.0, atol=1e-12)
 
 
 class TestKneeRotation:
@@ -104,104 +98,70 @@ class TestKneeRotation:
 
     def test_examples(self):
         for hip, knee, ankle, expected in self.cases():
-            kp = {"left_hip": hip, "left_knee": knee, "left_ankle": ankle}
-            seq = pose_seq([kp, kp])
-            ts = signal(seq, KNEE, LEFT)
-            assert abs(ts[0] - expected) < 1e-9
+            seq = walking_pose(left_hip=hip, left_knee=knee, left_ankle=ankle)
+            assert np.allclose(signals(seq)[KNEE, LEFT], expected, rtol=0, atol=1e-9)
 
     def test_similarity_invariance(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             pts = rng.normal(size=(3, 2)) * 5
-            kp = {"left_hip": tuple(pts[0]), "left_knee": tuple(pts[1]), "left_ankle": tuple(pts[2])}
-            base = signal(pose_seq([kp]), KNEE, LEFT)[0]
+            base = signals(walking_pose(**dict(zip(["left_hip", "left_knee", "left_ankle"],
+                                                   map(tuple, pts)))))[KNEE, LEFT]
             ang = rng.uniform(0, 2 * np.pi)
             rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
             s = rng.uniform(0.1, 10)
             shift = rng.normal(size=2) * 100
             pts2 = pts @ rot.T * s + shift
-            kp2 = {
-                "left_hip": tuple(pts2[0]),
-                "left_knee": tuple(pts2[1]),
-                "left_ankle": tuple(pts2[2]),
-            }
-            moved = signal(pose_seq([kp2]), KNEE, LEFT)[0]
-            assert abs(base - moved) < 1e-9
+            moved = signals(walking_pose(**dict(zip(["left_hip", "left_knee", "left_ankle"],
+                                                    map(tuple, pts2)))))[KNEE, LEFT]
+            assert np.allclose(base, moved, rtol=0, atol=1e-9)
 
 
 class TestTrunkRotation:
-    def frame(self, shoulder_angle_deg):
-        a = np.radians(shoulder_angle_deg)
-        return {
-            "left_hip": (-1.0, 0.0),
-            "right_hip": (1.0, 0.0),
-            "left_shoulder": (-np.cos(a), -np.sin(a)),
-            "right_shoulder": (np.cos(a), np.sin(a)),
-        }
+    def pose(self, shoulder_angle_deg):
+        # hips 2 apart along the walk, shoulders 2 apart turned by the angle
+        c, s = np.cos(np.radians(shoulder_angle_deg)), np.sin(np.radians(shoulder_angle_deg))
+        return walking_pose(left_hip=lambda x: (x - 1.0, 0.0), right_hip=lambda x: (x + 1.0, 0.0),
+                            left_shoulder=lambda x: (x - c, -s),
+                            right_shoulder=lambda x: (x + c, s))
 
     def test_aligned_is_zero(self):
-        seq = pose_seq([self.frame(0.0)])
-        assert abs(signal(seq, TRUNK, BILATERAL)[0]) < 1e-12
+        assert np.allclose(signals(self.pose(0.0))[TRUNK, BILATERAL], 0.0, rtol=0, atol=1e-12)
 
     def test_signed_angle(self):
         for ang in (30.0, -30.0, 90.0, 179.0):
-            seq = pose_seq([self.frame(ang)])
-            assert abs(signal(seq, TRUNK, BILATERAL)[0] - ang) < 1e-9
+            assert np.allclose(signals(self.pose(ang))[TRUNK, BILATERAL], ang, rtol=0, atol=1e-9)
 
     def test_half_turn_maps_to_positive(self):
-        seq = pose_seq([self.frame(180.0)])
-        assert abs(signal(seq, TRUNK, BILATERAL)[0] - 180.0) < 1e-9
+        assert np.allclose(signals(self.pose(180.0))[TRUNK, BILATERAL], 180.0, rtol=0, atol=1e-9)
 
 
 class TestWristHipmid:
     def test_pythagorean(self):
-        kp = {
-            "left_hip": (0.0, 0.0),
-            "right_hip": (0.0, 0.0),
-            "left_wrist": (3.0, 4.0),
-        }
-        seq = pose_seq([kp])
-        assert abs(signal(seq, WRIST, LEFT)[0] - 5.0) < 1e-12
+        seq = walking_pose(left_hip=lambda x: (x, -1.0), right_hip=lambda x: (x, 1.0),
+                           left_wrist=lambda x: (x + 3.0, 4.0))
+        assert np.allclose(signals(seq)[WRIST, LEFT], 5.0, rtol=0, atol=1e-12)
 
     def test_midpoint_used(self):
-        kp = {
-            "left_hip": (-2.0, 0.0),
-            "right_hip": (2.0, 0.0),
-            "right_wrist": (0.0, 7.0),
-        }
-        seq = pose_seq([kp])
-        assert abs(signal(seq, WRIST, RIGHT)[0] - 7.0) < 1e-12
+        seq = walking_pose(left_hip=lambda x: (x - 2.0, 0.0), right_hip=lambda x: (x + 2.0, 0.0),
+                           right_wrist=lambda x: (x, 7.0))
+        assert np.allclose(signals(seq)[WRIST, RIGHT], 7.0, rtol=0, atol=1e-12)
 
 
 class TestExtractAll:
-    def full_frames(self, n=20):
-        def extra(i):
-            x = float(i)
-            return {
-                "left_knee": (x, 5.0),
-                "right_knee": (x, 5.5),
-                "left_shoulder": (x, 20.0),
-                "right_shoulder": (x, 22.0),
-                "left_wrist": (x + 0.5, 11.0),
-                "right_wrist": (x - 0.5, 11.0),
-            }
-
-        return walking_frames(n, kp_extra=extra)
-
     def test_seven_signals(self):
-        fs = extract_all(pose_seq(self.full_frames()))
+        fs = extract_all(walking_pose())
         assert len(fs.signals) == 7
         for feature, sides in FEATURE_SIDES.items():
             for side in sides:
                 assert (feature, side) in fs.signals
 
     def test_missing_landmark_wrapped(self):
-        frames = self.full_frames()
-        for kp in frames:
-            del kp["left_wrist"]
+        seq = walking_pose()
+        seq.values[:, seq.names.index("left_wrist")] = np.nan
         with pytest.raises(GaitViewError, match=r"^\(wrist_hipmid, left\): keypoint 'left_wrist' "
                                                 "absent in frame 0$") as info:
-            extract_all(pose_seq(frames))
+            extract_all(seq)
         assert type(info.value.__cause__) is GaitViewError
         assert str(info.value.__cause__) == "keypoint 'left_wrist' absent in frame 0"
 
@@ -215,8 +175,19 @@ class TestExtractAll:
         with np.errstate(over="ignore"):
             with pytest.raises(GaitViewError, match=rf"^\(wrist_hipmid, left\): {message}$"):
                 extract_all(seq)
-            with pytest.raises(ValueError, match=f"^{message}$"):  # signal raises unwrapped
-                signal(seq, WRIST, LEFT)
+
+    def test_partial_marker_set_rejected(self):
+        # hips, knees and ankles only: no shoulders for trunk rotation
+        full = generate_gait(GaitModelParams(n_frames=60))
+        keep = [k for k, name in enumerate(full.names)
+                if name.split("_")[-1] in ("hip", "knee", "ankle")]
+        seq = MarkerSequence(frame_index=full.frame_index, times=full.times,
+                             names=[full.names[k] for k in keep], values=full.values[:, keep])
+        assert len(seq.names) == 6
+        with pytest.raises(GaitViewError, match=r"^\(trunk_rotation, bilateral\): marker "
+                                                "'left_shoulder' absent in frame 0$") as info:
+            extract_all(seq)
+        assert type(info.value.__cause__) is GaitViewError
 
 
 class TestDegenerateGeometry:
@@ -230,67 +201,44 @@ class TestDegenerateGeometry:
         values = seq.values.copy()
         values[17, seq.names.index(moved)] = values[17, seq.names.index(onto)]
         seq = seq.with_values(values)
-        with pytest.raises(GaitViewError, match=f"^{message} at frame index 17$"):
-            signal(seq, feature, side)
         with pytest.raises(GaitViewError, match=rf"^\({feature.value}, {side.value}\): "
                                                 rf"{message} at frame index 17$"):
             extract_all(seq)
-
-
-class TestSignal:
-    def test_partial_marker_set(self):
-        # hips, knees and ankles only: enough for step length and knee
-        # rotation, which signal() scores alone, but not for a full set
-        full = generate_gait(GaitModelParams(n_frames=60))
-        keep = [k for k, name in enumerate(full.names)
-                if name.split("_")[-1] in ("hip", "knee", "ankle")]
-        seq = MarkerSequence(frame_index=full.frame_index, times=full.times,
-                             names=[full.names[k] for k in keep], values=full.values[:, keep])
-        assert len(seq.names) == 6
-        for feature in (STEP, KNEE):
-            for side in (LEFT, RIGHT):
-                assert signal(seq, feature, side).tobytes() == \
-                    signal(full, feature, side).tobytes()
-        with pytest.raises(GaitViewError, match=r"^\(trunk_rotation, bilateral\): marker "
-                                                "'left_shoulder' absent in frame 0$") as info:
-            extract_all(seq)
-        assert type(info.value.__cause__) is GaitViewError
-
-    @pytest.mark.parametrize("feature, side", [(STEP, BILATERAL), (TRUNK, LEFT)])
-    def test_side_the_feature_lacks_rejected(self, feature, side):
-        seq = generate_gait(GaitModelParams(n_frames=20))
-        with pytest.raises(ValueError, match=f"^{feature.value} has no {side.value} side$"):
-            signal(seq, feature, side)
 
 
 class TestOnSynthetic:
     def test_step_length_sides_are_half_cycle_apart(self):
         # left and right step signals of a 1 Hz gait at 100 Hz are shifted
         # by ~50 frames; long signal keeps the correlation peak unbiased
-        params = GaitModelParams(n_frames=1000)
-        seq = generate_gait(params)
-        left = signal(seq, STEP, LEFT)
-        right = signal(seq, STEP, RIGHT)
-        _, lag = max_cross_correlation(left, right)
+        out = signals(generate_gait(GaitModelParams(n_frames=1000)))
+        _, lag = max_cross_correlation(out[STEP, LEFT], out[STEP, RIGHT])
         assert abs(lag) in (49, 50, 51)
 
     def test_knee_angle_range_plausible(self):
-        seq = generate_gait(GaitModelParams())
-        ts = signal(seq, KNEE, LEFT)
+        ts = signals(generate_gait(GaitModelParams()))[KNEE, LEFT]
         assert np.all(ts <= 180.0)
         assert ts.min() > 90.0
         assert ts.max() - ts.min() > 20.0
 
 
-ROLES = [f"{side}_{part}" for part in ("hip", "knee", "ankle", "shoulder", "wrist")
-         for side in ("left", "right")]
+def first_reader(role: str) -> str:
+    """'(feature, side)' of the first signal, in FEATURE_SIDES order, that
+    reads role, from the definitions in gaitview.features."""
+    hips = {"left_hip", "right_hip"}
+    reads = {STEP: lambda side: hips | {"left_ankle", "right_ankle"},
+             KNEE: lambda side: {f"{side.value}_{part}" for part in ("hip", "knee", "ankle")},
+             TRUNK: lambda side: hips | {"left_shoulder", "right_shoulder"},
+             WRIST: lambda side: hips | {f"{side.value}_wrist"}}
+    return next(f"({feature.value}, {side.value})" for feature, sides in FEATURE_SIDES.items()
+                for side in sides if role in reads[feature](side))
 
 
 @st.composite
 def gait_sequences(draw):
-    """A synthetic walk as markers (named by role or through a marker map)
-    or as a frontal or lateral pose, optionally broken: a role absent from
-    one frame, or hips that never move."""
+    """(sequence, marker map, fault, role): a synthetic walk as markers
+    (named by role or through a marker map) or as a frontal or lateral
+    pose, optionally broken: a role absent from one frame, or hips that
+    never move."""
     params = GaitModelParams(n_frames=draw(st.integers(2, 60)))
     seq, marker_map = generate_gait(params), None
     if draw(st.booleans()):  # 2 mm of marker jitter
@@ -304,7 +252,7 @@ def gait_sequences(draw):
     elif kind != "markers":
         seq = project(seq, preset_cameras(params)[kind], view=kind)
     values = seq.values.copy()
-    fault = draw(st.sampled_from([None, "absent", "standing"]))
+    fault, role = draw(st.sampled_from([None, "absent", "standing"])), None
     if fault == "absent":
         role = draw(st.sampled_from(ROLES))
         name = marker_map[role] if marker_map else role
@@ -313,37 +261,33 @@ def gait_sequences(draw):
         hips = [seq.names.index(marker_map[r] if marker_map else r)
                 for r in ("left_hip", "right_hip")]
         values[:, hips] = values[:1, hips]
-    return seq.with_values(values), marker_map
+    return seq.with_values(values), marker_map, fault, role
 
 
-def first_failure(seq, marker_map):
-    """The message extract_all gives the first signal() call that fails, in
-    FEATURE_SIDES order, and the type of that failure; or None."""
-    for feature, sides in FEATURE_SIDES.items():
-        for side in sides:
-            try:
-                signal(seq, feature, side, marker_map)
-            except Exception as exc:
-                return f"({feature.value}, {side.value}): {exc}", type(exc)
-    return None
-
-
-class TestExtractAllEqualsPublicFunctions:
+class TestExtractAllEqualsReference:
     @settings(max_examples=120, deadline=None)
     @given(gait_sequences())
-    def test_bit_for_bit_and_same_first_error(self, case):
-        seq, marker_map = case
-        expected = first_failure(seq, marker_map)
-        if expected is not None:
+    def test_equals_reference_and_first_error(self, case):
+        seq, marker_map, fault, role = case
+        rows = sequence_rows(seq)
+        if fault is not None:
             with pytest.raises(GaitViewError) as info:
                 extract_all(seq, marker_map)
-            assert (str(info.value), type(info.value.__cause__)) == expected
+            with pytest.raises(GaitViewError) as expected:
+                features_reference(rows, seq.dims, marker_map)
+            assert str(info.value) == str(expected.value)
+            assert type(info.value.__cause__) is GaitViewError
+            if fault == "standing":
+                assert str(info.value) == ("(step_length, left): hip midpoint shows no net "
+                                           "displacement")
+            else:
+                assert str(info.value).startswith(f"{first_reader(role)}: ")
             return
         fs = extract_all(seq, marker_map)
-        assert list(fs.signals) == [(f, s) for f, sides in FEATURE_SIDES.items() for s in sides]
-        for (feature, side), ts in fs.signals.items():
-            alone = signal(seq, feature, side, marker_map)
-            assert ts.tobytes() == alone.tobytes()
+        reference = features_reference(rows, seq.dims, marker_map)
+        assert list(fs.signals) == list(reference)  # the seven signals, in order
+        for key, ts in fs.signals.items():
+            np.testing.assert_allclose(ts, reference[key], rtol=1e-9, atol=0, err_msg=str(key))
 
     @pytest.mark.parametrize("role", ROLES)
     def test_role_absent_from_one_frame(self, role):
@@ -351,8 +295,6 @@ class TestExtractAllEqualsPublicFunctions:
         values = seq.values.copy()
         values[17, seq.names.index(role)] = np.nan
         seq = seq.with_values(values)
-        expected = first_failure(seq, None)
         with pytest.raises(GaitViewError) as info:
             extract_all(seq)
-        assert str(info.value) == expected[0]
-        assert f"marker {role!r} absent in frame 17" in str(info.value)
+        assert str(info.value) == f"{first_reader(role)}: marker {role!r} absent in frame 17"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitview.errors import GaitViewError
-from gaitview.features import FeatureName, signal
+from gaitview.features import FeatureName, extract_all
 from gaitview.ingest import KEYPOINT_NAMES, MarkerFrame, MarkerSequence, parse_marker_csv
 from gaitview.signal_core import SideLabel, ViewLabel
 from gaitview.synth import (
@@ -83,7 +83,7 @@ class TestGenerateGait:
     def test_trunk_rotation_amplitude(self):
         params = GaitModelParams()
         seq = generate_gait(params)
-        ts = signal(seq, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL)
+        ts = extract_all(seq).signals[FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL]
         assert abs(np.max(np.abs(ts)) - params.trunk_rot_amp_deg
                    - HIP_ROT_AMP_DEG) < 0.5
 
@@ -219,8 +219,8 @@ class TestFrontalTrunkAngle:
         seq = generate_gait(params)
         cam = preset_cameras(params)[ViewLabel.FRONTAL]
         pose = project(seq, cam, view=ViewLabel.FRONTAL)
-        ang2d = signal(pose, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL)
-        ang3d = signal(seq, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL)
+        ang2d = extract_all(pose).signals[FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL]
+        ang3d = extract_all(seq).signals[FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL]
         assert np.max(np.abs(np.abs(ang2d) - np.abs(ang3d))) < 1.5
 
     def test_frontal_image_angle_proportional_to_3d(self):
@@ -229,8 +229,8 @@ class TestFrontalTrunkAngle:
         seq = generate_gait(params)
         cam = preset_cameras(params)[ViewLabel.FRONTAL]
         pose = project(seq, cam, view=ViewLabel.FRONTAL)
-        ang2d = signal(pose, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL)
-        ang3d = signal(seq, FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL)
+        ang2d = extract_all(pose).signals[FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL]
+        ang3d = extract_all(seq).signals[FeatureName.TRUNK_ROTATION, SideLabel.BILATERAL]
         r = np.corrcoef(ang2d, ang3d)[0, 1]
         assert abs(r) > 0.97
         assert np.max(np.abs(ang2d)) < 0.5 * np.max(np.abs(ang3d))
